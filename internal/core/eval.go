@@ -188,44 +188,119 @@ func EvaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Pa
 	return ev, nil
 }
 
-// evaluateIntraFast is the partition-backed equivalent of Evaluate for
-// intra-relation FDs: Π_LHS from the run's cache supplies the
-// LHS-equal groups directly (tuples with a missing LHS value carry
-// row-unique null codes, so they fall into stripped-out singletons —
-// the same vacuous-pair semantics the evaluator implements by
-// skipping them), and the per-group RHS counting below mirrors
-// Evaluate's exactly.
-func evaluateIntraFast(cache *partitionCache, origin *relation.Relation, lhsSet AttrSet, rhsAttr int) Evaluation {
-	rp := cache.store(origin)
-	sc := partition.GetScratch(origin.NRows())
-	defer partition.PutScratch(sc)
-	p := cache.partitionOf(rp, lhsSet, sc, false, nil)
+// verifier derives the Evaluation of each candidate FD of the verify
+// stage from partitions (see verifyFD). It lives for one stage on one
+// goroutine.
+type verifier struct {
+	h     *relation.Hierarchy
+	cache *partitionCache
+	naive bool
+	sc    *partition.Scratch
 
-	ev := Evaluation{Holds: true, LHSIsKey: len(p.Groups) == 0}
-	removals := 0
-	rcol := origin.Cols[rhsAttr]
-	for _, g := range p.Groups {
-		counts := make(map[int64]int, len(g))
-		max := 1
-		agree := true
-		first := rcol[g[0]]
-		if relation.IsNull(first) {
-			agree = false
+	// lifts memoizes lifted attribute partitions for the length of the
+	// stage, keyed by (origin, relation, attribute), the relations by
+	// Relation.Index.
+	lifts  map[[3]int]*partition.Partition
+	codes  []int64 // the lifted column being built
+	counts []int32 // RHS multiplicities by dense code; all zero between groups
+}
+
+func newVerifier(h *relation.Hierarchy, cache *partitionCache, naive bool) *verifier {
+	rows := 0
+	for _, r := range h.Relations {
+		rows = max(rows, r.NRows())
+	}
+	return &verifier{h: h, cache: cache, naive: naive, sc: partition.GetScratch(rows),
+		lifts: make(map[[3]int]*partition.Partition)}
+}
+
+// close returns the pooled scratch.
+func (v *verifier) close() {
+	partition.PutScratch(v.sc)
+	v.sc = nil
+}
+
+// lhsPartition returns Π_LHS over the origin's rows for an LHS that
+// reaches into ancestor relations: the product of its attributes'
+// lifted partitions.
+func (v *verifier) lhsPartition(origin *relation.Relation, refs []ref) *partition.Partition {
+	p := v.lift(origin, refs[0])
+	for _, r := range refs[1:] {
+		if p.IsKey() {
+			break // every row is a singleton already
 		}
-		for i, t := range g {
-			code := rcol[t]
-			if i > 0 && (relation.IsNull(code) || code != first) {
-				agree = false
+		p = p.Product(v.lift(origin, r), v.sc)
+	}
+	return p
+}
+
+// lift returns the partition of the origin's rows by one LHS
+// attribute. An ancestor attribute's code is read by walking ParentIdx
+// up from each origin row; a missing ancestor or a null value gets a
+// row-unique null code, so the row is a singleton — exactly the tuples
+// Evaluate skips as vacuous.
+func (v *verifier) lift(origin *relation.Relation, r ref) *partition.Partition {
+	key := [3]int{origin.Index, r.rel.Index, r.attr}
+	if p, ok := v.lifts[key]; ok {
+		return p
+	}
+	var p *partition.Partition
+	if r.ups == 0 {
+		p = origin.ColumnPartition(r.attr)
+	} else {
+		n := origin.NRows()
+		if cap(v.codes) < n {
+			v.codes = make([]int64, n)
+		}
+		codes, col := v.codes[:n], r.rel.Cols[r.attr]
+		for t := range codes {
+			codes[t] = -1 - int64(t)
+			if at, ok := ancestorTuple(origin, t, r.ups); ok && !relation.IsNull(col[at]) {
+				codes[t] = col[at]
 			}
-			if relation.IsNull(code) {
+		}
+		bound := int64(0) // not dense-coded: FromDense falls back to hashing
+		if r.attr < len(r.rel.ColBound) {
+			bound = r.rel.ColBound[r.attr]
+		}
+		p = partition.FromDense(codes, bound)
+	}
+	v.lifts[key] = p
+	return p
+}
+
+// evaluation derives the Evaluation of LHS → rhs from Π_LHS, whose
+// groups are exactly Evaluate's LHS-equal groups of two or more tuples:
+// a null LHS value carries a row-unique code, so its tuple falls into a
+// stripped singleton, the vacuous pairs Evaluate skips. rcol is the RHS
+// column, its non-null codes dense in [1, bound); their multiplicities
+// per group are counted in v.counts.
+func (v *verifier) evaluation(p *partition.Partition, rcol []int64, bound int64) Evaluation {
+	if int(bound) > len(v.counts) {
+		v.counts = make([]int32, bound)
+	}
+	ev := Evaluation{Holds: true, LHSIsKey: p.IsKey()}
+	removals := 0
+	for _, g := range p.Groups {
+		first := rcol[g[0]]
+		agree := !relation.IsNull(first)
+		most := int32(1)
+		for _, t := range g {
+			c := rcol[t]
+			if relation.IsNull(c) {
+				agree = false // nulls are pairwise distinct under strong satisfaction
 				continue
 			}
-			counts[code]++
-			if counts[code] > max {
-				max = counts[code]
+			agree = agree && c == first
+			v.counts[c]++
+			most = max(most, v.counts[c])
+		}
+		for _, t := range g {
+			if c := rcol[t]; !relation.IsNull(c) {
+				v.counts[c] = 0
 			}
 		}
-		removals += len(g) - max
+		removals += len(g) - int(most)
 		if agree {
 			ev.WitnessGroups++
 			ev.Witnesses += len(g) - 1
@@ -234,8 +309,8 @@ func evaluateIntraFast(cache *partitionCache, origin *relation.Relation, lhsSet 
 			ev.Violations += len(g) - 1
 		}
 	}
-	if n := origin.NRows(); n > 0 {
-		ev.Error = float64(removals) / float64(n)
+	if p.NRows > 0 {
+		ev.Error = float64(removals) / float64(p.NRows)
 	}
 	return ev
 }

@@ -53,6 +53,9 @@ type latticeRun struct {
 	pc    *relPartitions
 	sc    *partition.Scratch
 
+	// marks is target creation's parent-row scratch.
+	marks parentMarks
+
 	fds  []edge
 	keys []AttrSet
 	out  relOutput
@@ -113,7 +116,7 @@ func (lr *latticeRun) run(xfd bool) {
 	// alone may identify the tuples of this class.
 	if xfd && rel.Parent != nil && !lr.opts.NoInterRelation {
 		ts := time.Now()
-		if pt := createKeyTarget(rel, 0, lr.getPartition(0), lr.ni, lr.opts, lr.stats); pt != nil {
+		if pt := createKeyTarget(rel, 0, lr.getPartition(0), lr.ni, &lr.marks, lr.opts, lr.stats); pt != nil {
 			lr.out.outgoing = append(lr.out.outgoing, pt)
 		}
 		lr.stats.InterTime += time.Since(ts)
@@ -208,7 +211,7 @@ func (lr *latticeRun) run(xfd bool) {
 			if rel.Parent != nil && !lr.opts.NoInterRelation {
 				ts := time.Now()
 				if len(lr.out.outgoing) < lr.opts.maxTargets() {
-					if pt := createKeyTarget(rel, a, pa, lr.ni, lr.opts, lr.stats); pt != nil {
+					if pt := createKeyTarget(rel, a, pa, lr.ni, &lr.marks, lr.opts, lr.stats); pt != nil {
 						lr.out.outgoing = append(lr.out.outgoing, pt)
 					}
 				} else {
@@ -300,7 +303,7 @@ func (lr *latticeRun) seedTargets(a AttrSet, pa *partition.Partition, ls []AttrS
 			targetDropped(lr.rel, lr.opts, lr.stats, "outgoing target cap reached")
 			continue
 		}
-		pt := createTarget(lr.rel, al, r, pal, len(pa.Groups), lr.groupIDs(a), lr.ni, lr.opts, lr.stats)
+		pt := createTarget(lr.rel, al, r, pal, len(pa.Groups), lr.groupIDs(a), lr.ni, &lr.marks, lr.opts, lr.stats)
 		if pt != nil {
 			lr.out.outgoing = append(lr.out.outgoing, pt)
 		}
@@ -341,7 +344,7 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 		if lr.opts.PropagatePartial && lr.rel.Parent != nil &&
 			a.Size() <= lr.opts.maxPartialAttrs() &&
 			len(lr.out.outgoing) < lr.opts.maxTargets() &&
-			pt.remaining(gids, nulls) < len(pt.pairs) {
+			pt.anySeparated(gids, nulls) {
 			// Progress was made: carry the rest upward with a in the
 			// LHS (Figure 9 lines 26–29).
 			if up := pt.convert(lr.rel, gids, nulls, a, lr.ni, lr.opts, lr.stats); up != nil {

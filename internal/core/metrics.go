@@ -48,9 +48,10 @@ type Metrics struct {
 	Totals Stats
 }
 
-// engineMetrics is the Engine's live counter state. The hot counters
-// are atomics so concurrent runs never contend; the Stats accumulator
-// is mutex-guarded and touched once per finished run.
+// engineMetrics is the Engine's live counter state. Every field,
+// counters and the Stats accumulator alike, is guarded by mu; each is
+// touched a few times per run, update batch or evaluation, so
+// concurrent runs barely contend.
 type engineMetrics struct {
 	mu                  sync.Mutex
 	runsStarted         int64 // guarded by mu

@@ -532,15 +532,16 @@ func (run *Run) minimize(top *gathered) []FD {
 // verify applies the Definition 11 filter: an FD indicates a
 // redundancy iff its LHS is not a key of the class. Lattice key
 // pruning and the superkey filter in minimize remove almost all such
-// FDs; the final check against the independent evaluator (which also
-// provides the witness counts) guarantees the invariant exactly.
-// Intra-relation FDs reuse the run's partition cache (see verifyFD).
+// FDs; the final check, derived from partitions (see verifyFD),
+// guarantees the invariant exactly and provides the witness counts.
 func (run *Run) verify(fds []FD) error {
+	v := newVerifier(run.h, run.cache, run.opts.NaivePartitions)
+	defer v.close()
 	for _, fd := range fds {
 		if err := run.gov.cancelled(); err != nil {
 			return err
 		}
-		ev, err := verifyFD(run.cache, run.h, fd, run.opts.NaivePartitions)
+		ev, err := v.verifyFD(fd)
 		if err != nil {
 			return err
 		}

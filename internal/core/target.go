@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
@@ -113,44 +112,65 @@ func (t *target) clone() *target {
 	return &c
 }
 
-// pairSet deduplicates pairs during construction, keyed on a packed
-// uint64. A map beats sort-and-compact here because duplicate pairs
-// across partition groups are common: the deduplicated set is often
-// far smaller than the raw pair stream, and the cap applies to the
-// deduplicated size.
+// pairSet collects a target's pairs during construction as packed
+// uint64s (a<<32 | b, which orders like (a, b)), appended raw and then
+// sorted and deduplicated. Duplicate pairs across partition groups are
+// common, so the raw stream is compacted whenever it reaches twice the
+// cap, which keeps memory bounded by the cap. The cap applies to the
+// deduplicated size and is checked before each insert: the set
+// overflows exactly when the distinct pairs added before the final add
+// already number max or more. add detects that at its compaction
+// points; slice settles it for the rest of the stream.
 type pairSet struct {
-	m        map[uint64]struct{}
+	packed   []uint64
 	max      int
 	overflow bool
 }
 
 func newPairSet(max int) *pairSet {
-	return &pairSet{m: make(map[uint64]struct{}), max: max}
+	return &pairSet{max: max}
 }
 
 func (ps *pairSet) add(p pair) {
 	if ps.overflow {
 		return
 	}
-	if len(ps.m) >= ps.max {
-		ps.overflow = true
-		return
+	if len(ps.packed) >= 2*ps.max {
+		ps.compact()
+		if len(ps.packed) >= ps.max {
+			ps.overflow = true
+			return
+		}
 	}
-	ps.m[uint64(uint32(p.a))<<32|uint64(uint32(p.b))] = struct{}{}
+	ps.packed = append(ps.packed, uint64(uint32(p.a))<<32|uint64(uint32(p.b)))
 }
 
+func (ps *pairSet) compact() {
+	slices.Sort(ps.packed)
+	ps.packed = slices.Compact(ps.packed)
+}
+
+// slice settles the cap against every add but the last, then returns
+// the deduplicated pairs in (a, b) order, deterministic for downstream
+// reproducibility. Callers check overflow after calling it.
 func (ps *pairSet) slice() []pair {
-	out := make([]pair, 0, len(ps.m))
-	for v := range ps.m {
-		out = append(out, pair{a: int32(v >> 32), b: int32(uint32(v))})
-	}
-	// Deterministic order for downstream reproducibility.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].a != out[j].a {
-			return out[i].a < out[j].a
+	if n := len(ps.packed); n > 0 && !ps.overflow {
+		last := ps.packed[n-1]
+		ps.packed = ps.packed[:n-1]
+		ps.compact()
+		if len(ps.packed) >= ps.max {
+			ps.overflow = true
+		} else if i, found := slices.BinarySearch(ps.packed, last); !found {
+			ps.packed = slices.Insert(ps.packed, i, last)
 		}
-		return out[i].b < out[j].b
-	})
+	}
+	if ps.overflow {
+		return nil
+	}
+	out := make([]pair, len(ps.packed))
+	for i, v := range ps.packed {
+		out[i] = pair{a: int32(v >> 32), b: int32(uint32(v))}
+	}
 	return out
 }
 
@@ -188,6 +208,53 @@ func separated(p pair, gids []int32, nulls []bool) bool {
 	return partition.Separates(gids, p.a, p.b)
 }
 
+// parentMarks is the reusable scratch of target creation, owned by one
+// relation's latticeRun. Epoch stamps over the parent relation's rows
+// mark the parents seen in the current Π group — a new epoch clears
+// every mark at once — together with the bucket that reached each one
+// first; keys, parents and ends hold one group's sort keys and its
+// runs of distinct parents.
+type parentMarks struct {
+	epoch   uint32
+	stamp   []uint32 // per parent row: the epoch that last marked it
+	first   []int32  // per parent row: the bucket that marked it
+	keys    []uint64
+	parents []int32
+	ends    []int // end offset in parents of each run
+}
+
+// next starts a new epoch over n parent rows.
+func (pm *parentMarks) next(n int) {
+	if len(pm.stamp) < n {
+		pm.stamp, pm.first, pm.epoch = make([]uint32, n), make([]int32, n), 0
+	}
+	pm.epoch++
+	if pm.epoch == 0 { // wrapped around: old stamps could match again
+		clear(pm.stamp)
+		pm.epoch = 1
+	}
+}
+
+// mark records that bucket b reached parent row p. It returns the
+// bucket that reached p first in this epoch and whether p was already
+// marked.
+func (pm *parentMarks) mark(p, b int32) (int32, bool) {
+	if pm.stamp[p] == pm.epoch {
+		return pm.first[p], true
+	}
+	pm.stamp[p], pm.first[p] = pm.epoch, b
+	return b, false
+}
+
+// run returns the i-th run of distinct parents.
+func (pm *parentMarks) run(i int) []int32 {
+	lo := 0
+	if i > 0 {
+		lo = pm.ends[i-1]
+	}
+	return pm.parents[lo:pm.ends[i]]
+}
+
 // createTarget builds a candidate-partial-FD target from a failed
 // intra-relation edge LHS → rhs at relation rel (Figure 10,
 // creatept). plhs is Π_LHS; allIDs are the group ids of Π_{LHS∪rhs}.
@@ -196,94 +263,88 @@ func separated(p pair, gids []int32, nulls []bool) bool {
 // vacuously (Lemma 3 part 1, corrected for strong satisfaction).
 func createTarget(rel *relation.Relation, lhs AttrSet, rhs int,
 	plhs *partition.Partition, nAllGroups int, allIDs []int32,
-	ni nullInfo, opts *Options, st *Stats) *target {
+	ni nullInfo, pm *parentMarks, opts *Options, st *Stats) *target {
 
 	parents := rel.ParentIdx
 	fdSet := newPairSet(opts.maxTargetPairs())
 
-	// For each Π_LHS group, split tuples by their Π_{LHS∪rhs} group
-	// (stripped singletons are their own subgroup). Cross-subgroup
-	// tuple pairs violate the FD at this level and must be separated
-	// — or vacuously excused — by their ancestors.
+	// For each Π_LHS group, split tuples into buckets by their
+	// Π_{LHS∪rhs} group (stripped singletons are buckets of their own,
+	// numbered from nAllGroups in row order). Cross-bucket tuple pairs
+	// violate the FD at this level and must be separated — or
+	// vacuously excused — by their ancestors.
 	for _, g := range plhs.Groups {
-		buckets := make(map[int32][]int32)
-		next := int32(nAllGroups)
+		keys := pm.keys[:0]
+		next := uint64(nAllGroups)
+		first := allIDs[g[0]]
+		one := first >= 0
 		for _, t := range g {
-			b := allIDs[t]
-			if b < 0 {
-				b = next
+			id := allIDs[t]
+			one = one && id == first
+			b := next
+			if id >= 0 {
+				b = uint64(id)
+			} else {
 				next++
 			}
-			buckets[b] = append(buckets[b], t)
+			keys = append(keys, b<<32|uint64(t))
 		}
-		if len(buckets) == 1 {
-			continue // no violation within this group
+		pm.keys = keys
+		if one {
+			continue // one bucket: no violation within this group
 		}
-		// Distinct parents per bucket; a parent spanning two buckets
-		// yields a degenerate pair. Buckets are visited in ascending id
-		// order: a spanning parent is attributed to the first bucket
-		// that reaches it, so map order here would change which
-		// cross-bucket pairs are enumerated below.
-		bucketIDs := make([]int32, 0, len(buckets))
-		for b := range buckets {
-			bucketIDs = append(bucketIDs, b)
-		}
-		slices.Sort(bucketIDs)
-		bucketParents := make(map[int32][]int32)
-		parentBucket := make(map[int32]int32)
-		for _, b := range bucketIDs {
-			for _, t := range buckets[b] {
-				p := parents[t]
-				if pb, ok := parentBucket[p]; ok {
-					if pb != b {
-						if !ni.keep(p) {
-							targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
-							return nil
-						}
-						fdSet.add(pair{p, p})
-					}
-					continue
+		// Sorting the packed (bucket, tuple) keys visits buckets in
+		// ascending id, each bucket's tuples in row order. The order
+		// matters: a parent spanning two buckets is attributed to the
+		// first that reaches it, which decides the cross-bucket pairs
+		// enumerated below.
+		slices.Sort(keys)
+		// Distinct parents per bucket, one run each; a parent spanning
+		// two buckets yields a degenerate pair.
+		pm.next(rel.Parent.NRows())
+		pm.parents, pm.ends = pm.parents[:0], pm.ends[:0]
+		for i, k := range keys {
+			if i > 0 && k>>32 != keys[i-1]>>32 {
+				pm.ends = append(pm.ends, len(pm.parents))
+			}
+			b, p := int32(k>>32), parents[uint32(k)]
+			if fb, seen := pm.mark(p, b); !seen {
+				pm.parents = append(pm.parents, p)
+			} else if fb != b {
+				if !ni.keep(p) {
+					targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
+					return nil
 				}
-				parentBucket[p] = b
-				bucketParents[b] = append(bucketParents[b], p)
+				fdSet.add(pair{p, p})
 			}
 		}
-		// All cross-bucket parent pairs must be separated upstream.
-		// Bound the enumeration first: Σ_{i<j} |P_i|·|P_j| =
-		// (T² − Σ|P_i|²)/2.
-		bps := make([][]int32, 0, len(bucketParents))
-		total, sq := 0, 0
-		for _, b := range bucketIDs {
-			ps, ok := bucketParents[b]
-			if !ok {
-				continue
-			}
-			bps = append(bps, ps)
-			total += len(ps)
-			sq += len(ps) * len(ps)
+		pm.ends = append(pm.ends, len(pm.parents))
+		// All cross-bucket parent pairs must be separated upstream (no
+		// parent is in two runs). Bound the enumeration first:
+		// Σ_{i<j} |P_i|·|P_j| = (T² − Σ|P_i|²)/2.
+		total, sq := len(pm.parents), 0
+		for i := range pm.ends {
+			sq += len(pm.run(i)) * len(pm.run(i))
 		}
 		if (total*total-sq)/2 > opts.maxTargetPairs() {
 			targetDropped(rel, opts, st, "pair bound exceeded")
 			return nil
 		}
-		for i := 0; i < len(bps); i++ {
-			for j := i + 1; j < len(bps); j++ {
-				for _, p1 := range bps[i] {
-					for _, p2 := range bps[j] {
-						if p1 == p2 {
-							continue // already recorded as degenerate
-						}
+		for i := range pm.ends {
+			for j := i + 1; j < len(pm.ends); j++ {
+				for _, p1 := range pm.run(i) {
+					for _, p2 := range pm.run(j) {
 						fdSet.add(mkPair(p1, p2))
 					}
 				}
 			}
 		}
 	}
+	ps := fdSet.slice()
 	if fdSet.overflow {
 		targetDropped(rel, opts, st, "pair set overflow")
 		return nil
 	}
-	ps := fdSet.slice()
 	targetCreated(rel, opts, st, len(ps))
 	return &target{
 		origin: rel,
@@ -300,57 +361,58 @@ func createTarget(rel *relation.Relation, lhs AttrSet, rhs int,
 // parent yield a degenerate pair (key possible only through a missing
 // ancestor value); with no nulls above, the target dies immediately.
 func createKeyTarget(rel *relation.Relation, a AttrSet, pa *partition.Partition,
-	ni nullInfo, opts *Options, st *Stats) *target {
+	ni nullInfo, pm *parentMarks, opts *Options, st *Stats) *target {
 
 	max := opts.maxTargetPairs()
 	parents := rel.ParentIdx
 
-	// Phase 1: distinct parents per group and an upper bound on the
-	// pair count, so hopeless targets are dropped before any
-	// quadratic enumeration.
-	groupParents := make([][]int32, 0, len(pa.Groups))
+	// Phase 1: distinct parents per group, one run each, and an upper
+	// bound on the pair count, so hopeless targets are dropped before
+	// any quadratic enumeration.
+	pm.parents, pm.ends = pm.parents[:0], pm.ends[:0]
 	var degenerates []int32
 	bound := 0
 	for _, g := range pa.Groups {
-		seen := make(map[int32]bool, len(g))
-		ps := make([]int32, 0, len(g))
+		pm.next(rel.Parent.NRows())
+		start := len(pm.parents)
 		for _, t := range g {
 			p := parents[t]
-			if seen[p] {
-				if !ni.keep(p) {
-					targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
-					return nil
-				}
-				degenerates = append(degenerates, p)
+			if _, seen := pm.mark(p, 0); !seen {
+				pm.parents = append(pm.parents, p)
 				continue
 			}
-			seen[p] = true
-			ps = append(ps, p)
+			if !ni.keep(p) {
+				targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
+				return nil
+			}
+			degenerates = append(degenerates, p)
 		}
-		bound += len(ps) * (len(ps) - 1) / 2
+		n := len(pm.parents) - start
+		bound += n * (n - 1) / 2
 		if bound > max {
 			targetDropped(rel, opts, st, "pair bound exceeded")
 			return nil
 		}
-		groupParents = append(groupParents, ps)
+		pm.ends = append(pm.ends, len(pm.parents))
 	}
 
 	keySet := newPairSet(max)
 	for _, p := range degenerates {
 		keySet.add(pair{p, p})
 	}
-	for _, ps := range groupParents {
-		for i := 0; i < len(ps); i++ {
+	for g := range pm.ends {
+		ps := pm.run(g)
+		for i := range ps {
 			for j := i + 1; j < len(ps); j++ {
 				keySet.add(mkPair(ps[i], ps[j]))
 			}
 		}
 	}
+	ps := keySet.slice()
 	if keySet.overflow {
 		targetDropped(rel, opts, st, "pair set overflow")
 		return nil
 	}
-	ps := keySet.slice()
 	targetCreated(rel, opts, st, len(ps))
 	return &target{
 		origin:  rel,
@@ -383,6 +445,7 @@ func (t *target) convert(rel *relation.Relation, gids []int32, nulls []bool,
 		}
 		set.add(mkPair(pa, pb))
 	}
+	ps := set.slice()
 	if set.overflow {
 		targetDropped(rel, opts, st, "pair set overflow")
 		return nil
@@ -391,7 +454,6 @@ func (t *target) convert(rel *relation.Relation, gids []int32, nulls []bool,
 	if absorbed != 0 {
 		parts = append(append([]lhsPart(nil), t.parts...), lhsPart{rel: rel, attrs: absorbed})
 	}
-	ps := set.slice()
 	targetPropagated(rel, opts, st, len(ps))
 	return &target{
 		origin:  t.origin,
@@ -416,15 +478,15 @@ func (t *target) satisfiedBy(gids []int32, nulls []bool) bool {
 	return true
 }
 
-// remaining counts pairs not separated by (gids, nulls).
-func (t *target) remaining(gids []int32, nulls []bool) int {
-	n := 0
+// anySeparated reports whether (gids, nulls) satisfies at least one
+// inequality, i.e. whether absorbing the attribute set makes progress.
+func (t *target) anySeparated(gids []int32, nulls []bool) bool {
 	for _, p := range t.pairs {
-		if !separated(p, gids, nulls) {
-			n++
+		if separated(p, gids, nulls) {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // fdAt materializes the inter-relation FD obtained by absorbing

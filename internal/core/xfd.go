@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
 )
@@ -65,34 +66,41 @@ func DiscoverIntraContext(ctx context.Context, h *relation.Hierarchy, opts Optio
 	return NewEngine(opts).DiscoverIntra(ctx, h)
 }
 
-// verifyFD checks one candidate FD for the final Definition 11 filter.
-// Intra-relation FDs reuse the run's partition cache (Π_LHS groups are
-// exactly the evaluator's non-null LHS-equal groups of size ≥ 2, since
-// nulls carry row-unique codes and stripped partitions drop
-// singletons); inter-relation FDs — and every FD when the naive
-// engine is selected — go through the independent evaluator.
-func verifyFD(cache *partitionCache, h *relation.Hierarchy, fd FD, naive bool) (Evaluation, error) {
-	if !naive && !fd.Inter {
-		origin := h.ByPivot(fd.Class)
-		if origin != nil {
-			lhsSet := AttrSet(0)
-			ok := true
-			for _, rp := range fd.LHS {
-				r, err := resolveRef(h, origin, rp)
-				if err != nil || r.ups != 0 {
-					ok = false
-					break
-				}
-				lhsSet = lhsSet.Add(r.attr)
-			}
-			if ok {
-				if r, err := resolveRef(h, origin, fd.RHS); err == nil && r.ups == 0 {
-					return evaluateIntraFast(cache, origin, lhsSet, r.attr), nil
-				}
-			}
-		}
+// verifyFD evaluates one candidate FD for the final Definition 11
+// filter, from partitions: Π_LHS over the origin's rows supplies the
+// LHS-equal groups, and evaluation counts the RHS within them. An
+// intra-relation LHS reads Π_LHS from the run's partition cache. An
+// inter-relation LHS multiplies the lifted partitions of its
+// attributes, which the verifier memoizes and keeps out of the cache,
+// whose counters the Result reports. The naive engine verifies with
+// Evaluate instead, the public evaluator and the test oracle; so does
+// an FD whose paths do not resolve (for Evaluate's error) or whose RHS
+// column has no interned codes.
+func (v *verifier) verifyFD(fd FD) (Evaluation, error) {
+	origin := v.h.ByPivot(fd.Class)
+	if v.naive || origin == nil {
+		return Evaluate(v.h, fd.Class, fd.LHS, fd.RHS)
 	}
-	return Evaluate(h, fd.Class, fd.LHS, fd.RHS)
+	rhs, err := resolveRef(v.h, origin, fd.RHS)
+	if err != nil || rhs.ups != 0 || rhs.attr >= len(origin.ColBound) {
+		return Evaluate(v.h, fd.Class, fd.LHS, fd.RHS)
+	}
+	refs := make([]ref, len(fd.LHS))
+	local, inter := AttrSet(0), false
+	for i, rp := range fd.LHS {
+		if refs[i], err = resolveRef(v.h, origin, rp); err != nil {
+			return Evaluate(v.h, fd.Class, fd.LHS, fd.RHS)
+		}
+		local = local.Add(refs[i].attr)
+		inter = inter || refs[i].ups > 0
+	}
+	var p *partition.Partition
+	if inter {
+		p = v.lhsPartition(origin, refs)
+	} else {
+		p = v.cache.partitionOf(v.cache.store(origin), local, v.sc, false, nil)
+	}
+	return v.evaluation(p, origin.Cols[rhs.attr], origin.ColBound[rhs.attr]), nil
 }
 
 // lhsInterner assigns each distinct LHS path of one class a bit
