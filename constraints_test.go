@@ -97,3 +97,51 @@ func TestDiscoveredConstraintsRecheck(t *testing.T) {
 		}
 	}
 }
+
+// TestRootTextStreamedMatchesInMemory pins that a root element's own
+// text survives streaming: the in-memory and streamed hierarchies of
+// one document must give the same verdicts on constraints that read
+// that text.
+func TestRootTextStreamedMatchesInMemory(t *testing.T) {
+	const xml = `<doc>hello<item><id>1</id><v>a</v></item><item><id>2</id><v>b</v></item></doc>`
+	doc, err := discoverxfd.ParseDocument(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := discoverxfd.InferSchema(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := discoverxfd.BuildHierarchyStream(strings.NewReader(xml), s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := discoverxfd.ParseConstraints(`{../@text} -> ./v w.r.t. C(/doc/item)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []struct {
+		name string
+		h    *discoverxfd.Hierarchy
+	}{{"in-memory", mem}, {"streamed", str}} {
+		ev, err := discoverxfd.Evaluate(h.h, "/doc/item", []discoverxfd.RelPath{"../@text"}, "./v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both items share the root's text but differ in v.
+		if ev.Holds || ev.LHSIsKey || ev.Error != 0.5 {
+			t.Errorf("%s: Evaluate = %+v, want Holds=false LHSIsKey=false Error=0.5", h.name, ev)
+		}
+		results, err := discoverxfd.CheckConstraints(h.h, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 || results[0].Holds {
+			t.Errorf("%s: CheckConstraints = %v, want one violated FD", h.name, results)
+		}
+	}
+}

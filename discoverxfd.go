@@ -100,9 +100,6 @@ type (
 var (
 	// ErrEmptyTree is returned when a document has no root node.
 	ErrEmptyTree = relation.ErrEmptyTree
-	// ErrBuilderFinished is returned by streaming-builder methods
-	// invoked after the hierarchy has been finalized.
-	ErrBuilderFinished = relation.ErrBuilderFinished
 	// ErrUnknownFormat is returned by LoadDocumentFile when neither
 	// the file extension nor the content matches a registered document
 	// format (XML, JSON).

@@ -1,5 +1,5 @@
 // Streaming: discover redundancies in a document far larger than you
-// want to hold in memory. The streaming builder consumes one
+// want to hold in memory. A streamed build consumes one
 // root-child subtree at a time, so resident memory tracks the
 // hierarchical representation (columns of integer codes) rather than
 // the XML tree; discovery output is identical to the in-memory path.

@@ -91,9 +91,9 @@ func (e *Encoder) MultisetCode(nodes []*Node) int {
 }
 
 // MultisetOfCodes interns an unordered collection of already-encoded
-// subtree codes. The argument slice is sorted in place. Streaming
-// builders use this form when the member subtrees are long gone and
-// only their codes were retained.
+// subtree codes. The argument slice is sorted in place. The
+// hierarchy builder uses this form for member codes it has already
+// computed, including those of streamed subtrees that are long gone.
 func (e *Encoder) MultisetOfCodes(codes []int) int {
 	if e.intern == nil {
 		e.intern = make(map[string]int)
@@ -138,13 +138,19 @@ func (e *Encoder) Forget(n *Node) {
 // variant discussed in the paper's Section 4.5 remark on element
 // order (ablation experiment E7).
 func (e *Encoder) ListCode(nodes []*Node) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
-	}
 	codes := make([]int, len(nodes))
 	for i, n := range nodes {
 		codes[i] = e.Encode(n)
+	}
+	return e.ListOfCodes(codes)
+}
+
+// ListOfCodes interns an ordered list of already-encoded subtree
+// codes: the ordered counterpart of MultisetOfCodes.
+func (e *Encoder) ListOfCodes(codes []int) int {
+	if e.intern == nil {
+		e.intern = make(map[string]int)
+		e.cache = make(map[*Node]int)
 	}
 	return e.internCodes("ls", codes)
 }

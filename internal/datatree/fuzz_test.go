@@ -5,21 +5,23 @@ import (
 	"testing"
 )
 
+// parseSeeds seeds the XML parser fuzz targets.
+var parseSeeds = []string{
+	"<a/>",
+	"<a><b>1</b><b>2</b></a>",
+	`<a x="1">t<b/>u</a>`,
+	"<a><b></a>",
+	"<?xml version=\"1.0\"?><r><x>&amp;</x></r>",
+	"<a>" + strings.Repeat("<b>v</b>", 50) + "</a>",
+	"not xml",
+	"<a>\x00</a>",
+}
+
 // FuzzParseXML asserts that arbitrary input never panics the parser,
 // and that anything it accepts survives a serialize→parse round trip
 // under node-value equality.
 func FuzzParseXML(f *testing.F) {
-	seeds := []string{
-		"<a/>",
-		"<a><b>1</b><b>2</b></a>",
-		`<a x="1">t<b/>u</a>`,
-		"<a><b></a>",
-		"<?xml version=\"1.0\"?><r><x>&amp;</x></r>",
-		"<a>" + strings.Repeat("<b>v</b>", 50) + "</a>",
-		"not xml",
-		"<a>\x00</a>",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -55,6 +57,43 @@ func FuzzInferConform(f *testing.F) {
 		}
 		if err := Conform(tr, s); err != nil {
 			t.Fatalf("document rejected by its inferred schema: %v\n%q", err, input)
+		}
+	})
+}
+
+// FuzzStreamMatchesParse asserts parser parity: whenever ParseXML
+// accepts an input, StreamRootChildren accepts it too, reports the
+// same root label, and delivers children node-value equal to the
+// parsed root's children, in the same order.
+func FuzzStreamMatchesParse(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		tr, err := ParseXMLString(input)
+		if err != nil {
+			return
+		}
+		var got []*Node
+		label, err := StreamRootChildren(strings.NewReader(input), func(c *Node) error {
+			got = append(got, c)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("stream rejected a document the parser accepts: %v\ninput: %q", err, input)
+		}
+		if label != tr.Root.Label {
+			t.Fatalf("stream root %q, parsed root %q\ninput: %q", label, tr.Root.Label, input)
+		}
+		want := tr.Root.Children
+		if len(got) != len(want) {
+			t.Fatalf("stream delivered %d root children, parser built %d\ninput: %q", len(got), len(want), input)
+		}
+		var enc Encoder
+		for i := range want {
+			if !enc.NodeValueEqual(got[i], want[i]) {
+				t.Fatalf("root child %d differs: stream %q, parsed %q\ninput: %q", i, got[i].Label, want[i].Label, input)
+			}
 		}
 	})
 }

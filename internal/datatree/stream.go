@@ -1,6 +1,7 @@
 package datatree
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"fmt"
@@ -10,8 +11,10 @@ import (
 
 // StreamRootChildren parses an XML document and delivers each direct
 // child of the root element — including the root's attributes, which
-// the data model represents as "@name" leaf children — as a completed
-// subtree to fn, in document order, without retaining the whole tree.
+// the data model represents as "@name" leaf children, and the root's
+// own text, which ParseXML keeps as a trailing "@text" leaf when the
+// root has children — as a completed subtree to fn, in document
+// order, without retaining the whole tree.
 // Each delivered node has correct Parent/Children links within its
 // subtree but no pre-order key (the caller assigns identities).
 // Memory stays proportional to the largest single child subtree.
@@ -34,9 +37,14 @@ func StreamRootChildrenContext(ctx context.Context, r io.Reader, lim ParseLimits
 	sawRoot := false
 	var stack []*Node // depth-1 subtree under construction (stack[0] is the child)
 	var texts []*strings.Builder
-	depth := 0 // 0 = before/after root, 1 = inside root
+	var rootText strings.Builder
+	depth := 0    // 0 = before/after root, 1 = inside root
+	children := 0 // root children delivered so far
 
-	emit := func(n *Node) error { return fn(n) }
+	emit := func(n *Node) error {
+		children++
+		return fn(n)
+	}
 
 	for {
 		tok, err := dec.Token()
@@ -97,8 +105,19 @@ func StreamRootChildrenContext(ctx context.Context, r io.Reader, lim ParseLimits
 			texts = append(texts, &strings.Builder{})
 		case xml.EndElement:
 			if len(stack) == 0 {
-				// Closing the root element.
+				// Closing the root element. Like ParseXML, keep the
+				// root's own text as a trailing @text leaf when the root
+				// has children (a childless root's text is its value,
+				// which no root child carries).
 				depth = 0
+				if text := strings.TrimSpace(rootText.String()); text != "" && children > 0 {
+					if err := guard.addNodes(1); err != nil {
+						return rootLabel, err
+					}
+					if err := emit(&Node{Label: TextLabel, Value: text, HasValue: true}); err != nil {
+						return rootLabel, err
+					}
+				}
 				continue
 			}
 			n := stack[len(stack)-1]
@@ -124,10 +143,11 @@ func StreamRootChildrenContext(ctx context.Context, r io.Reader, lim ParseLimits
 		case xml.CharData:
 			if len(texts) > 0 {
 				texts[len(texts)-1].Write(tk)
+			} else if depth == 1 && (rootText.Len() > 0 || len(bytes.TrimSpace(tk)) > 0) {
+				// Leading blank text is trimmed anyway; dropping it keeps
+				// an indented document's whitespace from accumulating.
+				rootText.Write(tk)
 			}
-			// Root-level character data is ignored, matching ParseXML's
-			// treatment of mixed content at the root for documents whose
-			// root has element children.
 		}
 	}
 	if !sawRoot {

@@ -34,9 +34,9 @@ func (in *interner) code(ai int, v string) int64 {
 	}
 	col := in.cols[ai]
 	if int(id) >= len(col) {
-		grown := make([]int64, len(in.ids)+16)
-		copy(grown, col)
-		col = grown
+		// Grow geometrically: columns fill row by row, so a fixed
+		// increment would reallocate every table every few values.
+		col = append(col, make([]int64, int(id)+1-len(col))...)
 		in.cols[ai] = col
 	}
 	if col[id] == 0 {
@@ -48,36 +48,3 @@ func (in *interner) code(ai int, v string) int64 {
 
 // bound returns the exclusive upper bound of column ai's dense codes.
 func (in *interner) bound(ai int) int64 { return in.next[ai] }
-
-// densify remaps the non-null codes of col in place to dense codes in
-// [1, bound) in order of first occurrence, and returns the bound.
-// Equality structure — which rows share a code — is preserved
-// exactly, so the column's partition is unchanged; only the code
-// values differ. Used for columns whose codes come from the subtree
-// encoder (complex elements, set pseudo-attributes), which are dense
-// across the document but sparse within one column.
-func densify(col []int64) int64 {
-	return densifyInto(col, make(map[int64]int64))
-}
-
-// densifyInto is densify with a caller-supplied (empty) remap table,
-// which the incremental update path retains: the original-code→dense
-// mapping stays valid forever because encoder codes are append-only
-// interned, so a re-encoded, unchanged subtree maps back to its old
-// dense code.
-func densifyInto(col []int64, remap map[int64]int64) int64 {
-	next := int64(1)
-	for i, c := range col {
-		if c < 0 {
-			continue // nulls keep their unique negative codes
-		}
-		d, ok := remap[c]
-		if !ok {
-			d = next
-			next++
-			remap[c] = d
-		}
-		col[i] = d
-	}
-	return next
-}

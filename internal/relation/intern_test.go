@@ -110,20 +110,3 @@ func TestColumnPartitionDenseMatchesGeneric(t *testing.T) {
 		}
 	}
 }
-
-func TestDensify(t *testing.T) {
-	col := []int64{42, -1, 7, 42, 9000, -2, 7}
-	want := partition.FromCodes(append([]int64(nil), col...))
-	bound := densify(col)
-	if bound != 4 {
-		t.Fatalf("bound = %d, want 4", bound)
-	}
-	for i, c := range col {
-		if c >= bound || (c < 1 && !IsNull(c)) {
-			t.Fatalf("col[%d] = %d not dense under bound %d", i, c, bound)
-		}
-	}
-	if got := partition.FromDense(col, bound); !got.Equal(want) {
-		t.Fatalf("densified partition differs: %v vs %v", got.Groups, want.Groups)
-	}
-}

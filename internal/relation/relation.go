@@ -19,12 +19,18 @@
 // Missing elements receive a unique negative code per tuple, which
 // realizes strong satisfaction (nulls differ from everything,
 // including each other) directly in the partitions.
+//
+// One builder produces the representation (Ingest): it consumes the
+// root's children one subtree at a time, whether they come from a
+// materialized tree or from a stream, and encodes every column cell
+// with the same rule the in-place update path (Apply) re-encodes with.
 package relation
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,7 +137,13 @@ type Relation struct {
 	// in Parent (-1 only in the root relation).
 	ParentIdx []int32
 
-	nodes []*datatree.Node // pivot nodes, parallel to tuples
+	nodes []*datatree.Node // pivot nodes, parallel to tuples (nil when streamed)
+	// steps is the label path from the parent relation's pivot to this
+	// pivot; attrSteps holds each attribute's label path from the pivot
+	// (empty for the self value "."). Layout splits them once, so no
+	// tuple re-parses a relative path.
+	steps     []string
+	attrSteps [][]string
 }
 
 // NRows returns the number of tuples.
@@ -152,8 +164,14 @@ func (r *Relation) AttrIndex(rel schema.RelPath) int {
 }
 
 // Node returns the pivot data node of tuple t (for witness
-// reporting).
-func (r *Relation) Node(t int) *datatree.Node { return r.nodes[t] }
+// reporting). Only hierarchies built from a materialized tree retain
+// their pivot nodes; a streamed hierarchy returns nil.
+func (r *Relation) Node(t int) *datatree.Node {
+	if r.nodes == nil {
+		return nil
+	}
+	return r.nodes[t]
+}
 
 // ColumnPartition builds the striped partition of a single column,
 // using the dense counting path when the column's codes were interned
@@ -265,8 +283,10 @@ type Options struct {
 	// MaxTuples caps the total number of tuples ingested across all
 	// essential relations. When the cap is reached, Build/BuildStream
 	// stop adding tuples and mark the hierarchy Truncated instead of
-	// failing — graceful degradation for oversized inputs. 0 means
-	// unlimited.
+	// failing — graceful degradation for oversized inputs. Tuples are
+	// admitted in document order, so a truncated hierarchy (tree or
+	// stream alike) holds a document-order prefix of the tuples. 0
+	// means unlimited.
 	MaxTuples int
 	// Deadline, when nonzero, is the wall-clock instant past which
 	// tuple ingestion stops, marking the hierarchy Truncated. The
@@ -373,6 +393,27 @@ func BuildContext(ctx context.Context, t *datatree.Tree, s *schema.Schema, opts 
 	return Ingest(ctx, source.Input{Tree: t}, s, opts)
 }
 
+// BuildStream constructs the hierarchical representation directly
+// from an XML stream under the given schema, without materializing
+// the document. The root element's label must match the schema.
+func BuildStream(r io.Reader, s *schema.Schema, opts Options) (*Hierarchy, error) {
+	return BuildStreamContext(context.Background(), r, s, opts)
+}
+
+// BuildStreamContext is BuildStream with cancellation and resource
+// budgets. Parse-limit violations (Options.Parse) and cancellation
+// are errors; exhausting Options.MaxTuples or Options.Deadline aborts
+// the parse early and returns the hierarchy built so far with
+// Truncated set.
+func BuildStreamContext(ctx context.Context, r io.Reader, s *schema.Schema, opts Options) (*Hierarchy, error) {
+	return Ingest(ctx, source.Input{
+		Format: "xml",
+		Stream: func(ctx context.Context, fn func(*datatree.Node) error) (string, error) {
+			return datatree.StreamRootChildrenContext(ctx, r, opts.parseLimits(), fn)
+		},
+	}, s, opts)
+}
+
 // layoutHierarchy lays out the relation tree and each relation's
 // value attributes from the schema alone (no data).
 func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
@@ -390,25 +431,32 @@ func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
 		// Walk the payload of the pivot element, collecting
 		// non-repeatable descendants as attributes and set elements
 		// as child relations.
+		addAttr := func(a Attr, steps []string) {
+			r.Attrs = append(r.Attrs, a)
+			r.attrSteps = append(r.attrSteps, steps)
+		}
 		if el.Payload.Kind.IsSimple() {
 			if el.Repeatable {
 				// e.g. author: SetOf str — the tuple's own value.
-				r.Attrs = append(r.Attrs, Attr{Rel: ".", Path: el.Path, Kind: Leaf})
+				addAttr(Attr{Rel: ".", Path: el.Path, Kind: Leaf}, nil)
 			}
 			return
 		}
-		var walk func(p schema.Path, tp *schema.Type)
-		walk = func(p schema.Path, tp *schema.Type) {
+		var walk func(p schema.Path, steps []string, tp *schema.Type)
+		walk = func(p schema.Path, steps []string, tp *schema.Type) {
 			for _, f := range tp.Fields {
 				cp := p.Child(f.Label)
 				rel := schema.MustRelativize(r.Pivot, cp)
+				// The full slice expression makes every append copy, so
+				// sibling step lists never share a backing array.
+				fsteps := append(steps[:len(steps):len(steps)], f.Label)
 				if f.Type.Kind == schema.Set {
-					child := &Relation{Pivot: cp, Essential: true, Parent: r}
+					child := &Relation{Pivot: cp, Essential: true, Parent: r, steps: fsteps}
 					r.Children = append(r.Children, child)
 					h.byPivot[cp] = child
 					h.Relations = append(h.Relations, child)
 					if !opts.DisableSetAttrs {
-						r.Attrs = append(r.Attrs, Attr{Rel: rel, Path: cp, Kind: SetValue})
+						addAttr(Attr{Rel: rel, Path: cp, Kind: SetValue}, fsteps)
 					}
 					payload := f.Type.Elem
 					childEl := schema.Element{Path: cp, Label: f.Label, Type: f.Type, Repeatable: true, Payload: payload}
@@ -416,7 +464,7 @@ func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
 					continue
 				}
 				if f.Type.Kind.IsSimple() {
-					r.Attrs = append(r.Attrs, Attr{Rel: rel, Path: cp, Kind: Leaf})
+					addAttr(Attr{Rel: rel, Path: cp, Kind: Leaf}, fsteps)
 					continue
 				}
 				// Non-repeatable complex element: both an attribute
@@ -424,11 +472,11 @@ func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
 				// path-value equality) and a container to descend
 				// into, per Figures 5–7 where both contact and
 				// contact/name are columns of R_store.
-				r.Attrs = append(r.Attrs, Attr{Rel: rel, Path: cp, Kind: Complex})
-				walk(cp, f.Type)
+				addAttr(Attr{Rel: rel, Path: cp, Kind: Complex}, fsteps)
+				walk(cp, fsteps, f.Type)
 			}
 		}
-		walk(el.Path, el.Payload)
+		walk(el.Path, nil, el.Payload)
 	}
 	rootEl, err := s.Resolve(rootPath)
 	if err != nil {
@@ -439,152 +487,6 @@ func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
 		r.Index = i
 	}
 	return h, nil
-}
-
-// populateTuples finds the pivot nodes of relation r underneath each
-// parent tuple. The descent from the parent pivot to r's pivot
-// crosses only non-set elements except for the final step. Ingestion
-// stops early (without error) once the build budget is exhausted.
-func populateTuples(r *Relation, bb *buildBudget) error {
-	rel := schema.MustRelativize(r.Parent.Pivot, r.Pivot)
-	steps := strings.Split(strings.TrimPrefix(string(rel), "./"), "/")
-	for pi, pnode := range r.Parent.nodes {
-		frontier := []*datatree.Node{pnode}
-		for _, step := range steps[:len(steps)-1] {
-			var next []*datatree.Node
-			for _, n := range frontier {
-				if c := n.Child(step); c != nil {
-					next = append(next, c)
-				}
-			}
-			frontier = next
-		}
-		last := steps[len(steps)-1]
-		for _, n := range frontier {
-			for _, c := range n.ChildrenLabeled(last) {
-				ok, err := bb.admit()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				r.nodes = append(r.nodes, c)
-				r.Keys = append(r.Keys, c.Key)
-				r.ParentIdx = append(r.ParentIdx, int32(pi))
-			}
-		}
-	}
-	return nil
-}
-
-// populateColumns encodes the Leaf and Complex attribute columns of
-// the relation, interning values into dense per-column codes (one
-// shared string table per relation). SetValue columns are filled
-// later by fillSetColumns.
-func populateColumns(bb *buildBudget, r *Relation, ps *patchState) error {
-	enc := ps.enc
-	n := r.NRows()
-	r.Cols = make([][]int64, len(r.Attrs))
-	r.ColBound = make([]int64, len(r.Attrs))
-	in := newInterner(len(r.Attrs))
-	ps.in[r.Index] = in
-	ps.remap[r.Index] = make([]map[int64]int64, len(r.Attrs))
-	for ai, a := range r.Attrs {
-		// A deadline truncation must not abort mid-relation: every
-		// attribute's column slice has to exist for the truncated
-		// snapshot to stay structurally consistent, so cancelled()
-		// converts a fired composed deadline into truncation and lets
-		// the (already-bounded) population finish.
-		if err := bb.cancelled(); err != nil {
-			return err
-		}
-		col := make([]int64, n)
-		r.Cols[ai] = col
-		if a.Kind == SetValue {
-			continue
-		}
-		for ti, pivot := range r.nodes {
-			node := descend(pivot, a.Rel)
-			switch {
-			case node == nil:
-				col[ti] = nullCode(ti)
-			case a.Kind == Complex:
-				col[ti] = int64(enc.Encode(node))
-			default: // Leaf
-				if !node.HasValue {
-					col[ti] = nullCode(ti)
-					continue
-				}
-				col[ti] = in.code(ai, node.Value)
-			}
-		}
-		if a.Kind == Complex {
-			// Encoder codes are dense across the document but sparse
-			// within one column; remap per column so partition builds
-			// stay on the counting path. The remap is retained for
-			// incremental re-encoding.
-			remap := make(map[int64]int64)
-			ps.remap[r.Index][ai] = remap
-			r.ColBound[ai] = densifyInto(col, remap)
-		} else {
-			r.ColBound[ai] = in.bound(ai)
-		}
-	}
-	return nil
-}
-
-// fillSetColumns encodes the SetValue columns of r by grouping each
-// child relation's tuples under their parent tuple and taking the
-// multiset (or list) code of the child subtrees. An empty collection
-// is a missing element — the path matches no node — and therefore a
-// null.
-func fillSetColumns(h *Hierarchy, r *Relation, ps *patchState, ordered bool) {
-	enc := ps.enc
-	for ai, a := range r.Attrs {
-		if a.Kind != SetValue {
-			continue
-		}
-		child := h.byPivot[a.Path]
-		members := make([][]*datatree.Node, r.NRows())
-		for ct, pi := range child.ParentIdx {
-			members[pi] = append(members[pi], child.nodes[ct])
-		}
-		col := r.Cols[ai]
-		for ti := range col {
-			if len(members[ti]) == 0 {
-				col[ti] = nullCode(ti)
-				continue
-			}
-			if ordered {
-				col[ti] = int64(enc.ListCode(members[ti]))
-			} else {
-				col[ti] = int64(enc.MultisetCode(members[ti]))
-			}
-		}
-		if ai < len(r.ColBound) {
-			remap := make(map[int64]int64)
-			ps.remap[r.Index][ai] = remap
-			r.ColBound[ai] = densifyInto(col, remap)
-		}
-	}
-}
-
-// descend follows a relative path of non-set steps from the pivot
-// node; "." returns the pivot itself. Returns nil if any step is
-// missing.
-func descend(pivot *datatree.Node, rel schema.RelPath) *datatree.Node {
-	if rel == "." {
-		return pivot
-	}
-	n := pivot
-	for _, step := range strings.Split(strings.TrimPrefix(string(rel), "./"), "/") {
-		n = n.Child(step)
-		if n == nil {
-			return nil
-		}
-	}
-	return n
 }
 
 // nullCode returns the unique negative code for a missing value in

@@ -142,27 +142,6 @@ func (cs *Changeset) Ops() int { return len(cs.Keys) }
 // false for streamed or hand-assembled ones).
 func (h *Hierarchy) Updatable() bool { return h.upd != nil && !h.Truncated }
 
-// patchState is the encoding state a built hierarchy retains to stay
-// updatable: the data tree, the shared subtree encoder, and the
-// per-relation interners and densifier remap tables of the original
-// build. All tables grow append-only under updates.
-type patchState struct {
-	tree     *datatree.Tree
-	enc      *datatree.Encoder
-	in       []*interner         // by Relation.Index
-	remap    [][]map[int64]int64 // by Relation.Index, then attr index (Complex/SetValue)
-	rowByKey []map[int]int32     // by Relation.Index: pivot key → row; built lazily
-}
-
-func newPatchState(t *datatree.Tree, nRels int) *patchState {
-	return &patchState{
-		tree:  t,
-		enc:   &datatree.Encoder{},
-		in:    make([]*interner, nRels),
-		remap: make([][]map[int64]int64, nRels),
-	}
-}
-
 // ensureRowIndex builds the pivot-key→row lookups on first use.
 func (ps *patchState) ensureRowIndex(h *Hierarchy) {
 	if ps.rowByKey != nil {
@@ -176,20 +155,6 @@ func (ps *patchState) ensureRowIndex(h *Hierarchy) {
 		}
 		ps.rowByKey[r.Index] = m
 	}
-}
-
-// dense maps an encoder code to column ai's dense code, extending the
-// retained remap (and the column bound) for codes never seen in this
-// column.
-func (ps *patchState) dense(r *Relation, ai int, code int64) int64 {
-	m := ps.remap[r.Index][ai]
-	if d, ok := m[code]; ok {
-		return d
-	}
-	d := r.ColBound[ai]
-	m[code] = d
-	r.ColBound[ai]++
-	return d
 }
 
 // Apply applies a batch of updates to the hierarchy, mutating the
@@ -340,11 +305,6 @@ func (app *applier) apply(op *Update) (int, error) {
 	}
 }
 
-// relSteps splits a relative path into its label steps.
-func relSteps(rel schema.RelPath) []string {
-	return strings.Split(strings.TrimPrefix(string(rel), "./"), "/")
-}
-
 // leafKind resolves the declared simple kind of an attribute's
 // element. Hierarchies without a schema (or with unresolvable paths)
 // validate as strings, i.e. not at all.
@@ -397,12 +357,11 @@ func (app *applier) graft(cur *datatree.Node, curPath schema.Path, label string)
 	return n, nil
 }
 
-// ensurePath walks the non-final steps of a relative path from the
-// pivot (whose absolute path is pivotPath), grafting missing
+// ensurePath walks the non-final label steps of a relative path from
+// the pivot (whose absolute path is pivotPath), grafting missing
 // intermediate nodes, and returns the node the final step hangs off,
 // that node's absolute path, and the final label.
-func (app *applier) ensurePath(pivot *datatree.Node, pivotPath schema.Path, rel schema.RelPath) (*datatree.Node, schema.Path, string, error) {
-	steps := relSteps(rel)
+func (app *applier) ensurePath(pivot *datatree.Node, pivotPath schema.Path, steps []string) (*datatree.Node, schema.Path, string, error) {
 	cur, curPath := pivot, pivotPath
 	for _, step := range steps[:len(steps)-1] {
 		next := cur.Child(step)
@@ -417,10 +376,11 @@ func (app *applier) ensurePath(pivot *datatree.Node, pivotPath schema.Path, rel 
 	return cur, curPath, steps[len(steps)-1], nil
 }
 
-// graftAttr grafts the full relative path from the pivot and returns
-// the final node (created valueless; callers set the value).
-func (app *applier) graftAttr(pivot *datatree.Node, pivotPath schema.Path, rel schema.RelPath) (*datatree.Node, error) {
-	parent, parentPath, last, err := app.ensurePath(pivot, pivotPath, rel)
+// graftAttr grafts the full relative path of attribute ai from the
+// pivot and returns the final node (created valueless; callers set the
+// value).
+func (app *applier) graftAttr(r *Relation, ai int, pivot *datatree.Node) (*datatree.Node, error) {
+	parent, parentPath, last, err := app.ensurePath(pivot, r.Pivot, r.attrSteps[ai])
 	if err != nil {
 		return nil, err
 	}
@@ -443,10 +403,10 @@ func (app *applier) applySet(rel *Relation, op *Update) (int, error) {
 		return 0, err
 	}
 	pivot := rel.nodes[t]
-	node := descend(pivot, op.Attr)
+	node := follow(pivot, rel.attrSteps[ai])
 	if node == nil {
 		var err error
-		if node, err = app.graftAttr(pivot, rel.Pivot, op.Attr); err != nil {
+		if node, err = app.graftAttr(rel, ai, pivot); err != nil {
 			// Intermediates may have been grafted before the Choice
 			// rejection; schedule re-encoding so the columns stay
 			// consistent with the mutated document.
@@ -458,8 +418,7 @@ func (app *applier) applySet(rel *Relation, op *Update) (int, error) {
 	node.Value = op.Value
 	node.HasValue = true
 	app.ps.enc.Invalidate(node)
-	newCode := app.ps.in[rel.Index].code(ai, op.Value)
-	rel.ColBound[ai] = app.ps.in[rel.Index].bound(ai)
+	newCode := app.ps.cell(rel, ai, pivot, int(t))
 	if rel.Cols[ai][t] != newCode {
 		rel.Cols[ai][t] = newCode
 		app.markDirty(rel, ai, t)
@@ -487,7 +446,7 @@ func (app *applier) applyInsert(rel *Relation, op *Update) (int, error) {
 		}
 	}
 	// Validate the leaf values before touching anything.
-	attrs := make([]schema.RelPath, 0, len(op.Values))
+	attrs := make([]int, 0, len(op.Values))
 	for rp := range op.Values {
 		ai := rel.AttrIndex(rp)
 		if ai < 0 {
@@ -499,9 +458,9 @@ func (app *applier) applyInsert(rel *Relation, op *Update) (int, error) {
 		if err := validateLeafValue(app.leafKind(&rel.Attrs[ai]), rp, op.Values[rp]); err != nil {
 			return 0, err
 		}
-		attrs = append(attrs, rp)
+		attrs = append(attrs, ai)
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
+	sort.Slice(attrs, func(i, j int) bool { return rel.Attrs[attrs[i]].Rel < rel.Attrs[attrs[j]].Rel })
 
 	// Graft the pivot node (creating intermediate containers on the
 	// parent-to-pivot path as needed) and its leaf descendants. A
@@ -509,18 +468,18 @@ func (app *applier) applyInsert(rel *Relation, op *Update) (int, error) {
 	// intermediates behind; mark the parent tuple so re-encoding keeps
 	// the columns consistent with the mutated document.
 	var pivot *datatree.Node
-	container, containerPath, label, err := app.ensurePath(parent.nodes[pi], parent.Pivot, schema.MustRelativize(parent.Pivot, rel.Pivot))
+	container, containerPath, label, err := app.ensurePath(parent.nodes[pi], parent.Pivot, rel.steps)
 	if err == nil {
 		if pivot, err = app.graft(container, containerPath, label); err == nil {
-			for _, rp := range attrs {
-				v := op.Values[rp]
-				if rp == "." {
+			for _, ai := range attrs {
+				v := op.Values[rel.Attrs[ai].Rel]
+				if len(rel.attrSteps[ai]) == 0 { // "." — the pivot's own value
 					pivot.Value = v
 					pivot.HasValue = true
 					continue
 				}
 				var leaf *datatree.Node
-				if leaf, err = app.graftAttr(pivot, rel.Pivot, rp); err != nil {
+				if leaf, err = app.graftAttr(rel, ai, pivot); err != nil {
 					// Two Values under different alternatives of a
 					// Choice: undo the half-built pivot so the tree
 					// holds no tuple the relation never appended.
@@ -539,24 +498,12 @@ func (app *applier) applyInsert(rel *Relation, op *Update) (int, error) {
 		return 0, err
 	}
 
-	// Append the tuple row. Leaf columns are coded here; Complex and
-	// SetValue columns get placeholder nulls and are coded by the
-	// batch-final recompute pass (which marks real values dirty).
+	// Append the tuple row, encoded as a cold build would encode it.
+	// Later updates in the batch may still change the new subtree; the
+	// batch-final recompute pass re-encodes it then.
 	t := rel.NRows()
-	in := app.ps.in[rel.Index]
-	for ai, a := range rel.Attrs {
-		var code int64
-		if a.Kind == Leaf {
-			if node := descend(pivot, a.Rel); node != nil && node.HasValue {
-				code = in.code(ai, node.Value)
-				rel.ColBound[ai] = in.bound(ai)
-			} else {
-				code = nullCode(t)
-			}
-		} else {
-			code = nullCode(t)
-		}
-		rel.Cols[ai] = append(rel.Cols[ai], code)
+	for ai := range rel.Attrs {
+		rel.Cols[ai] = append(rel.Cols[ai], app.ps.cell(rel, ai, pivot, t))
 	}
 	rel.nodes = append(rel.nodes, pivot)
 	rel.Keys = append(rel.Keys, pivot.Key)
@@ -687,51 +634,15 @@ func (app *applier) recompute() {
 			}
 		}
 		for ai, a := range r.Attrs {
-			switch a.Kind {
-			case Complex:
-				for _, t := range rows {
-					var code int64
-					if node := descend(r.nodes[t], a.Rel); node == nil {
-						code = nullCode(int(t))
-					} else {
-						code = ps.dense(r, ai, int64(ps.enc.Encode(node)))
-					}
-					if r.Cols[ai][t] != code {
-						r.Cols[ai][t] = code
-						app.markDirty(r, ai, t)
-					}
-				}
-			case SetValue:
-				for _, t := range rows {
-					members := app.setMembers(r.nodes[t], a.Rel)
-					var code int64
-					if len(members) == 0 {
-						code = nullCode(int(t))
-					} else if h.OrderedSets {
-						code = ps.dense(r, ai, int64(ps.enc.ListCode(members)))
-					} else {
-						code = ps.dense(r, ai, int64(ps.enc.MultisetCode(members)))
-					}
-					if r.Cols[ai][t] != code {
-						r.Cols[ai][t] = code
-						app.markDirty(r, ai, t)
-					}
+			if a.Kind == Leaf {
+				continue // leaf codes were set by the updates themselves
+			}
+			for _, t := range rows {
+				if code := ps.cell(r, ai, r.nodes[t], int(t)); r.Cols[ai][t] != code {
+					r.Cols[ai][t] = code
+					app.markDirty(r, ai, t)
 				}
 			}
 		}
 	}
-}
-
-// setMembers returns the member nodes of a set element beneath the
-// pivot, in document order (which is what cold builds see, so ordered
-// list codes stay comparable).
-func (app *applier) setMembers(pivot *datatree.Node, rel schema.RelPath) []*datatree.Node {
-	steps := relSteps(rel)
-	cur := pivot
-	for _, step := range steps[:len(steps)-1] {
-		if cur = cur.Child(step); cur == nil {
-			return nil
-		}
-	}
-	return cur.ChildrenLabeled(steps[len(steps)-1])
 }
