@@ -1,6 +1,7 @@
 package datatree
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -61,39 +62,56 @@ func FuzzInferConform(f *testing.F) {
 	})
 }
 
-// FuzzStreamMatchesParse asserts parser parity: whenever ParseXML
-// accepts an input, StreamRootChildren accepts it too, reports the
-// same root label, and delivers children node-value equal to the
-// parsed root's children, in the same order.
+// xmlnsRootSeeds declare namespaces on the root. Declarations are not
+// data nodes, so they must not count against MaxNodes on either path.
+var xmlnsRootSeeds = []string{
+	`<r xmlns="u" xmlns:p="v"><a>1</a></r>`,
+	`<r xmlns="u" xmlns:a="1" xmlns:b="2" xmlns:c="3" xmlns:d="4" xmlns:e="5" xmlns:f="6" xmlns:g="7" xmlns:h="8" xmlns:i="9" xmlns:j="10" xmlns:k="11"><a>1</a></r>`,
+}
+
+// FuzzStreamMatchesParse asserts parser parity: under default and
+// tight limits, StreamRootChildren accepts an input exactly when
+// ParseXML does, reports the same root label, and delivers children
+// node-value equal to the parsed root's children, in the same order.
 func FuzzStreamMatchesParse(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
 	}
+	for _, s := range xmlnsRootSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ParseXMLString(input)
-		if err != nil {
-			return
-		}
-		var got []*Node
-		label, err := StreamRootChildren(strings.NewReader(input), func(c *Node) error {
-			got = append(got, c)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("stream rejected a document the parser accepts: %v\ninput: %q", err, input)
-		}
-		if label != tr.Root.Label {
-			t.Fatalf("stream root %q, parsed root %q\ninput: %q", label, tr.Root.Label, input)
-		}
-		want := tr.Root.Children
-		if len(got) != len(want) {
-			t.Fatalf("stream delivered %d root children, parser built %d\ninput: %q", len(got), len(want), input)
-		}
-		var enc Encoder
-		for i := range want {
-			if !enc.NodeValueEqual(got[i], want[i]) {
-				t.Fatalf("root child %d differs: stream %q, parsed %q\ninput: %q", i, got[i].Label, want[i].Label, input)
-			}
+		for _, lim := range []ParseLimits{DefaultLimits(), tightLimits} {
+			checkStreamMatchesParse(t, input, lim)
 		}
 	})
+}
+
+func checkStreamMatchesParse(t *testing.T, input string, lim ParseLimits) {
+	t.Helper()
+	tr, perr := ParseXMLContext(context.Background(), strings.NewReader(input), lim)
+	var got []*Node
+	label, err := StreamRootChildrenContext(context.Background(), strings.NewReader(input), lim, func(c *Node) error {
+		got = append(got, c)
+		return nil
+	})
+	if (err == nil) != (perr == nil) {
+		t.Fatalf("limits %+v: stream error %v, parse error %v\ninput: %q", lim, err, perr, input)
+	}
+	if err != nil {
+		return
+	}
+	if label != tr.Root.Label {
+		t.Fatalf("stream root %q, parsed root %q\ninput: %q", label, tr.Root.Label, input)
+	}
+	want := tr.Root.Children
+	if len(got) != len(want) {
+		t.Fatalf("stream delivered %d root children, parser built %d\ninput: %q", len(got), len(want), input)
+	}
+	var enc Encoder
+	for i := range want {
+		if !enc.NodeValueEqual(got[i], want[i]) {
+			t.Fatalf("root child %d differs: stream %q, parsed %q\ninput: %q", i, got[i].Label, want[i].Label, input)
+		}
+	}
 }

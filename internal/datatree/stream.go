@@ -3,10 +3,8 @@ package datatree
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // StreamRootChildren parses an XML document and delivers each direct
@@ -17,7 +15,8 @@ import (
 // order, without retaining the whole tree.
 // Each delivered node has correct Parent/Children links within its
 // subtree but no pre-order key (the caller assigns identities).
-// Memory stays proportional to the largest single child subtree.
+// Memory stays proportional to the largest single child subtree plus
+// the largest single token.
 //
 // It returns the root element's label. A non-nil error from fn aborts
 // the parse and is returned verbatim. DefaultLimits applies; use
@@ -29,132 +28,149 @@ func StreamRootChildren(r io.Reader, fn func(child *Node) error) (string, error)
 // StreamRootChildrenContext is StreamRootChildren with explicit
 // resource limits and a context. MaxNodes bounds the cumulative node
 // count over all delivered subtrees, not just the retained one;
-// cancellation is checked periodically between decoder tokens.
+// cancellation is checked periodically between tokens.
 func StreamRootChildrenContext(ctx context.Context, r io.Reader, lim ParseLimits, fn func(child *Node) error) (string, error) {
-	dec := xml.NewDecoder(r)
-	guard := &parseGuard{ctx: ctx, lim: lim}
-	rootLabel := ""
-	sawRoot := false
-	var stack []*Node // depth-1 subtree under construction (stack[0] is the child)
-	var texts []*strings.Builder
-	var rootText strings.Builder
-	depth := 0    // 0 = before/after root, 1 = inside root
-	children := 0 // root children delivered so far
+	label, _, err := walkRootChildren(ctx, r, lim, fn)
+	return label, err
+}
 
+// frame is one open element of walkRootChildren.
+type frame struct {
+	node *Node  // nil for the root, whose children are delivered instead
+	kids int    // where the element's children start on the kids stack
+	text []byte // the element's character data so far; reused per depth
+}
+
+// walkRootChildren is the element loop behind both ParseXML and
+// StreamRootChildren: it builds each child subtree of the root element
+// from the scanner's tokens and hands it to fn once complete, enforcing
+// the limits and checking ctx on the way. It returns the root's label
+// and its trimmed text; the text is also delivered as a trailing
+// "@text" child when the root has children.
+func walkRootChildren(ctx context.Context, r io.Reader, lim ParseLimits, fn func(*Node) error) (label, text string, err error) {
+	s := newScanner(r)
+	guard := &parseGuard{ctx: ctx, lim: lim}
+	var (
+		frames   []frame // open elements; frames[0] is the root
+		kids     []*Node // completed children of the open elements below the root
+		sawRoot  bool
+		children int // root children delivered
+	)
 	emit := func(n *Node) error {
 		children++
 		return fn(n)
 	}
-
 	for {
-		tok, err := dec.Token()
+		kind, err := s.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return rootLabel, fmt.Errorf("datatree: XML parse error: %w", err)
+			return label, "", fmt.Errorf("datatree: XML parse error: %w", err)
 		}
 		if err := guard.tick(); err != nil {
-			return rootLabel, err
+			return label, "", err
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			if !sawRoot {
-				sawRoot = true
-				rootLabel = tk.Name.Local
-				depth = 1
-				if err := guard.addNodes(1 + len(tk.Attr)); err != nil {
-					return rootLabel, err
+		switch kind {
+		case tokStart:
+			if err := guard.checkDepth(len(frames) + 1); err != nil {
+				return label, "", err
+			}
+			if err := guard.addNodes(1 + len(s.attrs)); err != nil {
+				return label, "", err
+			}
+			var n *Node
+			mark := len(kids)
+			if len(frames) == 0 {
+				if sawRoot {
+					return label, "", fmt.Errorf("datatree: multiple root elements (%q and %q)", label, s.name.local)
 				}
-				for _, a := range tk.Attr {
-					if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-						continue
+				sawRoot, label = true, s.name.local
+				for _, a := range s.attrs {
+					if err := emit(&Node{Label: a.name.attrLabel(), Value: a.value, HasValue: true}); err != nil {
+						return label, "", err
 					}
-					leaf := &Node{Label: "@" + a.Name.Local, Value: a.Value, HasValue: true}
-					if err := emit(leaf); err != nil {
-						return rootLabel, err
-					}
 				}
-				continue
-			}
-			if depth == 0 {
-				return rootLabel, fmt.Errorf("datatree: multiple root elements (%q and %q)", rootLabel, tk.Name.Local)
-			}
-			// The root element is depth 1 and subtree nodes under
-			// construction sit on the stack, so this element nests at
-			// len(stack)+2.
-			if err := guard.checkDepth(len(stack) + 2); err != nil {
-				return rootLabel, err
-			}
-			n := &Node{Label: tk.Name.Local}
-			for _, a := range tk.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
+			} else {
+				n = &Node{Label: s.name.local, Parent: frames[len(frames)-1].node}
+				for _, a := range s.attrs {
+					kids = append(kids, &Node{Label: a.name.attrLabel(), Parent: n, Value: a.value, HasValue: true})
 				}
-				n.AddLeaf("@"+a.Name.Local, a.Value)
 			}
-			if err := guard.addNodes(1 + len(n.Children)); err != nil {
-				return rootLabel, err
+			if len(frames) < cap(frames) {
+				frames = frames[:len(frames)+1]
+			} else {
+				frames = append(frames, frame{})
 			}
-			if len(stack) > 0 {
-				p := stack[len(stack)-1]
-				n.Parent = p
-				p.Children = append(p.Children, n)
-			}
-			stack = append(stack, n)
-			texts = append(texts, &strings.Builder{})
-		case xml.EndElement:
-			if len(stack) == 0 {
-				// Closing the root element. Like ParseXML, keep the
-				// root's own text as a trailing @text leaf when the root
-				// has children (a childless root's text is its value,
-				// which no root child carries).
-				depth = 0
-				if text := strings.TrimSpace(rootText.String()); text != "" && children > 0 {
+			f := &frames[len(frames)-1]
+			f.node, f.kids, f.text = n, mark, f.text[:0]
+		case tokEnd:
+			f := &frames[len(frames)-1]
+			trimmed := bytes.TrimSpace(f.text)
+			frames = frames[:len(frames)-1]
+			n := f.node
+			if n == nil {
+				// The root closes. A childless root's text is its value,
+				// which no root child carries.
+				text = string(trimmed)
+				if text != "" && children > 0 {
 					if err := guard.addNodes(1); err != nil {
-						return rootLabel, err
+						return label, "", err
 					}
 					if err := emit(&Node{Label: TextLabel, Value: text, HasValue: true}); err != nil {
-						return rootLabel, err
+						return label, "", err
 					}
 				}
 				continue
 			}
-			n := stack[len(stack)-1]
-			text := strings.TrimSpace(texts[len(texts)-1].String())
-			stack = stack[:len(stack)-1]
-			texts = texts[:len(texts)-1]
-			if text != "" {
-				if len(n.Children) == 0 {
-					n.Value = text
-					n.HasValue = true
-				} else {
-					n.AddLeaf(TextLabel, text)
-					if err := guard.addNodes(1); err != nil {
-						return rootLabel, err
-					}
+			own := kids[f.kids:]
+			switch {
+			case len(trimmed) == 0:
+				if len(own) > 0 {
+					n.Children = append([]*Node(nil), own...)
 				}
+			case len(own) == 0:
+				n.Value, n.HasValue = string(trimmed), true
+			default:
+				if err := guard.addNodes(1); err != nil {
+					return label, "", err
+				}
+				n.Children = append(make([]*Node, 0, len(own)+1), own...)
+				n.Children = append(n.Children, &Node{Label: TextLabel, Parent: n, Value: string(trimmed), HasValue: true})
 			}
-			if len(stack) == 0 {
+			clear(own) // the stack must not keep delivered subtrees alive
+			kids = kids[:f.kids]
+			if len(frames) == 1 {
 				if err := emit(n); err != nil {
-					return rootLabel, err
+					return label, "", err
 				}
+			} else {
+				kids = append(kids, n)
 			}
-		case xml.CharData:
-			if len(texts) > 0 {
-				texts[len(texts)-1].Write(tk)
-			} else if depth == 1 && (rootText.Len() > 0 || len(bytes.TrimSpace(tk)) > 0) {
-				// Leading blank text is trimmed anyway; dropping it keeps
-				// an indented document's whitespace from accumulating.
-				rootText.Write(tk)
+		case tokText:
+			// Text outside the root is dropped. Leading blank text is
+			// trimmed anyway; skipping it keeps an indented document's
+			// whitespace from accumulating.
+			if len(frames) > 0 {
+				f := &frames[len(frames)-1]
+				if len(f.text) > 0 || !isBlank(s.text) {
+					f.text = append(f.text, s.text...)
+				}
 			}
 		}
 	}
 	if !sawRoot {
-		return rootLabel, fmt.Errorf("datatree: document has no root element")
+		return label, "", fmt.Errorf("datatree: document has no root element")
 	}
-	if len(stack) != 0 {
-		return rootLabel, fmt.Errorf("datatree: unexpected EOF inside element %q", stack[len(stack)-1].Label)
+	return label, text, nil
+}
+
+// isBlank reports whether b holds only XML white space.
+func isBlank(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			return false
+		}
 	}
-	return rootLabel, nil
+	return true
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Admission sentinel errors. Enqueue returns them synchronously; the
+// Admission sentinel errors. Enter returns them synchronously; the
 // handler layer maps ErrQueueFull and ErrTenantOverQuota to
 // 429 + Retry-After, and ErrDraining to 503.
 var (
@@ -29,10 +29,14 @@ var (
 // immediately — the queue is the only buffering the server does, so
 // overload turns into fast 429s instead of unbounded latency.
 //
-// Admission is two-phase so that waiting is cancellable: Acquire
-// either grants a slot, enqueues a ticket and blocks on it (honoring
-// ctx), or fails fast with a typed error. Release hands the slot to
-// the head of the queue, preserving arrival order.
+// Admission is two-phase so that waiting is cancellable and shedding
+// is synchronous: Enter either grants a slot, enqueues a ticket, or
+// fails fast with a typed error, all without blocking; Wait then
+// blocks on the ticket (honoring ctx). Acquire runs both for the sync
+// path; an async submission calls Enter before it answers 202, so a
+// job the server cannot take is refused at submission, never failed
+// later. Release hands the slot to the head of the queue, preserving
+// arrival order.
 type admission struct {
 	mu       sync.Mutex
 	slots    int            // concurrent run capacity
@@ -45,8 +49,9 @@ type admission struct {
 	idle     chan struct{}  // closed when draining and running hits 0
 }
 
-// ticket is one queued admission request. ready is closed exactly
-// once — either by promote (granted=true) or by drain/cancel removal.
+// ticket is one admission request. A ticket granted on entry shares
+// the closed grantedTicket channel; a queued ticket's ready is closed
+// exactly once — either by promote (granted=true) or by drain.
 type ticket struct {
 	tenant  string
 	granted bool
@@ -76,56 +81,89 @@ func newAdmission(slots, depth, quota int) *admission {
 // later), ErrDraining (shutting down), or ctx.Err() if the caller
 // gave up while queued.
 func (a *admission) Acquire(ctx context.Context, tenant string) (release func(), err error) {
+	t, err := a.Enter(tenant)
+	if err != nil {
+		return nil, err
+	}
+	return a.Wait(ctx, t)
+}
+
+// grantedTicket is the ready channel of every ticket granted on entry.
+var grantedTicket = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Enter is admission's synchronous half: it grants the tenant a slot
+// or enqueues a ticket for one, or sheds with ErrQueueFull,
+// ErrTenantOverQuota or ErrDraining. It never blocks. The ticket must
+// be passed to Wait or Abandon exactly once.
+func (a *admission) Enter(tenant string) (*ticket, error) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.draining {
-		a.mu.Unlock()
 		return nil, ErrDraining
 	}
 	if a.quota > 0 && a.tenants[tenant] >= a.quota {
-		a.mu.Unlock()
 		return nil, ErrTenantOverQuota
 	}
 	if a.running < a.slots && len(a.queue) == 0 {
 		a.running++
 		a.tenants[tenant]++
-		a.mu.Unlock()
-		return a.releaseFunc(tenant), nil
+		return &ticket{tenant: tenant, granted: true, ready: grantedTicket}, nil
 	}
 	if len(a.queue) >= a.depth {
-		a.mu.Unlock()
 		return nil, ErrQueueFull
 	}
 	t := &ticket{tenant: tenant, ready: make(chan struct{})}
 	a.queue = append(a.queue, t)
 	a.tenants[tenant]++
-	a.mu.Unlock()
+	return t, nil
+}
 
+// Wait blocks until the ticket from Enter is granted and returns the
+// release function to defer, or fails with ErrDraining if a drain shed
+// the queued ticket, or with ctx.Err() if ctx ends first (the ticket
+// is then abandoned).
+func (a *admission) Wait(ctx context.Context, t *ticket) (release func(), err error) {
 	select {
-	case <-t.ready:
-		if t.err != nil {
-			return nil, t.err
-		}
-		return a.releaseFunc(tenant), nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		for i, q := range a.queue {
-			if q == t {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				a.decTenant(tenant)
-				a.mu.Unlock()
-				return nil, ctx.Err()
+	case <-t.ready: // granted on entry, or promoted or drained already: ctx is not consulted
+	default:
+		select {
+		case <-t.ready:
+		case <-ctx.Done():
+			a.Abandon(t)
+			if t.err != nil {
+				return nil, t.err
 			}
+			return nil, ctx.Err()
 		}
-		a.mu.Unlock()
-		// Promoted (or drained) in the race with ctx: consume the
-		// grant so the slot is not leaked, then report the
-		// cancellation.
-		<-t.ready
-		if t.err != nil {
-			return nil, t.err
+	}
+	if t.err != nil {
+		return nil, t.err
+	}
+	return a.releaseFunc(t.tenant), nil
+}
+
+// Abandon gives back a ticket from Enter that will not be waited on:
+// it leaves the queue, or releases its slot if it was already granted.
+func (a *admission) Abandon(t *ticket) {
+	a.mu.Lock()
+	for i, q := range a.queue {
+		if q == t {
+			a.queue = append(a.queue[:i], a.queue[i+1:]...)
+			a.decTenant(t.tenant)
+			a.mu.Unlock()
+			return
 		}
-		a.releaseFunc(tenant)()
-		return nil, ctx.Err()
+	}
+	a.mu.Unlock()
+	// Granted (or drained) before it could leave the queue: consume
+	// the grant so the slot is not leaked.
+	<-t.ready
+	if t.err == nil {
+		a.releaseFunc(t.tenant)()
 	}
 }
 
@@ -164,7 +202,7 @@ func (a *admission) decTenant(tenant string) {
 	}
 }
 
-// Drain stops admitting: every future Acquire fails with ErrDraining,
+// Drain stops admitting: every future Enter fails with ErrDraining,
 // and every ticket still queued is failed the same way — queued work
 // has not started, so a drain sheds it rather than racing the
 // shutdown clock. Running work keeps its slots; Idle reports when the

@@ -117,6 +117,53 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	r1()
 }
 
+// TestAdmissionEnterAbandon pins the synchronous half: Enter grants or
+// queues without blocking, and Abandon gives back either kind of
+// ticket — a queued one leaves the queue, a granted one frees its slot
+// for the next ticket in line.
+func TestAdmissionEnterAbandon(t *testing.T) {
+	a := newAdmission(1, 1, 0)
+	granted, err := a.Enter("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := a.Enter("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Enter("c"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third Enter = %v, want ErrQueueFull", err)
+	}
+	a.Abandon(queued)
+	if running, q := a.Load(); running != 1 || q != 0 {
+		t.Fatalf("after abandoning the queued ticket: %d running, %d queued", running, q)
+	}
+	next, err := a.Enter("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Abandon(granted) // hands the slot to next
+	release, err := a.Wait(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if running, q := a.Load(); running != 0 || q != 0 || len(a.PerTenant()) != 0 {
+		t.Fatalf("residue: %d running, %d queued, tenants %v", running, q, a.PerTenant())
+	}
+	// A slot free on entry is granted even under a done context: the
+	// run itself then reports the deadline (or a truncated result).
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		release, err := a.Acquire(done, "a")
+		if err != nil {
+			t.Fatalf("Acquire on a free slot under a done context: %v", err)
+		}
+		release()
+	}
+}
+
 // TestAdmissionDrain pins the drain contract: queued waiters fail with
 // ErrDraining, new arrivals fail fast, and Idle closes when the last
 // running slot releases.

@@ -174,10 +174,11 @@ func (r *registry) count() int {
 // wait joins every job goroutine (drain).
 func (r *registry) wait() { r.wg.Wait() }
 
-// handleSubmitJob is POST /v1/jobs: decode synchronously (the client
-// learns about a bad request immediately), then run discovery on a
-// job goroutine that queues for admission like any sync request.
-// Responds 202 with the job's status document.
+// handleSubmitJob is POST /v1/jobs: decode and enter admission
+// synchronously (the client learns about a bad request or a shed
+// immediately), then run discovery on a job goroutine that waits for
+// its admission ticket like any sync request. Responds 202 with the
+// job's status document.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeParams(r)
 	if err != nil {
@@ -201,9 +202,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Admission sheds synchronously: a job the server cannot take is
+	// refused here with 429/503, before any 202 promises a result.
+	tk, err := s.adm.Enter(req.tenant)
+	if err != nil {
+		cancel()
+		s.writeError(w, r, err)
+		return
+	}
 	j := s.jobs.add(req.tenant, s.cfg.FeedCapacity, cancel)
 	if j == nil {
 		cancel()
+		s.adm.Abandon(tk)
 		s.stats.rejectedOverload.Add(1)
 		noteReason(r, "jobs_full")
 		s.observeShed(req.tenant, "jobs_full")
@@ -216,17 +226,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 	s.jobs.wg.Add(1)
 	//lint:governed job goroutines are joined by registry.wait on the drain path, and runJob's recover barrier turns their panics into failed jobs.
-	go s.runJob(ctx, cancel, j, req)
+	go s.runJob(ctx, cancel, j, req, tk)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSONStatus(w, http.StatusAccepted, j.view())
 }
 
-// runJob executes one async discovery end to end: admission, run,
-// render, terminal state. Its recover barrier is the async
-// counterpart of the HTTP recovery middleware — a panicking job
-// fails that job, never the process.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, req *request) {
+// runJob executes one async discovery end to end: the wait for the
+// admission ticket taken at submission, run, render, terminal state.
+// Its recover barrier is the async counterpart of the HTTP recovery
+// middleware — a panicking job fails that job, never the process.
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, req *request, tk *ticket) {
 	defer s.jobs.wg.Done()
 	defer cancel()
 	defer func() {
@@ -238,7 +248,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		}
 	}()
 
-	release, err := s.adm.Acquire(ctx, req.tenant)
+	release, err := s.adm.Wait(ctx, tk)
 	if err != nil {
 		s.jobFailed(j, err)
 		return

@@ -440,6 +440,33 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
+// TestOverloadShedsJobs pins synchronous shedding on the async path:
+// with the only slot held and no queue, POST /v1/jobs answers 429 with
+// Retry-After, like the sync path, and registers no job that could
+// later fail with the admission error.
+func TestOverloadShedsJobs(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: -1, RetryAfter: 7 * time.Second})
+	release, err := s.adm.Acquire(context.Background(), "hog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	rec := do(s, "POST", "/v1/jobs", nil, strings.NewReader(libraryXML(4)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("overloaded job submit = %d, want 429 (body %s)", rec.Code, rec.Body)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "7" {
+		t.Errorf("Retry-After = %q, want %q", ra, "7")
+	}
+	if n := s.jobs.count(); n != 0 {
+		t.Errorf("registered %d jobs, want 0", n)
+	}
+	if running, queued := s.adm.Load(); running != 1 || queued != 0 {
+		t.Errorf("admission load = %d running, %d queued, want 1, 0", running, queued)
+	}
+}
+
 // blockOnAdmit returns a fault hook that blocks at the "admitted"
 // point until release is closed, signalling entry on started (once).
 func blockOnAdmit(started, release chan struct{}) func(point string, h http.Header) {
