@@ -6,6 +6,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -272,6 +273,8 @@ func BenchmarkE11Baselines(b *testing.B) {
 // in-memory path on a serialized document; allocs/op shows the
 // memory gap.
 func BenchmarkStreamVsMemory(b *testing.B) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: 4, Seed: 4})
 	xml := ds.Tree.XMLString()
 	b.Run("in-memory", func(b *testing.B) {
@@ -282,7 +285,7 @@ func BenchmarkStreamVsMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := discoverxfd.Discover(doc, ds.Schema, nil); err != nil {
+			if _, err := eng.Discover(ctx, doc, ds.Schema); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -291,7 +294,7 @@ func BenchmarkStreamVsMemory(b *testing.B) {
 		b.SetBytes(int64(len(xml)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := discoverxfd.DiscoverStream(strings.NewReader(xml), ds.Schema, nil); err != nil {
+			if _, err := eng.DiscoverStream(ctx, strings.NewReader(xml), ds.Schema); err != nil {
 				b.Fatal(err)
 			}
 		}

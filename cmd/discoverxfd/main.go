@@ -126,7 +126,7 @@ func main() {
 		return
 	}
 
-	doc, err := eng.LoadDocumentFileAs(context.Background(), flag.Arg(0), *format)
+	doc, err := eng.LoadDocumentFile(context.Background(), flag.Arg(0), *format)
 	if err != nil {
 		fatal(err)
 	}

@@ -103,7 +103,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		doc, err := eng.LoadDocumentFile(context.Background(), flag.Arg(0))
+		doc, err := eng.LoadDocumentFile(context.Background(), flag.Arg(0), "auto")
 		if err != nil {
 			fatal(err)
 		}

@@ -1,7 +1,6 @@
 package discoverxfd
 
 import (
-	"context"
 	"fmt"
 
 	"discoverxfd/internal/core"
@@ -26,7 +25,7 @@ func ParseConstraint(s string) (Constraint, error) { return core.ParseConstraint
 func ParseConstraints(text string) ([]Constraint, error) { return core.ParseConstraints(text) }
 
 // CheckResult is the outcome of checking one constraint against a
-// document.
+// document (see Engine.CheckConstraints).
 type CheckResult struct {
 	Constraint Constraint
 	// Holds reports whether the constraint is satisfied (for Keys:
@@ -50,18 +49,4 @@ func (r CheckResult) String() string {
 		status = fmt.Sprintf("OK (%d redundant value(s))", r.Witnesses)
 	}
 	return fmt.Sprintf("%-8s %s", status, r.Constraint)
-}
-
-// CheckConstraints evaluates each constraint against the hierarchy,
-// independent of discovery — the regression-testing workflow: pin the
-// constraints your data must satisfy and fail CI when an update
-// breaks one.
-func CheckConstraints(h *Hierarchy, cs []Constraint) ([]CheckResult, error) {
-	return CheckConstraintsContext(context.Background(), h, cs)
-}
-
-// CheckConstraintsContext is CheckConstraints with cancellation,
-// checked per constraint.
-func CheckConstraintsContext(ctx context.Context, h *Hierarchy, cs []Constraint) ([]CheckResult, error) {
-	return NewEngine(nil).CheckConstraints(ctx, h, cs)
 }

@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,11 +9,13 @@ import (
 )
 
 func TestCheckConstraints(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	doc, err := discoverxfd.ParseDocument(libraryXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,7 @@ func TestCheckConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := eng.CheckConstraints(ctx, h, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +52,10 @@ func TestCheckConstraints(t *testing.T) {
 }
 
 func TestCheckConstraintsUnknownClass(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +63,7 @@ func TestCheckConstraintsUnknownClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.CheckConstraints(h, cs); err == nil {
+	if _, err := eng.CheckConstraints(ctx, h, cs); err == nil {
 		t.Fatal("unknown class must error")
 	}
 }
@@ -67,12 +72,14 @@ func TestCheckConstraintsUnknownClass(t *testing.T) {
 // through the notation parser and the checker: everything Discover
 // reports must re-verify from its printed form.
 func TestDiscoveredConstraintsRecheck(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,7 @@ func TestDiscoveredConstraintsRecheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discovery output failed to re-parse: %v", err)
 	}
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := eng.CheckConstraints(ctx, h, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +110,8 @@ func TestDiscoveredConstraintsRecheck(t *testing.T) {
 // one document must give the same verdicts on constraints that read
 // that text.
 func TestRootTextStreamedMatchesInMemory(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	const xml = `<doc>hello<item><id>1</id><v>a</v></item><item><id>2</id><v>b</v></item></doc>`
 	doc, err := discoverxfd.ParseDocument(xml)
 	if err != nil {
@@ -112,11 +121,11 @@ func TestRootTextStreamedMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	mem, err := eng.BuildHierarchy(ctx, doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, err := discoverxfd.BuildHierarchyStream(strings.NewReader(xml), s, nil)
+	str, err := eng.BuildHierarchyStream(ctx, strings.NewReader(xml), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +137,7 @@ func TestRootTextStreamedMatchesInMemory(t *testing.T) {
 		name string
 		h    *discoverxfd.Hierarchy
 	}{{"in-memory", mem}, {"streamed", str}} {
-		ev, err := discoverxfd.Evaluate(h.h, "/doc/item", []discoverxfd.RelPath{"../@text"}, "./v")
+		ev, err := eng.Evaluate(ctx, h.h, "/doc/item", []discoverxfd.RelPath{"../@text"}, "./v")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +145,7 @@ func TestRootTextStreamedMatchesInMemory(t *testing.T) {
 		if ev.Holds || ev.LHSIsKey || ev.Error != 0.5 {
 			t.Errorf("%s: Evaluate = %+v, want Holds=false LHSIsKey=false Error=0.5", h.name, ev)
 		}
-		results, err := discoverxfd.CheckConstraints(h.h, cs)
+		results, err := eng.CheckConstraints(ctx, h.h, cs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := discoverxfd.Conform(doc, s); err != nil {
 		t.Fatalf("inferred schema must accept its document: %v", err)
 	}
-	res, err := discoverxfd.Discover(doc, s, nil)
+	res, err := discoverxfd.NewEngine(nil).Discover(context.Background(), doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestDiscoverWithNilSchemaAndOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.Discover(doc, nil, nil); err != nil {
+	if _, err := discoverxfd.NewEngine(nil).Discover(context.Background(), doc, nil); err != nil {
 		t.Fatalf("nil schema/options should infer and default: %v", err)
 	}
 }
@@ -66,14 +67,14 @@ func TestDiscoverRejectsNonConforming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.Discover(doc, s, nil); err == nil {
+	if _, err := discoverxfd.NewEngine(nil).Discover(context.Background(), doc, s); err == nil {
 		t.Fatal("expected a conformance error")
 	}
 }
 
 func TestOptionsIntraOnly(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{IntraOnly: true})
+	res, err := discoverxfd.NewEngine(&discoverxfd.Options{IntraOnly: true}).Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOptionsIntraOnly(t *testing.T) {
 
 func TestOptionsNoSetElements(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{NoSetElements: true})
+	res, err := discoverxfd.NewEngine(&discoverxfd.Options{NoSetElements: true}).Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +101,14 @@ func TestOptionsNoSetElements(t *testing.T) {
 }
 
 func TestEvaluatePublic(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := discoverxfd.Evaluate(h, "/library/shelf/book",
-		[]discoverxfd.RelPath{"./isbn"}, "./title")
+	ev, err := eng.Evaluate(ctx, h, "/library/shelf/book", []discoverxfd.RelPath{"./isbn"}, "./title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestEvaluatePublic(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	res, err := discoverxfd.Discover(doc, nil, nil)
+	res, err := discoverxfd.NewEngine(nil).Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,18 +137,20 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestLoadDocumentFileError(t *testing.T) {
-	if _, err := discoverxfd.LoadDocumentFile("/nonexistent/file.xml"); err == nil {
+	if _, err := discoverxfd.NewEngine(nil).LoadDocumentFile(context.Background(), "/nonexistent/file.xml", "auto"); err == nil {
 		t.Fatal("expected an error for a missing file")
 	}
 }
 
 func TestDiscoverStreamFacade(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
 	s, err := discoverxfd.InferSchema(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverStream(strings.NewReader(libraryXML), s, nil)
+	res, err := eng.DiscoverStream(ctx, strings.NewReader(libraryXML), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestDiscoverStreamFacade(t *testing.T) {
 		t.Fatalf("streamed discovery missed isbn -> title: %v", res.FDs)
 	}
 	// Streaming requires an explicit schema.
-	if _, err := discoverxfd.DiscoverStream(strings.NewReader(libraryXML), nil, nil); err == nil {
+	if _, err := eng.DiscoverStream(ctx, strings.NewReader(libraryXML), nil); err == nil {
 		t.Fatal("nil schema must be rejected in streaming mode")
 	}
 }

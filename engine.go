@@ -9,30 +9,40 @@ import (
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/datatree"
+	"discoverxfd/internal/relation"
 	"discoverxfd/internal/source"
 	"discoverxfd/internal/source/jsondoc"
-	"discoverxfd/internal/telemetry"
 	"discoverxfd/internal/trace"
 )
 
-// Engine is the reusable discovery engine behind every entrypoint in
-// this package: construct it once from an Options value and call its
-// methods from as many goroutines as you like. Each call runs an
-// isolated staged pipeline (plan → traverse → minimize → verify →
-// assemble; see internal/core), so concurrent calls never observe
-// each other's state. What an Engine does share across calls is a
-// warm layer of immutable partitions per hierarchy: repeated
-// discovery over the same *Hierarchy value reuses partitions computed
-// by earlier runs instead of rebuilding them (benchmark E14 measures
-// the effect), which is why long-lived services should hold one
-// Engine rather than calling the package-level wrappers in a loop.
+// Engine is the one entry point into the DiscoverXFD pipeline, one
+// method per stage: LoadDocument, LoadJSON and LoadDocumentFile parse
+// a document into the data-tree model, BuildHierarchy and
+// BuildHierarchyStream build its hierarchical representation,
+// DiscoverHierarchy runs discovery over a hierarchy, and Discover and
+// DiscoverStream build and discover in one call. Evaluate and
+// CheckConstraints check given constraints, and ApplyUpdate edits a
+// hierarchy in place.
 //
-// Every package-level Discover*/Build*/Evaluate*/Check* function is a
-// thin wrapper that constructs a one-shot Engine, so the two styles
-// always compute identical results; only reuse differs.
+// Construct an Engine once from an Options value and call its methods
+// from as many goroutines as you like. Each call runs an isolated
+// staged pipeline (plan → traverse → minimize → verify → assemble;
+// see internal/core), so concurrent calls never observe each other's
+// state. What an Engine does share across calls is a warm layer of
+// immutable partitions per hierarchy: repeated DiscoverHierarchy
+// calls over the same *Hierarchy value reuse partitions computed by
+// earlier runs instead of rebuilding them (benchmark E14 measures the
+// effect), and ApplyUpdate patches them in place. Only a hierarchy
+// the caller holds can be presented again, so runs over the
+// hierarchies Discover and DiscoverStream build inside the call
+// neither seed from nor publish to the warm layer: a long-lived
+// Engine retains nothing of them.
 //
-// Wall-clock budgets are per call: Options.Limits.Deadline is
-// relative, and each method converts it to an absolute deadline when
+// Every method that loads, builds or discovers validates
+// Options.Limits before any work (a bad value fails with
+// ErrBadLimits), and wall-clock budgets are per call:
+// Options.Limits.Deadline is relative, and each such method converts
+// it to an absolute deadline, composed with the context's own, when
 // the call starts.
 type Engine struct {
 	opts Options
@@ -47,11 +57,8 @@ func NewEngine(opts *Options) *Engine {
 	if opts != nil {
 		o = *opts
 	}
-	return &Engine{opts: o, core: core.NewEngine(o.coreOptions(time.Time{}))}
+	return &Engine{opts: o, core: core.NewEngine(o.coreOptions())}
 }
-
-// Options returns a copy of the engine's configuration.
-func (e *Engine) Options() Options { return e.opts }
 
 // Metrics returns a snapshot of the engine's cumulative counters:
 // runs started/finished/truncated/failed, warm-layer seedings, direct
@@ -60,110 +67,111 @@ func (e *Engine) Options() Options { return e.opts }
 // discoveries.
 func (e *Engine) Metrics() Metrics { return e.core.Metrics() }
 
-// PublishExpvar publishes the engine's live Metrics under the given
-// name in the process's expvar registry (rendered at /debug/vars when
-// the expvar HTTP handler is installed). Each scrape takes a fresh
-// snapshot. Publication is idempotent per name: re-publishing —
-// another engine in the same process, or the same engine twice —
-// replaces the earlier publisher instead of panicking, so restarts
-// and tests that build many engines stay safe.
-func (e *Engine) PublishExpvar(name string) {
-	telemetry.PublishExpvar(name, func() any { return e.Metrics() })
+// begin starts a stage call: it validates the engine's limits and
+// composes the call's absolute wall-clock deadline from
+// Limits.Deadline and the context's deadline.
+func (e *Engine) begin(ctx context.Context) (time.Time, error) {
+	if err := e.opts.Limits.Validate(); err != nil {
+		return time.Time{}, err
+	}
+	return e.opts.Limits.deadlineFor(ctx, time.Now()), nil
 }
 
 // Discover runs DiscoverXFD on the document: it finds all minimal
 // interesting XML FDs and Keys and derives the redundancies the FDs
-// indicate (see the package-level DiscoverContext for the
-// cancellation and truncation contract). If s is nil the schema is
-// inferred from the data. The Limits.Deadline budget covers hierarchy
-// construction and discovery together.
+// indicate. If s is nil the schema is inferred from the data.
+// Cancelling ctx aborts with an error; exhausting a Limits budget
+// (deadline, tuple cap, lattice cap) instead returns the partial
+// Result found so far with Stats.Truncated and Stats.TruncatedReason
+// set. The Limits.Deadline budget covers hierarchy construction and
+// discovery together.
 func (e *Engine) Discover(ctx context.Context, doc *Document, s *Schema) (*Result, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
-		return nil, err
-	}
-	deadline := e.opts.Limits.deadlineFor(ctx, time.Now())
-	h, err := buildHierarchyAt(ctx, doc, s, &e.opts, deadline)
+	deadline, err := e.begin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.discoverAt(ctx, h, deadline)
+	h, err := e.build(ctx, doc, s, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return e.discover(ctx, h, deadline, false)
 }
 
-// DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy.
+// DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy, under
+// the same cancellation and truncation contract as Discover.
 // Repeated calls with the same *Hierarchy reuse the engine's warm
 // partitions — this is the engine-reuse fast path.
 func (e *Engine) DiscoverHierarchy(ctx context.Context, h *Hierarchy) (*Result, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
-		return nil, err
-	}
-	return e.discoverAt(ctx, h, e.opts.Limits.deadlineFor(ctx, time.Now()))
-}
-
-// DiscoverStream runs DiscoverXFD over an XML stream without
-// materializing the document (see the package-level
-// BuildHierarchyStream for the streaming contract; the schema is
-// required).
-func (e *Engine) DiscoverStream(ctx context.Context, r io.Reader, s *Schema) (*Result, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
-		return nil, err
-	}
-	deadline := e.opts.Limits.deadlineFor(ctx, time.Now())
-	h, err := buildHierarchyStreamAt(ctx, r, s, &e.opts, deadline)
+	deadline, err := e.begin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.discoverAt(ctx, h, deadline)
+	return e.discover(ctx, h, deadline, true)
 }
 
-// discoverAt routes one governed run into the core engine with the
-// call's absolute deadline.
-func (e *Engine) discoverAt(ctx context.Context, h *Hierarchy, deadline time.Time) (*Result, error) {
-	if e.opts.IntraOnly {
-		return e.core.DiscoverIntraAt(ctx, h, deadline)
+// DiscoverStream runs DiscoverXFD over an XML stream without
+// materializing the document (see BuildHierarchyStream; the schema is
+// required). The Limits.Deadline budget covers streaming ingestion
+// and discovery together.
+func (e *Engine) DiscoverStream(ctx context.Context, r io.Reader, s *Schema) (*Result, error) {
+	deadline, err := e.begin(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return e.core.DiscoverAt(ctx, h, deadline)
+	h, err := e.buildStream(ctx, r, s, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return e.discover(ctx, h, deadline, false)
+}
+
+// discover routes one governed run into the core engine with the
+// call's absolute deadline. warm is true only for hierarchies the
+// caller holds and may present again (DiscoverHierarchy); a hierarchy
+// built inside the call would only pin memory in the warm layer.
+func (e *Engine) discover(ctx context.Context, h *Hierarchy, deadline time.Time, warm bool) (*Result, error) {
+	if e.opts.IntraOnly {
+		return e.core.DiscoverIntraAt(ctx, h, deadline, warm)
+	}
+	return e.core.DiscoverAt(ctx, h, deadline, warm)
 }
 
 // LoadDocument parses an XML document from r under the engine's parse
 // limits (Limits.MaxDepth, Limits.MaxNodes), checking ctx
-// periodically.
+// periodically. A document exceeding a parse limit fails fast with a
+// "datatree:" error — a deep-nesting or entity-bloat bomb never
+// exhausts memory.
 func (e *Engine) LoadDocument(ctx context.Context, r io.Reader) (*Document, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
+	if _, err := e.begin(ctx); err != nil {
 		return nil, err
 	}
 	return datatree.ParseXMLContext(ctx, r, e.opts.Limits.parseLimits())
 }
 
 // LoadJSON parses a JSON document from r into the same data-tree
-// model as LoadDocument, under the engine's parse limits. Arrays
-// become set elements (repeated children, declared repeatable even
-// with one member), nested objects become singleton records, scalars
-// become leaf values with their literal spelling preserved, and
-// explicit null stays distinguishable from a missing member (a
-// present, valueless node). See internal/source/jsondoc for the full
-// mapping.
+// model as LoadDocument, under the engine's parse limits, so
+// everything downstream — schema inference, hierarchy construction,
+// discovery — is format-agnostic. Arrays become set elements
+// (repeated children, declared repeatable even with one member),
+// nested objects become singleton records, scalars become leaf values
+// with their literal spelling preserved, and explicit null stays
+// distinguishable from a missing member (a present, valueless node).
+// See internal/source/jsondoc for the full mapping.
 func (e *Engine) LoadJSON(ctx context.Context, r io.Reader) (*Document, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
+	if _, err := e.begin(ctx); err != nil {
 		return nil, err
 	}
 	return jsondoc.ParseContext(ctx, r, e.opts.Limits.parseLimits())
 }
 
 // LoadDocumentFile parses a document from a file under the engine's
-// parse limits, detecting the format from the file extension (.xml,
-// .json) or, when the extension is not registered, from the first
-// bytes of the content. Unrecognized input fails with
+// parse limits. format "xml" or "json" forces the format, while "" or
+// "auto" detects it from the file extension (.xml, .json) or, when
+// the extension is not registered, from the first bytes of the
+// content. An unregistered format or unrecognized input fails with
 // ErrUnknownFormat.
-func (e *Engine) LoadDocumentFile(ctx context.Context, path string) (*Document, error) {
-	return e.LoadDocumentFileAs(ctx, path, "auto")
-}
-
-// LoadDocumentFileAs is LoadDocumentFile with the format forced:
-// "xml" or "json" bypasses detection (unregistered formats fail with
-// ErrUnknownFormat), while "auto" or "" detects as LoadDocumentFile
-// does.
-func (e *Engine) LoadDocumentFileAs(ctx context.Context, path, format string) (*Document, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
+func (e *Engine) LoadDocumentFile(ctx context.Context, path, format string) (*Document, error) {
+	if _, err := e.begin(ctx); err != nil {
 		return nil, err
 	}
 	f, err := os.Open(path)
@@ -190,27 +198,69 @@ func (e *Engine) LoadDocumentFileAs(ctx context.Context, path, format string) (*
 }
 
 // BuildHierarchy constructs the hierarchical representation of the
-// document under the engine's options (see the package-level
-// BuildHierarchyContext for the truncation contract).
+// document (one relation per essential tuple class), for
+// DiscoverHierarchy, Evaluate, CheckConstraints, ApplyUpdate and
+// inspecting tuple classes. If s is nil the schema is inferred from
+// the data; otherwise the document must conform to it. Cancelling ctx
+// aborts with an error, while exhausting Limits.MaxTuples or
+// Limits.Deadline stops ingestion early and returns a consistent
+// hierarchy marked truncated.
 func (e *Engine) BuildHierarchy(ctx context.Context, doc *Document, s *Schema) (*Hierarchy, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
+	deadline, err := e.begin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return buildHierarchyAt(ctx, doc, s, &e.opts, e.opts.Limits.deadlineFor(ctx, time.Now()))
+	return e.build(ctx, doc, s, deadline)
+}
+
+func (e *Engine) build(ctx context.Context, doc *Document, s *Schema, deadline time.Time) (*Hierarchy, error) {
+	if s == nil {
+		inferred, err := datatree.InferSchema(doc)
+		if err != nil {
+			return nil, err
+		}
+		s = inferred
+	} else if err := datatree.Conform(doc, s); err != nil {
+		// Surface a mismatched root as the typed sentinel so callers
+		// (and the CLI exit-code classification) can errors.As it;
+		// conformance reports it first, with an untyped error.
+		if doc != nil && doc.Root != nil && doc.Root.Label != s.Root {
+			return nil, &relation.RootMismatchError{What: "tree", Root: doc.Root.Label, SchemaRoot: s.Root}
+		}
+		return nil, err
+	}
+	return relation.BuildContext(ctx, doc, s, e.opts.relationOptions(deadline))
 }
 
 // BuildHierarchyStream constructs the hierarchical representation
-// directly from an XML stream (see the package-level
-// BuildHierarchyStreamContext; the schema is required).
+// directly from an XML stream without materializing the document:
+// memory stays proportional to the representation plus the largest
+// single root-child subtree, and parse limits apply as the stream is
+// read. The schema is required (inference needs the whole document).
+// Streamed hierarchies drop node-level detail, so discovery, Evaluate
+// and CheckConstraints work identically, but ApplyUpdate,
+// ApplyRefinement and DetectAnomalies need a BuildHierarchy
+// hierarchy. Budgets behave as in BuildHierarchy.
 func (e *Engine) BuildHierarchyStream(ctx context.Context, r io.Reader, s *Schema) (*Hierarchy, error) {
-	if err := e.opts.Limits.Validate(); err != nil {
+	deadline, err := e.begin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return buildHierarchyStreamAt(ctx, r, s, &e.opts, e.opts.Limits.deadlineFor(ctx, time.Now()))
+	return e.buildStream(ctx, r, s, deadline)
+}
+
+func (e *Engine) buildStream(ctx context.Context, r io.Reader, s *Schema, deadline time.Time) (*Hierarchy, error) {
+	if s == nil {
+		return nil, fmt.Errorf("discoverxfd: streaming requires an explicit schema")
+	}
+	return relation.BuildStreamContext(ctx, r, s, e.opts.relationOptions(deadline))
 }
 
 // Evaluate checks a single XML FD ⟨class, lhs, rhs⟩ directly against
-// a hierarchy, independent of discovery.
+// a hierarchy, independent of discovery: whether it holds (strong
+// satisfaction), whether its LHS is a key, and how many redundant
+// values it witnesses. Cancellation is checked periodically over the
+// class's tuples.
 func (e *Engine) Evaluate(ctx context.Context, h *Hierarchy, class Path, lhs []RelPath, rhs RelPath) (Evaluation, error) {
 	return e.core.Evaluate(ctx, h, class, lhs, rhs)
 }
@@ -218,7 +268,7 @@ func (e *Engine) Evaluate(ctx context.Context, h *Hierarchy, class Path, lhs []R
 // CheckConstraints evaluates each parsed constraint against the
 // hierarchy, independent of discovery — the regression-testing
 // workflow: pin the constraints your data must satisfy and fail CI
-// when an update breaks one.
+// when an update breaks one. Cancellation is checked per constraint.
 func (e *Engine) CheckConstraints(ctx context.Context, h *Hierarchy, cs []Constraint) ([]CheckResult, error) {
 	out := make([]CheckResult, 0, len(cs))
 	for _, c := range cs {

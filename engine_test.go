@@ -2,8 +2,6 @@ package discoverxfd_test
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"reflect"
 	"sync"
@@ -55,11 +53,11 @@ func TestEngineConcurrentDiscover(t *testing.T) {
 	}
 
 	// Cold references from one-shot engines.
-	wantW, err := discoverxfd.DiscoverHierarchy(hw, opts)
+	wantW, err := discoverxfd.NewEngine(opts).DiscoverHierarchy(context.Background(), hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, err := discoverxfd.DiscoverHierarchy(hd, opts)
+	wantD, err := discoverxfd.NewEngine(opts).DiscoverHierarchy(context.Background(), hd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,62 +265,5 @@ func TestEngineMetricsConcurrent(t *testing.T) {
 	}
 	if after := eng.Metrics().Evaluations; after != before+1 {
 		t.Errorf("Evaluations = %d, want %d", after, before+1)
-	}
-}
-
-// TestEnginePublishExpvar checks the expvar exporter renders a live
-// Metrics snapshot under the published name.
-func TestEnginePublishExpvar(t *testing.T) {
-	ds := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
-	eng := discoverxfd.NewEngine(nil)
-	eng.PublishExpvar("xfd_engine_test")
-	h, err := eng.BuildHierarchy(context.Background(), ds.Tree, ds.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.DiscoverHierarchy(context.Background(), h); err != nil {
-		t.Fatal(err)
-	}
-	v := expvar.Get("xfd_engine_test")
-	if v == nil {
-		t.Fatal("metrics var not published")
-	}
-	var m discoverxfd.Metrics
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("published metrics are not JSON: %v\n%s", err, v.String())
-	}
-	if m.RunsStarted != 1 || m.RunsFinished != 1 {
-		t.Errorf("published snapshot = %+v, want 1 run", m)
-	}
-}
-
-// TestPublishExpvarIdempotent is the duplicate-name regression: two
-// engines publishing under one name in one process must not trip
-// expvar's duplicate-name panic, and the later publisher must win the
-// name.
-func TestPublishExpvarIdempotent(t *testing.T) {
-	ds := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
-	first := discoverxfd.NewEngine(nil)
-	first.PublishExpvar("xfd_engine_idempotent_test")
-
-	second := discoverxfd.NewEngine(nil)
-	second.PublishExpvar("xfd_engine_idempotent_test") // must not panic
-	if _, err := second.Discover(context.Background(), ds.Tree, ds.Schema); err != nil {
-		t.Fatal(err)
-	}
-
-	v := expvar.Get("xfd_engine_idempotent_test")
-	if v == nil {
-		t.Fatal("metrics var not published")
-	}
-	var m discoverxfd.Metrics
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("published metrics are not JSON: %v\n%s", err, v.String())
-	}
-	if m.RunsFinished != 1 {
-		t.Errorf("published RunsFinished = %d, want the second engine's run", m.RunsFinished)
-	}
-	if got := first.Metrics().RunsFinished; got != 0 {
-		t.Errorf("first engine ran %d times, want 0 — scrape must read the latest publisher", got)
 	}
 }

@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +11,7 @@ import (
 // The examples below double as godoc documentation and as tests:
 // their Output comments are verified by `go test`.
 
-func ExampleDiscover() {
+func ExampleEngine_Discover() {
 	doc, err := discoverxfd.ParseDocument(`
 <library>
   <shelf>
@@ -24,7 +25,8 @@ func ExampleDiscover() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, nil, nil) // schema inferred
+	eng := discoverxfd.NewEngine(nil)                        // default options
+	res, err := eng.Discover(context.Background(), doc, nil) // schema inferred
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,19 +38,21 @@ func ExampleDiscover() {
 	// {./isbn} -> ./title w.r.t. C(/library/shelf/book)  [1 redundant value(s) in 1 group(s)]
 }
 
-func ExampleEvaluate() {
+func ExampleEngine_Evaluate() {
 	doc, _ := discoverxfd.ParseDocument(`
 <lib>
   <b><isbn>1</isbn><a>X</a><a>Y</a></b>
   <b><isbn>1</isbn><a>Y</a><a>X</a></b>
   <b><isbn>2</isbn><a>Z</a></b>
 </lib>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// ./a names the author SET: the reordered collections agree.
-	ev, err := discoverxfd.Evaluate(h, "/lib/b",
+	ev, err := eng.Evaluate(ctx, h, "/lib/b",
 		[]discoverxfd.RelPath{"./isbn"}, "./a")
 	if err != nil {
 		log.Fatal(err)
@@ -73,18 +77,20 @@ func ExampleParseConstraint() {
 	// false
 }
 
-func ExampleCheckConstraints() {
+func ExampleEngine_CheckConstraints() {
 	doc, _ := discoverxfd.ParseDocument(`
 <shop>
   <item><sku>1</sku><name>Pen</name></item>
   <item><sku>1</sku><name>Gel Pen</name></item>
 </shop>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cs, _ := discoverxfd.ParseConstraints(`{./sku} -> ./name w.r.t. C(/shop/item)`)
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := eng.CheckConstraints(ctx, h, cs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,11 +106,13 @@ func ExampleSuggestRefinements() {
   <item><sku>1</sku><name>Pen</name></item>
   <item><sku>2</sku><name>Pad</name></item>
 </shop>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		log.Fatal(err)
 	}

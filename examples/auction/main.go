@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,15 +18,17 @@ import (
 )
 
 func main() {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	fmt.Println("scale   nodes   tuples   FDs   keys   time      µs/tuple")
 	for _, factor := range []int{1, 2, 4, 8} {
 		ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: factor, Seed: 4})
-		h, err := discoverxfd.BuildHierarchy(ds.Tree, ds.Schema, nil)
+		h, err := eng.BuildHierarchy(ctx, ds.Tree, ds.Schema)
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		res, err := discoverxfd.DiscoverHierarchy(h, nil)
+		res, err := eng.DiscoverHierarchy(ctx, h)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +43,7 @@ func main() {
 	// levels — a person's standing increase on an item is fixed
 	// across that item's auctions.
 	ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: 2, Seed: 4})
-	res, err := discoverxfd.Discover(ds.Tree, ds.Schema, nil)
+	res, err := eng.Discover(ctx, ds.Tree, ds.Schema)
 	if err != nil {
 		log.Fatal(err)
 	}

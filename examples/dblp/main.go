@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -24,7 +25,9 @@ func main() {
 	ds := xmlgen.DBLP(xmlgen.DBLPParams{Venues: 5, ArticlesPerVenue: 30, PaperPool: 60, Seed: 11})
 	doc := ds.Tree
 
-	res, err := discoverxfd.Discover(doc, ds.Schema, nil)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
+	res, err := eng.Discover(ctx, doc, ds.Schema)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,12 +43,12 @@ func main() {
 
 	// 2. {./author, ./title} determines ./year but is NOT a key: the
 	// witness groups are duplicate entries.
-	h, err := discoverxfd.BuildHierarchy(doc, ds.Schema, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, ds.Schema)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lhs := []discoverxfd.RelPath{"./author", "./title"}
-	ev, err := discoverxfd.Evaluate(h, article, lhs, "./year")
+	ev, err := eng.Evaluate(ctx, h, article, lhs, "./year")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,8 +47,9 @@ func main() {
 	// Discover all minimal interesting XML FDs, keys, and the
 	// redundancies the FDs indicate. ISBN 1 is shelved twice, so
 	// {./isbn} -> ./title (and -> ./publisher) witness redundant
-	// storage.
-	res, err := discoverxfd.Discover(d, s, nil)
+	// storage. An Engine runs every pipeline stage; nil options are
+	// the defaults.
+	res, err := discoverxfd.NewEngine(nil).Discover(context.Background(), d, s)
 	if err != nil {
 		log.Fatal(err)
 	}

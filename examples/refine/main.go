@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,11 +38,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +63,11 @@ func main() {
 	// hierarchy after each (the document and schema change).
 	applied := 0
 	for {
-		h, err = discoverxfd.BuildHierarchy(doc, nil, nil)
+		h, err = eng.BuildHierarchy(ctx, doc, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err = discoverxfd.DiscoverHierarchy(h, nil)
+		res, err = eng.DiscoverHierarchy(ctx, h)
 		if err != nil {
 			log.Fatal(err)
 		}

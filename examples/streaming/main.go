@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -48,15 +49,17 @@ func main() {
 		}
 	}
 
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	mem := run("in-memory", func() (*discoverxfd.Result, error) {
 		doc, err := discoverxfd.ParseDocument(xml)
 		if err != nil {
 			return nil, err
 		}
-		return discoverxfd.Discover(doc, ds.Schema, nil)
+		return eng.Discover(ctx, doc, ds.Schema)
 	})
 	str := run("streamed", func() (*discoverxfd.Result, error) {
-		return discoverxfd.DiscoverStream(newSlowReader(xml), ds.Schema, nil)
+		return eng.DiscoverStream(ctx, newSlowReader(xml), ds.Schema)
 	})
 
 	fmt.Printf("%-10s %6s %6s %10s %12s\n", "mode", "FDs", "keys", "time", "allocated")

@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func FuzzLoadJSON(f *testing.F) {
 	f.Add(`not json`)
 	f.Fuzz(func(t *testing.T, text string) {
 		opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxDepth: 64, MaxNodes: 4096}}
-		doc, err := discoverxfd.LoadJSONContext(t.Context(), strings.NewReader(text), opts)
+		doc, err := discoverxfd.NewEngine(opts).LoadJSON(context.Background(), strings.NewReader(text))
 		if err != nil {
 			return
 		}

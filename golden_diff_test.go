@@ -2,6 +2,7 @@ package discoverxfd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -56,7 +57,7 @@ func goldenCases() []struct {
 func TestResultJSONGolden(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.slug, func(t *testing.T) {
-			res, err := discoverxfd.Discover(c.ds.Tree, c.ds.Schema, c.opts)
+			res, err := discoverxfd.NewEngine(c.opts).Discover(context.Background(), c.ds.Tree, c.ds.Schema)
 			if err != nil {
 				t.Fatalf("%s: %v", c.ds.Name, err)
 			}
@@ -101,7 +102,7 @@ func zeroTimes(res *discoverxfd.Result) {
 func TestTracedResultJSONIdentical(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.slug, func(t *testing.T) {
-			plain, err := discoverxfd.Discover(c.ds.Tree, c.ds.Schema, c.opts)
+			plain, err := discoverxfd.NewEngine(c.opts).Discover(context.Background(), c.ds.Tree, c.ds.Schema)
 			if err != nil {
 				t.Fatalf("%s: %v", c.ds.Name, err)
 			}
@@ -111,7 +112,7 @@ func TestTracedResultJSONIdentical(t *testing.T) {
 			}
 			var events bytes.Buffer
 			opts.Trace = discoverxfd.NewJSONLTracer(&events)
-			traced, err := discoverxfd.Discover(c.ds.Tree, c.ds.Schema, &opts)
+			traced, err := discoverxfd.NewEngine(&opts).Discover(context.Background(), c.ds.Tree, c.ds.Schema)
 			if err != nil {
 				t.Fatalf("%s traced: %v", c.ds.Name, err)
 			}
@@ -181,7 +182,7 @@ func TestTraceJSONLDeterministic(t *testing.T) {
 				}
 				var events bytes.Buffer
 				opts.Trace = discoverxfd.NewJSONLTracer(&events)
-				if _, err := discoverxfd.Discover(c.ds.Tree, c.ds.Schema, &opts); err != nil {
+				if _, err := discoverxfd.NewEngine(&opts).Discover(context.Background(), c.ds.Tree, c.ds.Schema); err != nil {
 					t.Fatalf("%s: %v", c.ds.Name, err)
 				}
 				return stripVolatile(t, events.Bytes())

@@ -2,6 +2,7 @@ package discoverxfd_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,6 +25,8 @@ const jsonTwinPath = "testdata/json/warehouse.json"
 // spellings can and must collide exactly — any divergence means the
 // JSON mapping changed the data the engine sees.
 func TestJSONTwinGolden(t *testing.T) {
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 	ds := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
 
 	// The twin is itself pinned: serializing the generated tree must
@@ -51,7 +54,7 @@ func TestJSONTwinGolden(t *testing.T) {
 
 	// The JSON front-end must reconstruct the XML-generated tree
 	// exactly — labels, values, document order.
-	doc, err := discoverxfd.LoadJSON(bytes.NewReader(committed))
+	doc, err := eng.LoadJSON(ctx, bytes.NewReader(committed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestJSONTwinGolden(t *testing.T) {
 
 	// The acceptance criterion: discovery over the JSON twin is
 	// byte-identical to the committed XML golden.
-	res, err := discoverxfd.Discover(doc, ds.Schema, nil)
+	res, err := eng.Discover(ctx, doc, ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}

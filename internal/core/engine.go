@@ -27,7 +27,10 @@ import (
 // MaxPartitionBytes budget), and the oldest hierarchies are evicted
 // beyond a small cap. Runs under Options.NaivePartitions never seed
 // from nor publish to the warm layer: the naive engine is the
-// differential baseline and must stay bit-for-bit cold.
+// differential baseline and must stay bit-for-bit cold. Neither do
+// DiscoverAt/DiscoverIntraAt runs with warm false: their hierarchy
+// was built inside the caller's call, so no later run can hit its
+// entry, which would only pin the hierarchy until evicted.
 type Engine struct {
 	opts Options
 
@@ -128,17 +131,19 @@ func (e *Engine) Options() Options { return e.opts }
 // Discover runs the DiscoverXFD pipeline over the hierarchy (see
 // DiscoverContext for the cancellation and truncation contract).
 func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
-	return e.discover(ctx, h, e.opts, !e.opts.NoInterRelation)
+	return e.discover(ctx, h, e.opts, !e.opts.NoInterRelation, true)
 }
 
 // DiscoverAt is Discover with a per-call wall-clock deadline,
 // overriding the engine's configured Options.Deadline. The public
 // layer computes the absolute instant from its relative Limits budget
-// at each call boundary.
-func (e *Engine) DiscoverAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time) (*Result, error) {
+// at each call boundary. warm false runs the hierarchy without the
+// warm layer — no seeding, no publishing — for hierarchies the caller
+// built inside its own call and will never present again.
+func (e *Engine) DiscoverAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
 	opts := e.opts
 	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, !opts.NoInterRelation)
+	return e.discover(ctx, h, opts, !opts.NoInterRelation, warm)
 }
 
 // DiscoverIntra runs DiscoverFD (Figure 8) independently on each
@@ -147,16 +152,16 @@ func (e *Engine) DiscoverAt(ctx context.Context, h *relation.Hierarchy, deadline
 func (e *Engine) DiscoverIntra(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
 	opts := e.opts
 	opts.NoInterRelation = true
-	return e.discover(ctx, h, opts, false)
+	return e.discover(ctx, h, opts, false, true)
 }
 
-// DiscoverIntraAt is DiscoverIntra with a per-call deadline (see
-// DiscoverAt).
-func (e *Engine) DiscoverIntraAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time) (*Result, error) {
+// DiscoverIntraAt is DiscoverIntra with a per-call deadline and warm
+// choice (see DiscoverAt).
+func (e *Engine) DiscoverIntraAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
 	opts := e.opts
 	opts.NoInterRelation = true
 	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, false)
+	return e.discover(ctx, h, opts, false, warm)
 }
 
 // Evaluate checks a single XML FD directly against a hierarchy,
@@ -173,10 +178,10 @@ func (e *Engine) Evaluate(ctx context.Context, h *relation.Hierarchy, class sche
 }
 
 // discover executes one run through the staged pipeline, wrapped in
-// the engine's warm-partition layer. A nil receiver is valid and
-// simply runs cold (no sharing), which is what the legacy one-shot
-// wrappers use.
-func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) (*Result, error) {
+// the engine's warm-partition layer unless warm is false. A nil
+// receiver is valid and simply runs cold (no sharing), which is what
+// the legacy one-shot wrappers use.
+func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Options, xfd, warm bool) (*Result, error) {
 	e.runStarted()
 	run := newRun(ctx, h, opts, xfd)
 	// Hold the hierarchy's reader lock across seed, execute, AND
@@ -185,10 +190,10 @@ func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Optio
 	// entry ApplyUpdate just patched.
 	h.RLock()
 	defer h.RUnlock()
-	share := e != nil && !opts.NaivePartitions
+	share := warm && e != nil && !opts.NaivePartitions
 	if share {
-		if warm, memo := e.warmFor(h); warm != nil {
-			run.cache.seed(warm)
+		if parts, memo := e.warmFor(h); parts != nil {
+			run.cache.seed(parts)
 			run.memo = memo
 			e.warmSeededRun()
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/relation"
 )
@@ -93,6 +94,44 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 		t.Errorf("naive runs diverged: hits %d/%d misses %d/%d",
 			first.Stats.PartitionCacheHits, second.Stats.PartitionCacheHits,
 			first.Stats.PartitionCacheMisses, second.Stats.PartitionCacheMisses)
+	}
+}
+
+// TestEngineCallBuiltHierarchiesStayCold pins that runs over a
+// hierarchy built inside the caller's own call (DiscoverAt and
+// DiscoverIntraAt with warm false) neither seed from nor publish to
+// the warm layer, so a long-lived engine retains none of them, yet
+// they still count in Metrics; warm runs over one hierarchy the
+// caller holds keep seeding.
+func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
+	eng := NewEngine(Options{PropagatePartial: true})
+	ctx := context.Background()
+	h := buildWarehouse(t, relation.Options{})
+	for i := 0; i < 2; i++ {
+		if _, err := eng.DiscoverAt(ctx, h, time.Time{}, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.DiscoverIntraAt(ctx, buildWarehouse(t, relation.Options{}), time.Time{}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(eng.warm); n != 0 {
+		t.Fatalf("warm layer holds %d hierarchies after cold runs, want 0", n)
+	}
+	if m := eng.Metrics(); m.RunsFinished != 4 || m.WarmSeeded != 0 {
+		t.Fatalf("after 4 cold runs: RunsFinished=%d WarmSeeded=%d, want 4 and 0", m.RunsFinished, m.WarmSeeded)
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, err := eng.DiscoverAt(ctx, h, time.Time{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := eng.Metrics(); m.WarmSeeded != 1 {
+		t.Errorf("two warm runs over one hierarchy: WarmSeeded=%d, want 1", m.WarmSeeded)
+	}
+	if n := len(eng.warm); n != 1 {
+		t.Errorf("warm layer holds %d hierarchies, want 1", n)
 	}
 }
 

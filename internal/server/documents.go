@@ -150,7 +150,20 @@ func (s *Server) handleCreateDocument(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
-	if err := s.decodeBody(ctx, w, r, req); err != nil {
+	// The engine outlives this request as the document's resident
+	// engine, so it traces to the bare backend: stamping it with this
+	// request's trace ids would mislabel every later run. Runs over
+	// resident documents correlate with their requests through the
+	// request span's timing instead.
+	req.opts.Trace = s.cfg.Trace
+	eng := discoverxfd.NewEngine(&req.opts)
+	resident := false
+	defer func() {
+		if !resident {
+			s.met.retire(eng) // the engine dies with the request
+		}
+	}()
+	if err := s.decodeBody(ctx, w, r, eng, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -162,26 +175,18 @@ func (s *Server) handleCreateDocument(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.accepted.Add(1)
 
-	// The engine outlives this request as the document's resident
-	// engine, so it traces to the bare backend: stamping it with this
-	// request's trace ids would mislabel every later run. Runs over
-	// resident documents correlate with their requests through the
-	// request span's timing instead.
-	req.opts.Trace = s.cfg.Trace
-	eng := discoverxfd.NewEngine(&req.opts)
 	h, err := eng.BuildHierarchy(ctx, req.doc, req.schema)
 	if err != nil {
 		s.stats.failed.Add(1)
-		s.met.retire(eng) // never became resident
 		s.writeError(w, r, decodeErr("document", err))
 		return
 	}
 	d, err := s.docs.add(eng, h)
 	if err != nil {
-		s.met.retire(eng) // store full: the engine dies with the request
 		s.writeError(w, r, err)
 		return
 	}
+	resident = true
 	s.stats.docsCreated.Add(1)
 	s.cfg.Log.Info("document resident", "id", d.id, "tuples", d.h.TotalTuples())
 	writeJSONStatus(w, http.StatusCreated, d.info())

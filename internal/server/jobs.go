@@ -118,11 +118,11 @@ func newRegistry(cap int) *registry {
 	return &registry{byID: make(map[string]*job), cap: cap}
 }
 
-// add registers a new job, evicting the oldest finished one if the
-// registry is full. Returns nil if every slot holds a live job — the
-// registry refuses to grow unboundedly, and refuses to forget live
-// work.
-func (r *registry) add(tenant string, feedCap int, cancel context.CancelFunc) *job {
+// add registers a new job whose run traces to feed, evicting the
+// oldest finished one if the registry is full. Returns nil if every
+// slot holds a live job — the registry refuses to grow unboundedly,
+// and refuses to forget live work.
+func (r *registry) add(tenant string, feed *trace.Feed, cancel context.CancelFunc) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.order) >= r.cap && !r.evictLocked() {
@@ -134,7 +134,7 @@ func (r *registry) add(tenant string, feedCap int, cancel context.CancelFunc) *j
 		tenant:  tenant,
 		created: time.Now(),
 		cancel:  cancel,
-		feed:    trace.NewFeed(feedCap),
+		feed:    feed,
 		state:   stateQueued,
 	}
 	r.byID[j.id] = j
@@ -191,13 +191,24 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if req.timeout > 0 {
 		ctx, cancel = context.WithTimeout(s.base, req.timeout)
 	}
+	feed := trace.NewFeed(s.cfg.FeedCapacity)
+	req.opts.Trace = trace.Multi(s.requestTracer(r), feed)
+	eng := discoverxfd.NewEngine(&req.opts)
+	// Until the job goroutine takes them over, the job context and the
+	// engine die with this handler.
+	started := false
+	defer func() {
+		if !started {
+			cancel()
+			s.met.retire(eng)
+		}
+	}()
 	s.fault("decode", r)
 	// The body is read under the *request* context (the upload needs
 	// the connection) but parse CPU is bounded by the job ctx too;
 	// use the request context here so a client disconnect mid-upload
 	// fails the submission, not a zombie job.
-	if err := s.decodeBody(r.Context(), w, r, req); err != nil {
-		cancel()
+	if err := s.decodeBody(r.Context(), w, r, eng, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -206,13 +217,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// refused here with 429/503, before any 202 promises a result.
 	tk, err := s.adm.Enter(req.tenant)
 	if err != nil {
-		cancel()
 		s.writeError(w, r, err)
 		return
 	}
-	j := s.jobs.add(req.tenant, s.cfg.FeedCapacity, cancel)
+	j := s.jobs.add(req.tenant, feed, cancel)
 	if j == nil {
-		cancel()
 		s.adm.Abandon(tk)
 		s.stats.rejectedOverload.Add(1)
 		noteReason(r, "jobs_full")
@@ -222,11 +231,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "job registry full; retry later"})
 		return
 	}
-	req.opts.Trace = trace.Multi(s.requestTracer(r), j.feed)
 
+	started = true
 	s.jobs.wg.Add(1)
 	//lint:governed job goroutines are joined by registry.wait on the drain path, and runJob's recover barrier turns their panics into failed jobs.
-	go s.runJob(ctx, cancel, j, req, tk)
+	go s.runJob(ctx, cancel, j, eng, req, tk)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSONStatus(w, http.StatusAccepted, j.view())
@@ -236,9 +245,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 // admission ticket taken at submission, run, render, terminal state.
 // Its recover barrier is the async counterpart of the HTTP recovery
 // middleware — a panicking job fails that job, never the process.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, req *request, tk *ticket) {
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, eng *discoverxfd.Engine, req *request, tk *ticket) {
 	defer s.jobs.wg.Done()
 	defer cancel()
+	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
 	defer func() {
 		if p := recover(); p != nil {
 			s.stats.panics.Add(1)
@@ -258,8 +268,6 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	s.stats.accepted.Add(1)
 	req.fire("admitted")
 	j.setState(stateRunning)
-	eng := discoverxfd.NewEngine(&req.opts)
-	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
 	res, err := eng.Discover(ctx, req.doc, req.schema)
 	if err != nil {
 		s.stats.failed.Add(1)

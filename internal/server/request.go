@@ -116,17 +116,18 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 }
 
 // decodeBody reads and parses the document (and optional schema) into
-// req. A body with Content-Type application/json is either an
-// envelope — a top-level object whose "document" member is a string,
-// parsed per its "format" member — or, failing that shape, a raw JSON
-// document (schema inferred); any other content type is a raw
-// document in the server's default format. Parsing runs under ctx —
-// the request context bounded by the effective timeout — so a
-// disconnected or out-of-budget client aborts the parse, and under
-// http.MaxBytesReader, so an oversized body fails with 413. A
-// deadline that fires during parse is an error even in
-// degrade=truncate mode: no partial result exists yet.
-func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, req *request) error {
+// req through eng, the engine that then runs the request, so parsing
+// honors the request's limits. A body with Content-Type
+// application/json is either an envelope — a top-level object whose
+// "document" member is a string, parsed per its "format" member — or,
+// failing that shape, a raw JSON document (schema inferred); any
+// other content type is a raw document in the server's default
+// format. Parsing runs under ctx — the request context bounded by the
+// effective timeout — so a disconnected or out-of-budget client
+// aborts the parse, and under http.MaxBytesReader, so an oversized
+// body fails with 413. A deadline that fires during parse is an error
+// even in degrade=truncate mode: no partial result exists yet.
+func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, eng *discoverxfd.Engine, req *request) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	ct := r.Header.Get("Content-Type")
 	var err error
@@ -136,7 +137,7 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 			return decodeErr("request body", rerr)
 		}
 		if !isEnvelope(data) {
-			req.doc, err = discoverxfd.LoadJSONContext(ctx, bytes.NewReader(data), &req.opts)
+			req.doc, err = eng.LoadJSON(ctx, bytes.NewReader(data))
 			if err != nil {
 				return decodeErr("document", err)
 			}
@@ -158,9 +159,9 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 			}
 			req.schema = sch
 		}
-		req.doc, err = s.loadAs(ctx, env.Format, strings.NewReader(env.Document), &req.opts)
+		req.doc, err = s.loadAs(ctx, eng, env.Format, strings.NewReader(env.Document))
 	} else {
-		req.doc, err = s.loadAs(ctx, "", body, &req.opts)
+		req.doc, err = s.loadAs(ctx, eng, "", body)
 	}
 	if err != nil {
 		return decodeErr("document", err)
@@ -183,17 +184,17 @@ func isEnvelope(data []byte) bool {
 	return len(d) > 0 && d[0] == '"'
 }
 
-// loadAs parses one document in the named format; "" falls back to
-// the server's default.
-func (s *Server) loadAs(ctx context.Context, format string, r io.Reader, opts *discoverxfd.Options) (*discoverxfd.Document, error) {
+// loadAs parses one document in the named format through eng; "" falls
+// back to the server's default.
+func (s *Server) loadAs(ctx context.Context, eng *discoverxfd.Engine, format string, r io.Reader) (*discoverxfd.Document, error) {
 	if format == "" {
 		format = s.cfg.DefaultFormat
 	}
 	switch format {
 	case "xml":
-		return discoverxfd.LoadDocumentContext(ctx, r, opts)
+		return eng.LoadDocument(ctx, r)
 	case "json":
-		return discoverxfd.LoadJSONContext(ctx, r, opts)
+		return eng.LoadJSON(ctx, r)
 	default:
 		return nil, badRequest("unknown document format %q (use \"xml\" or \"json\")", format)
 	}

@@ -290,8 +290,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
+	req.opts.Trace = s.requestTracer(r)
+	eng := discoverxfd.NewEngine(&req.opts)
+	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
 	s.fault("decode", r)
-	if err := s.decodeBody(ctx, w, r, req); err != nil {
+	if err := s.decodeBody(ctx, w, r, eng, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -305,9 +308,6 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 
 	s.stats.accepted.Add(1)
 	req.fire("admitted")
-	req.opts.Trace = s.requestTracer(r)
-	eng := discoverxfd.NewEngine(&req.opts)
-	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
 	res, err := eng.Discover(ctx, req.doc, req.schema)
 	if err != nil {
 		s.stats.failed.Add(1)

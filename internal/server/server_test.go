@@ -220,6 +220,12 @@ func TestBadRequests(t *testing.T) {
 		{"json document bad label", "/v1/discover", map[string]string{"Content-Type": "application/json"},
 			`{"library": {"a b": 1}}`, http.StatusBadRequest},
 		{"oversized body", "/v1/discover", nil, libraryXML(200), http.StatusRequestEntityTooLarge},
+		// The request's own limits bound the parse on every body path.
+		{"max_nodes bounds the parse", "/v1/discover?max_nodes=3", nil, xml, http.StatusBadRequest},
+		{"max_depth bounds the json parse", "/v1/discover?max_depth=1", map[string]string{"Content-Type": "application/json"},
+			libraryJSONDoc, http.StatusBadRequest},
+		{"max_nodes bounds the job parse", "/v1/jobs?max_nodes=3", nil, xml, http.StatusBadRequest},
+		{"max_nodes bounds the document parse", "/v1/documents?max_nodes=3", nil, xml, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -243,10 +249,10 @@ const libraryJSONDoc = `{"library": {"shelf": [
 
 // TestJSONDocumentNegotiation pins the JSON document paths: a raw
 // JSON body and a format=json envelope both serve exactly the bytes
-// the library path renders for LoadJSON + inferred schema, and a
-// DefaultFormat=json server treats undeclared bodies as JSON.
+// the library path renders for Engine.LoadJSON + inferred schema, and
+// a DefaultFormat=json server treats undeclared bodies as JSON.
 func TestJSONDocumentNegotiation(t *testing.T) {
-	doc, err := discoverxfd.LoadJSON(strings.NewReader(libraryJSONDoc))
+	doc, err := discoverxfd.NewEngine(nil).LoadJSON(context.Background(), strings.NewReader(libraryJSONDoc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package discoverxfd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func TestWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{ApproxError: 0.5})
+	res, err := discoverxfd.NewEngine(&discoverxfd.Options{ApproxError: 0.5}).Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +89,8 @@ func TestWriteJSONTruncatedReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{
-		Limits: discoverxfd.Limits{MaxTuples: 2},
-	})
+	eng := discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: 2}})
+	res, err := eng.Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestOptionsApproxThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{ApproxError: 0.15})
+	res, err := discoverxfd.NewEngine(&discoverxfd.Options{ApproxError: 0.15}).Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ var ErrBadLimits = errors.New("discoverxfd: invalid limits")
 //     constraint may not hold on the full document.
 //
 // Cancellation is separate from both: cancelling the context passed
-// to a ...Context function aborts the call with an error. A context
+// to an Engine method aborts the call with an error. A context
 // *deadline*, however, is a wall-clock budget like Deadline: the run
 // honors the earlier of the two and truncates gracefully when it
 // arrives (see deadlineFor), so servers can express per-request
@@ -114,24 +114,20 @@ func (l Limits) parseLimits() datatree.ParseLimits {
 	return pl
 }
 
-// deadlineFrom converts the relative budget into the absolute instant
-// the lower layers check against; zero means no budget.
-func (l Limits) deadlineFrom(now time.Time) time.Time {
-	if l.Deadline <= 0 {
-		return time.Time{}
-	}
-	return now.Add(l.Deadline)
-}
-
-// deadlineFor composes the call's wall-clock budget: the earlier of
-// the Limits.Deadline budget (relative to now) and the context's own
-// deadline, either of which may be absent. The composed instant feeds
-// the governor's graceful-truncation path, so a run bounded by a
-// context deadline returns the partial Result found so far instead of
-// dying with a cancellation error when the clock runs out — explicit
-// cancellation (context.CancelFunc) still aborts with an error.
+// deadlineFor composes the call's wall-clock budget as the absolute
+// instant the lower layers check against: the earlier of the
+// Limits.Deadline budget (relative to now) and the context's own
+// deadline, either of which may be absent (zero means no budget). The
+// composed instant feeds the governor's graceful-truncation path, so
+// a run bounded by a context deadline returns the partial Result
+// found so far instead of dying with a cancellation error when the
+// clock runs out — explicit cancellation (context.CancelFunc) still
+// aborts with an error.
 func (l Limits) deadlineFor(ctx context.Context, now time.Time) time.Time {
-	d := l.deadlineFrom(now)
+	var d time.Time
+	if l.Deadline > 0 {
+		d = now.Add(l.Deadline)
+	}
 	if ctx == nil {
 		return d
 	}
@@ -139,12 +135,4 @@ func (l Limits) deadlineFor(ctx context.Context, now time.Time) time.Time {
 		d = cd
 	}
 	return d
-}
-
-// limits returns the configured Limits, nil-safe.
-func (o *Options) limits() Limits {
-	if o == nil {
-		return Limits{}
-	}
-	return o.Limits
 }

@@ -58,14 +58,16 @@ func TestDiscoverStreamReaderFault(t *testing.T) {
 	defer faultinject.CheckGoroutines(t)()
 	xml := bigLibraryXML(40)
 	s := librarySchema(t, xml)
+	eng := discoverxfd.NewEngine(nil)
+	ctx := context.Background()
 
-	clean, err := discoverxfd.DiscoverStream(strings.NewReader(xml), s, nil)
+	clean, err := eng.DiscoverStream(ctx, strings.NewReader(xml), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	faulty := &faultinject.Reader{R: strings.NewReader(xml), FailAfter: int64(len(xml) / 2)}
-	res, err := discoverxfd.DiscoverStream(faulty, s, nil)
+	res, err := eng.DiscoverStream(ctx, faulty, s)
 	if err == nil {
 		t.Fatal("mid-document read error was swallowed")
 	}
@@ -76,7 +78,7 @@ func TestDiscoverStreamReaderFault(t *testing.T) {
 		t.Fatal("failed stream returned a Result alongside the error")
 	}
 
-	rerun, err := discoverxfd.DiscoverStream(strings.NewReader(xml), s, nil)
+	rerun, err := eng.DiscoverStream(ctx, strings.NewReader(xml), s)
 	if err != nil {
 		t.Fatalf("rerun after fault: %v", err)
 	}
@@ -97,7 +99,7 @@ func TestDiscoverStreamStalledReaderCancellable(t *testing.T) {
 	stalled := &faultinject.StallReader{R: strings.NewReader(xml), StallAfter: int64(len(xml) / 2), Ctx: ctx}
 	done := make(chan error, 1)
 	go func() {
-		_, err := discoverxfd.DiscoverStreamContext(ctx, stalled, s, nil)
+		_, err := discoverxfd.NewEngine(nil).DiscoverStream(ctx, stalled, s)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -119,7 +121,7 @@ func TestDiscoverStreamCancelMidDocument(t *testing.T) {
 	xml := bigLibraryXML(40)
 	s := librarySchema(t, xml)
 	r, ctx := faultinject.CancelAfterBytes(context.Background(), strings.NewReader(xml), int64(len(xml)/2))
-	res, err := discoverxfd.DiscoverStreamContext(ctx, r, s, nil)
+	res, err := discoverxfd.NewEngine(nil).DiscoverStream(ctx, r, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -137,9 +139,8 @@ func TestDiscoverDeadlineTruncatesPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, nil, &discoverxfd.Options{
-		Limits: discoverxfd.Limits{Deadline: time.Nanosecond},
-	})
+	eng := discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{Deadline: time.Nanosecond}})
+	res, err := eng.Discover(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatalf("deadline must degrade gracefully, got error: %v", err)
 	}
@@ -173,7 +174,7 @@ func TestDiscoverMaxTuplesTruncatesPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.Discover(doc, s, opts)
+	res, err := discoverxfd.NewEngine(opts).Discover(context.Background(), doc, s)
 	if err != nil {
 		t.Fatalf("tuple budget must degrade gracefully, got error: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestDiscoverMaxTuplesTruncatesPublicAPI(t *testing.T) {
 		t.Fatalf("Truncated=%v reason=%q", res.Stats.Truncated, res.Stats.TruncatedReason)
 	}
 
-	sres, err := discoverxfd.DiscoverStream(strings.NewReader(xml), s, opts)
+	sres, err := discoverxfd.NewEngine(opts).DiscoverStream(context.Background(), strings.NewReader(xml), s)
 	if err != nil {
 		t.Fatalf("streamed tuple budget must degrade gracefully, got error: %v", err)
 	}
@@ -194,13 +195,13 @@ func TestDiscoverMaxTuplesTruncatesPublicAPI(t *testing.T) {
 // errors (not truncation) at the public boundary.
 func TestLoadDocumentContextParseLimits(t *testing.T) {
 	deep := strings.Repeat("<a>", 50) + strings.Repeat("</a>", 50)
-	_, err := discoverxfd.LoadDocumentContext(context.Background(), strings.NewReader(deep),
-		&discoverxfd.Options{Limits: discoverxfd.Limits{MaxDepth: 10}})
+	shallow := discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{MaxDepth: 10}})
+	_, err := shallow.LoadDocument(context.Background(), strings.NewReader(deep))
 	if err == nil || !strings.Contains(err.Error(), "datatree:") {
 		t.Fatalf("err = %v, want a datatree depth error", err)
 	}
-	_, err = discoverxfd.LoadDocumentContext(context.Background(), strings.NewReader(bigLibraryXML(40)),
-		&discoverxfd.Options{Limits: discoverxfd.Limits{MaxNodes: 20}})
+	small := discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{MaxNodes: 20}})
+	_, err = small.LoadDocument(context.Background(), strings.NewReader(bigLibraryXML(40)))
 	if err == nil || !strings.Contains(err.Error(), "datatree:") {
 		t.Fatalf("err = %v, want a datatree node-count error", err)
 	}
@@ -216,13 +217,13 @@ func TestGenerousLimitsMatchPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := discoverxfd.Discover(doc, s, nil)
+	plain, err := discoverxfd.NewEngine(nil).Discover(context.Background(), doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	governed, err := discoverxfd.DiscoverContext(ctx, doc, s, &discoverxfd.Options{
+	generous := discoverxfd.NewEngine(&discoverxfd.Options{
 		Limits: discoverxfd.Limits{
 			MaxDepth:  1 << 20,
 			MaxNodes:  1 << 30,
@@ -230,6 +231,7 @@ func TestGenerousLimitsMatchPlainRun(t *testing.T) {
 			Deadline:  time.Hour,
 		},
 	})
+	governed, err := generous.Discover(ctx, doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package discoverxfd_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -47,8 +49,10 @@ func TestLimitsValidate(t *testing.T) {
 }
 
 // TestBadLimitsFailFastAtEntryPoints checks that a nonsensical Limits
-// value fails fast with ErrBadLimits at every Engine entry point,
-// before any work (no silent reinterpretation as "unlimited").
+// value fails fast with ErrBadLimits at every Engine method that
+// loads, builds or discovers, before any work (no silent
+// reinterpretation as "unlimited"): every input below is valid and
+// would succeed under default limits.
 func TestBadLimitsFailFastAtEntryPoints(t *testing.T) {
 	xml := bigLibraryXML(2)
 	doc, err := discoverxfd.ParseDocument(xml)
@@ -56,27 +60,36 @@ func TestBadLimitsFailFastAtEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := librarySchema(t, xml)
-	opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: -1}}
 	ctx := context.Background()
-
-	if _, err := discoverxfd.DiscoverContext(ctx, doc, s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverContext err = %v, want ErrBadLimits", err)
-	}
-	if _, err := discoverxfd.DiscoverStreamContext(ctx, strings.NewReader(xml), s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverStreamContext err = %v, want ErrBadLimits", err)
-	}
-	if _, err := discoverxfd.BuildHierarchyContext(ctx, doc, s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("BuildHierarchyContext err = %v, want ErrBadLimits", err)
-	}
-	if _, err := discoverxfd.LoadDocumentContext(ctx, strings.NewReader(xml), opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("LoadDocumentContext err = %v, want ErrBadLimits", err)
-	}
-	h, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(ctx, doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.DiscoverHierarchyContext(ctx, h, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverHierarchyContext err = %v, want ErrBadLimits", err)
+	path := filepath.Join(t.TempDir(), "library.xml")
+	if err := os.WriteFile(path, []byte(xml), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: -1}})
+	for _, c := range []struct {
+		method string
+		call   func() error
+	}{
+		{"Discover", func() error { _, err := eng.Discover(ctx, doc, s); return err }},
+		{"DiscoverStream", func() error { _, err := eng.DiscoverStream(ctx, strings.NewReader(xml), s); return err }},
+		{"DiscoverHierarchy", func() error { _, err := eng.DiscoverHierarchy(ctx, h); return err }},
+		{"BuildHierarchy", func() error { _, err := eng.BuildHierarchy(ctx, doc, s); return err }},
+		{"BuildHierarchyStream", func() error { _, err := eng.BuildHierarchyStream(ctx, strings.NewReader(xml), s); return err }},
+		{"LoadDocument", func() error { _, err := eng.LoadDocument(ctx, strings.NewReader(xml)); return err }},
+		{"LoadJSON", func() error { _, err := eng.LoadJSON(ctx, strings.NewReader(`{"library": {}}`)); return err }},
+		{"LoadDocumentFile", func() error { _, err := eng.LoadDocumentFile(ctx, path, "auto"); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, discoverxfd.ErrBadLimits) {
+			t.Errorf("Engine.%s err = %v, want ErrBadLimits", c.method, err)
+		}
+	}
+	if m := eng.Metrics(); m.RunsStarted != 0 {
+		t.Errorf("rejected calls started %d run(s), want 0", m.RunsStarted)
 	}
 }
 
@@ -92,9 +105,12 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := librarySchema(t, xml)
-	h, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(context.Background(), doc, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	budget := func(d time.Duration) *discoverxfd.Engine {
+		return discoverxfd.NewEngine(&discoverxfd.Options{Limits: discoverxfd.Limits{Deadline: d}})
 	}
 
 	t.Run("ctx deadline earlier than generous Limits.Deadline", func(t *testing.T) {
@@ -103,9 +119,7 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 		// must truncate gracefully — not die with DeadlineExceeded.
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
-			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		res, err := budget(time.Hour).DiscoverHierarchy(ctx, h)
 		if err != nil {
 			t.Fatalf("expired ctx deadline must degrade gracefully, got error: %v", err)
 		}
@@ -117,9 +131,7 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("ctx deadline bounds the whole document path", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		res, err := discoverxfd.DiscoverContext(ctx, doc, s, &discoverxfd.Options{
-			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		res, err := budget(time.Hour).Discover(ctx, doc, s)
 		if err != nil {
 			t.Fatalf("expired ctx deadline must degrade gracefully, got error: %v", err)
 		}
@@ -131,9 +143,7 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("Limits.Deadline earlier than generous ctx deadline", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 		defer cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
-			Limits: discoverxfd.Limits{Deadline: time.Nanosecond},
-		})
+		res, err := budget(time.Nanosecond).DiscoverHierarchy(ctx, h)
 		if err != nil {
 			t.Fatalf("Limits.Deadline must degrade gracefully, got error: %v", err)
 		}
@@ -145,9 +155,7 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("explicit cancellation stays an error", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
-			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		res, err := budget(time.Hour).DiscoverHierarchy(ctx, h)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
