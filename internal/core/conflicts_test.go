@@ -102,11 +102,11 @@ func TestDiscoverRelationDirect(t *testing.T) {
 
 func TestOptionDefaults(t *testing.T) {
 	var o Options
-	if o.maxPartialAttrs() != 2 || o.maxTargetPairs() != 1<<16 || o.maxTargets() != 1<<16 {
+	if o.maxPartialAttrs() != 2 || o.maxTargets() != 1<<16 {
 		t.Fatal("defaults wrong")
 	}
-	o = Options{MaxPartialAttrs: 3, MaxTargetPairs: 10, MaxTargetsPerRelation: 20}
-	if o.maxPartialAttrs() != 3 || o.maxTargetPairs() != 10 || o.maxTargets() != 20 {
+	o = Options{MaxPartialAttrs: 3, MaxTargetsPerRelation: 20}
+	if o.maxPartialAttrs() != 3 || o.maxTargets() != 20 {
 		t.Fatal("overrides ignored")
 	}
 }

@@ -60,7 +60,7 @@ type warmHierarchy struct {
 // subtree AND the subtree's two ancestor dependencies are intact: the
 // null profiles its lattice consulted (nullInfo reaches the parent's
 // null rows and every ancestor above) and the parent-row indices its
-// outgoing target pairs are expressed in. The memo therefore keeps the
+// outgoing target rows are expressed in. The memo therefore keeps the
 // builder run's null tables for comparison, and a resize — the one
 // update that renumbers rows — dirties the resized relation's whole
 // descendant subtree (see Run.planReuse).
@@ -82,7 +82,7 @@ type subtreeMemo struct {
 // markDirty records that an update touched r. A resize additionally
 // dirties r's entire descendant subtree: row deletion swap-moves rows
 // and rewrites the children's ParentIdx without a RelChange of their
-// own, which invalidates their cached outgoing targets (pairs live in
+// own, which invalidates their cached outgoing targets (rows live in
 // parent-row space) even though the descendants' columns are
 // unchanged.
 func (m *subtreeMemo) markDirty(r *relation.Relation, resized bool) {

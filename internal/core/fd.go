@@ -9,14 +9,15 @@
 // TANE, with the paper's three pruning rules. DiscoverXFD (Figures 9
 // and 10) runs DiscoverFD bottom-up over the relation tree and
 // carries candidate partial FDs/Keys upward as *partition targets* —
-// sets of tuple-pair inequalities that ancestor attribute sets must
-// satisfy for an inter-relation FD (or Key) to hold.
+// the tuples that ancestor attribute sets must tell apart for an
+// inter-relation FD (or Key) to hold.
 //
 // Two transcription glitches in the supplied paper text are corrected
 // here (see DESIGN.md): Figure 9 lines 21–24 swap the Key/FD branches
 // (an invalid KeyTarget can only ever yield an FD), and Figure 10's
 // creatept is implemented as the per-group refinement it describes,
-// with inequalities deduplicated on parent-tuple pairs.
+// stored as one (group, parent row, bucket) row per origin tuple
+// instead of inequalities over tuple pairs.
 package core
 
 import (
@@ -236,12 +237,10 @@ type Options struct {
 	// MaxPartialAttrs bounds the attribute-set size absorbed by a
 	// partial propagation (≥1; 0 means 2, the default).
 	MaxPartialAttrs int
-	// MaxTargetPairs caps the number of inequalities in one target;
-	// a target whose pair-count bound exceeds the cap is dropped
-	// (counted in Stats.TargetsDropped). 0 means 1<<16.
-	MaxTargetPairs int
 	// MaxTargetsPerRelation caps the targets a relation may emit
-	// upward. 0 means 1<<16.
+	// upward; each target over the cap is dropped (counted in
+	// Stats.TargetsDropped) and the result is marked Truncated, naming
+	// the relation. 0 means 1<<16.
 	MaxTargetsPerRelation int
 	// DisableKeyPruning disables pruning rule 3 (supersets of keys),
 	// for ablation E6.
@@ -314,13 +313,6 @@ func (o Options) maxPartialAttrs() int {
 		return 2
 	}
 	return o.MaxPartialAttrs
-}
-
-func (o Options) maxTargetPairs() int {
-	if o.MaxTargetPairs <= 0 {
-		return 1 << 16
-	}
-	return o.MaxTargetPairs
 }
 
 func (o Options) maxTargets() int {

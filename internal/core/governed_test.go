@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,14 @@ func TestMaxLatticeLevelTruncates(t *testing.T) {
 		if !fullKeys[k.String()] {
 			t.Errorf("capped run invented key %s", k)
 		}
+	}
+	// A far deadline must not stop the capped traversal early.
+	timed, err := Discover(h, Options{PropagatePartial: true, MaxLatticeLevel: 1, Deadline: time.Now().Add(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(timed.FDs, timed.Keys), fmt.Sprint(capped.FDs, capped.Keys); got != want {
+		t.Errorf("capped run with a far deadline found\n%s\nwant, as without a deadline,\n%s", got, want)
 	}
 }
 

@@ -74,34 +74,15 @@ func (g *governor) cancelled() error {
 }
 
 // expired reports whether the wall-clock budget is spent, recording
-// the truncation on first observation.
+// the truncation on first observation. It reports the deadline alone:
+// a truncation for another reason (a tuple budget, a lattice cap) has
+// already cut what it cuts and must not stop the rest of the run.
 func (g *governor) expired() bool {
-	if g == nil || g.deadline.IsZero() {
+	if g == nil || g.deadline.IsZero() || !time.Now().After(g.deadline) {
 		return false
 	}
-	g.mu.Lock()
-	if g.truncated {
-		g.mu.Unlock()
-		return true
-	}
-	if !time.Now().After(g.deadline) {
-		g.mu.Unlock()
-		return false
-	}
-	const reason = "deadline exceeded"
-	g.truncated = true
-	g.reason = reason
-	g.mu.Unlock()
-	g.emitTruncate(reason)
+	g.truncate("deadline exceeded")
 	return true
-}
-
-// emitTruncate reports a budget truncation to the trace. Called once
-// per run (first observation wins), after the mutex is released.
-func (g *governor) emitTruncate(reason string) {
-	if g.tr != nil {
-		trace.Emit(g.tr, &trace.Event{Kind: trace.KindGovernor, Action: "truncate", Detail: reason})
-	}
 }
 
 // productWorkers returns how many goroutines a parallel partition
@@ -173,7 +154,8 @@ func (g *workerGroup) Wait() error {
 	return g.err
 }
 
-// truncate records a budget exhaustion; the first reason wins.
+// truncate records a budget exhaustion; the first reason wins and is
+// reported to the trace once, after the mutex is released.
 func (g *governor) truncate(reason string) {
 	if g == nil {
 		return
@@ -185,8 +167,8 @@ func (g *governor) truncate(reason string) {
 		g.reason = reason
 	}
 	g.mu.Unlock()
-	if first {
-		g.emitTruncate(reason)
+	if first && g.tr != nil {
+		trace.Emit(g.tr, &trace.Event{Kind: trace.KindGovernor, Action: "truncate", Detail: reason})
 	}
 }
 

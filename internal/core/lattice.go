@@ -41,9 +41,9 @@ type latticeRun struct {
 	gov *governor
 	err error
 
-	// ni governs whether degenerate (same-ancestor) target pairs can
-	// still be satisfied vacuously by a missing value at or above the
-	// parent relation.
+	// ni governs whether two buckets of a target meeting at one parent
+	// row can still be told apart vacuously, by a missing value at or
+	// above the parent relation.
 	ni nullInfo
 
 	// cache is the run-shared partition cache; pc is this relation's
@@ -53,8 +53,8 @@ type latticeRun struct {
 	pc    *relPartitions
 	sc    *partition.Scratch
 
-	// marks is target creation's parent-row scratch.
-	marks parentMarks
+	// ts is the scratch of target creation, conversion and checks.
+	ts targetScratch
 
 	fds  []edge
 	keys []AttrSet
@@ -93,12 +93,8 @@ func (lr *latticeRun) run(xfd bool) {
 	if xfd && rel.Parent != nil {
 		ts := time.Now()
 		for _, pt := range lr.incoming {
-			if len(lr.out.outgoing) >= lr.opts.maxTargets() {
-				targetDropped(lr.rel, lr.opts, lr.stats, "outgoing target cap reached")
-				continue
-			}
-			if up := pt.convert(rel, nil, nil, 0, lr.ni, lr.opts, lr.stats); up != nil {
-				lr.out.outgoing = append(lr.out.outgoing, up)
+			if lr.admit() {
+				lr.emit(pt.convert(rel, 0, nil, nil, lr.ni, &lr.ts, lr.opts, lr.stats))
 			}
 		}
 		lr.stats.InterTime += time.Since(ts)
@@ -115,11 +111,7 @@ func (lr *latticeRun) run(xfd bool) {
 	// if every parent has at most one tuple here, ancestor attributes
 	// alone may identify the tuples of this class.
 	if xfd && rel.Parent != nil && !lr.opts.NoInterRelation {
-		ts := time.Now()
-		if pt := createKeyTarget(rel, 0, lr.getPartition(0), lr.ni, &lr.marks, lr.opts, lr.stats); pt != nil {
-			lr.out.outgoing = append(lr.out.outgoing, pt)
-		}
-		lr.stats.InterTime += time.Since(ts)
+		lr.seedKeyTarget(0, lr.getPartition(0))
 	}
 
 	maxSize := m
@@ -181,9 +173,9 @@ func (lr *latticeRun) run(xfd bool) {
 			lr.keys = append(lr.keys, a)
 			lr.out.intraKeys = append(lr.out.intraKeys, a)
 			if xfd {
-				// Figure 9 lines 18–25: a key separates every
-				// distinct pair, so every target is satisfied at this
-				// node (degenerate pairs still need a null).
+				// Figure 9 lines 18–25: a key separates every two
+				// rows, so every target is satisfied at this node
+				// unless two buckets share a row without a null.
 				lr.checkTargets(a, nil, lr.nullsFor(a))
 				// Failed edges into a key node can still seed minimal
 				// inter-relation FDs (the FD {x} -> r where {x, r} is
@@ -208,17 +200,7 @@ func (lr *latticeRun) run(xfd bool) {
 			// a candidate partial Key (it is not a key here, but
 			// ancestor attributes could complete it).
 			lr.seedTargets(a, pa, ls)
-			if rel.Parent != nil && !lr.opts.NoInterRelation {
-				ts := time.Now()
-				if len(lr.out.outgoing) < lr.opts.maxTargets() {
-					if pt := createKeyTarget(rel, a, pa, lr.ni, &lr.marks, lr.opts, lr.stats); pt != nil {
-						lr.out.outgoing = append(lr.out.outgoing, pt)
-					}
-				} else {
-					targetDropped(rel, lr.opts, lr.stats, "outgoing target cap reached")
-				}
-				lr.stats.InterTime += time.Since(ts)
-			}
+			lr.seedKeyTarget(a, pa)
 		}
 
 		if xfd && len(lr.incoming) > 0 {
@@ -299,14 +281,61 @@ func (lr *latticeRun) seedTargets(a AttrSet, pa *partition.Partition, ls []AttrS
 		if pal.Error() == pa.Error() {
 			continue // satisfied edge, not a partial FD
 		}
-		if len(lr.out.outgoing) >= lr.opts.maxTargets() {
-			targetDropped(lr.rel, lr.opts, lr.stats, "outgoing target cap reached")
+		if !lr.admit() {
 			continue
 		}
-		pt := createTarget(lr.rel, al, r, pal, len(pa.Groups), lr.groupIDs(a), lr.ni, &lr.marks, lr.opts, lr.stats)
-		if pt != nil {
-			lr.out.outgoing = append(lr.out.outgoing, pt)
+		if lr.doomed() {
+			// A failed edge has a Π_LHS group that spans two buckets.
+			targetDropped(lr.rel, lr.opts, lr.stats, "degenerate pair unsatisfiable")
+			continue
 		}
+		lr.emit(createTarget(lr.rel, al, r, pal, lr.groupIDs(a), lr.ni, &lr.ts, lr.opts, lr.stats))
+	}
+}
+
+// seedKeyTarget creates the candidate-partial-Key target of node a
+// (the KeyTarget side of Figure 10): pa is not a key here, but ancestor
+// attributes could complete a into an inter-relation Key.
+func (lr *latticeRun) seedKeyTarget(a AttrSet, pa *partition.Partition) {
+	if lr.rel.Parent == nil || lr.opts.NoInterRelation || !lr.admit() {
+		return
+	}
+	ts := time.Now()
+	if lr.doomed() && len(pa.Groups) > 0 {
+		targetDropped(lr.rel, lr.opts, lr.stats, "degenerate pair unsatisfiable")
+	} else {
+		lr.emit(createTarget(lr.rel, a, 0, pa, nil, lr.ni, &lr.ts, lr.opts, lr.stats))
+	}
+	lr.stats.InterTime += time.Since(ts)
+}
+
+// doomed reports whether every target this relation builds would die:
+// its parent relation has one row and no missing value at or above it,
+// so the buckets of any violating group meet at that row with nothing
+// to excuse them. The relation then counts each would-be target as
+// dropped without building it, or the Π group ids it would read.
+func (lr *latticeRun) doomed() bool {
+	return lr.rel.Parent.NRows() == 1 && !lr.ni.keep(0)
+}
+
+// admit reports whether the relation may emit another outgoing target.
+// At the MaxTargetsPerRelation cap it drops the target instead and
+// marks the run truncated, since the target might have completed an
+// inter-relation FD or Key higher up.
+func (lr *latticeRun) admit() bool {
+	if len(lr.out.outgoing) < lr.opts.maxTargets() {
+		return true
+	}
+	targetDropped(lr.rel, lr.opts, lr.stats, "outgoing target cap reached")
+	lr.gov.truncate(fmt.Sprintf("outgoing target cap %d reached for relation %s", lr.opts.maxTargets(), lr.rel.Pivot))
+	return false
+}
+
+// emit adds a target that survived construction to the relation's
+// outgoing targets.
+func (lr *latticeRun) emit(pt *target) {
+	if pt != nil {
+		lr.out.outgoing = append(lr.out.outgoing, pt)
 	}
 }
 
@@ -332,7 +361,7 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 			continue
 		}
 		lr.stats.TargetChecks++
-		if pt.satisfiedBy(gids, nulls) {
+		if pt.satisfiedBy(gids, nulls, &lr.ts) {
 			pt.satisfied = append(pt.satisfied, a)
 			if pt.keyOnly {
 				lr.out.interKeys = append(lr.out.interKeys, pt.keyAt(lr.rel, a, lr.depths))
@@ -343,13 +372,10 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 		}
 		if lr.opts.PropagatePartial && lr.rel.Parent != nil &&
 			a.Size() <= lr.opts.maxPartialAttrs() &&
-			len(lr.out.outgoing) < lr.opts.maxTargets() &&
-			pt.anySeparated(gids, nulls) {
+			pt.anySeparated(gids, nulls) && lr.admit() {
 			// Progress was made: carry the rest upward with a in the
 			// LHS (Figure 9 lines 26–29).
-			if up := pt.convert(lr.rel, gids, nulls, a, lr.ni, lr.opts, lr.stats); up != nil {
-				lr.out.outgoing = append(lr.out.outgoing, up)
-			}
+			lr.emit(pt.convert(lr.rel, a, gids, nulls, lr.ni, &lr.ts, lr.opts, lr.stats))
 		}
 	}
 }
@@ -498,8 +524,8 @@ func (lr *latticeRun) groupIDs(a AttrSet) []int32 {
 }
 
 // nullsFor returns (and caches) the per-row missing-value lookup for
-// attribute set a: true where any attribute of a is null. Used for
-// the vacuous satisfaction of degenerate target pairs.
+// attribute set a: true where any attribute of a is null. Used by
+// target checks, where a missing value excuses its row.
 func (lr *latticeRun) nullsFor(a AttrSet) []bool {
 	return lr.pc.nullsOf(a, func() []bool {
 		nl := make([]bool, lr.rel.NRows())

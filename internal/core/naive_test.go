@@ -8,6 +8,7 @@ import (
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/xmlgen"
 )
 
 // naiveSchema is a three-level hierarchy with a nested simple set,
@@ -207,66 +208,119 @@ func TestDiscoverMatchesNaiveEnumeration(t *testing.T) {
 				}
 			}
 
-			// Completeness over all candidates with |LHS| ≤ 2.
-			for _, origin := range h.EssentialRelations() {
-				if origin.NRows() < 2 {
-					continue
+			checkComplete(t, h, res)
+		})
+	}
+}
+
+// checkComplete is the completeness half of the oracle: every
+// candidate FD and Key over h with at most two LHS paths that holds
+// must be implied by the discovery output res, modulo the key-superset
+// pruning the paper builds in (intraKeyStrictlyInside).
+func checkComplete(t *testing.T, h *relation.Hierarchy, res *Result) {
+	t.Helper()
+	for _, origin := range h.EssentialRelations() {
+		if origin.NRows() < 2 {
+			continue
+		}
+		paths := availablePaths(h, origin)
+		var rhss []schema.RelPath
+		for i := range origin.Attrs {
+			rhss = append(rhss, origin.Attrs[i].Rel)
+		}
+		var cands [][]schema.RelPath
+		cands = append(cands, nil)
+		for i, p := range paths {
+			cands = append(cands, []schema.RelPath{p})
+			for _, q := range paths[i+1:] {
+				cands = append(cands, []schema.RelPath{p, q})
+			}
+		}
+		for _, lhs := range cands {
+			// Key candidates.
+			if len(lhs) > 0 {
+				ev, err := Evaluate(h, origin.Pivot, lhs, rhss[0])
+				if err != nil {
+					t.Fatalf("evaluate: %v", err)
 				}
-				paths := availablePaths(h, origin)
-				var rhss []schema.RelPath
-				for i := range origin.Attrs {
-					rhss = append(rhss, origin.Attrs[i].Rel)
-				}
-				var cands [][]schema.RelPath
-				cands = append(cands, nil)
-				for i, p := range paths {
-					cands = append(cands, []schema.RelPath{p})
-					for _, q := range paths[i+1:] {
-						cands = append(cands, []schema.RelPath{p, q})
-					}
-				}
-				for _, lhs := range cands {
-					// Key candidates.
-					if len(lhs) > 0 {
-						ev, err := Evaluate(h, origin.Pivot, lhs, rhss[0])
-						if err != nil {
-							t.Fatalf("evaluate: %v", err)
-						}
-						if ev.LHSIsKey && !impliedKey(res, origin.Pivot, lhs) {
-							t.Errorf("missed key: {%v} of C(%s)", lhs, origin.Pivot)
-						}
-					}
-					// FD candidates.
-					for _, rhs := range rhss {
-						skip := false
-						var originLHS []schema.RelPath
-						for _, p := range lhs {
-							if p == rhs {
-								skip = true // trivial
-							}
-							if isOriginPath(p) {
-								originLHS = append(originLHS, p)
-							}
-						}
-						if skip {
-							continue
-						}
-						ev, err := Evaluate(h, origin.Pivot, lhs, rhs)
-						if err != nil {
-							t.Fatalf("evaluate: %v", err)
-						}
-						if !ev.Holds || ev.LHSIsKey {
-							continue
-						}
-						if intraKeyStrictlyInside(res, origin.Pivot, originLHS, rhs) {
-							continue // documented pruning limitation
-						}
-						if !impliedFD(res, origin.Pivot, lhs, rhs) {
-							t.Errorf("missed FD: {%v} -> %s w.r.t. C(%s)", lhs, rhs, origin.Pivot)
-						}
-					}
+				if ev.LHSIsKey && !impliedKey(res, origin.Pivot, lhs) {
+					t.Errorf("missed key: {%v} of C(%s)", lhs, origin.Pivot)
 				}
 			}
+			// FD candidates.
+			for _, rhs := range rhss {
+				skip := false
+				var originLHS []schema.RelPath
+				for _, p := range lhs {
+					if p == rhs {
+						skip = true // trivial
+					}
+					if isOriginPath(p) {
+						originLHS = append(originLHS, p)
+					}
+				}
+				if skip {
+					continue
+				}
+				ev, err := Evaluate(h, origin.Pivot, lhs, rhs)
+				if err != nil {
+					t.Fatalf("evaluate: %v", err)
+				}
+				if !ev.Holds || ev.LHSIsKey {
+					continue
+				}
+				if intraKeyStrictlyInside(res, origin.Pivot, originLHS, rhs) {
+					continue // documented pruning limitation
+				}
+				if !impliedFD(res, origin.Pivot, lhs, rhs) {
+					t.Errorf("missed FD: {%v} -> %s w.r.t. C(%s)", lhs, rhs, origin.Pivot)
+				}
+			}
+		}
+	}
+}
+
+// TestDiscoverCompleteOnGenerators runs the completeness oracle over
+// every generator at its default scale, and over psd ×8 at generator
+// seeds 1–4, whose keyword relation carries large partition targets.
+func TestDiscoverCompleteOnGenerators(t *testing.T) {
+	type corpus struct {
+		name string
+		ds   xmlgen.Dataset
+	}
+	var corpora []corpus
+	for _, ds := range []xmlgen.Dataset{
+		xmlgen.Warehouse(xmlgen.DefaultWarehouse()),
+		xmlgen.DBLP(xmlgen.DefaultDBLP()),
+		xmlgen.Auction(xmlgen.DefaultAuction()),
+		xmlgen.Mondial(xmlgen.DefaultMondial()),
+		xmlgen.Catalog(xmlgen.DefaultCatalog()),
+		xmlgen.PSD(xmlgen.DefaultPSD()),
+	} {
+		corpora = append(corpora, corpus{ds.Name, ds})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		p := xmlgen.DefaultPSD()
+		p.Entries *= 8
+		p.Seed = seed
+		ds := xmlgen.PSD(p)
+		corpora = append(corpora, corpus{fmt.Sprintf("%s/seed=%d", ds.Name, seed), ds})
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			h, err := relation.Build(c.ds.Tree, c.ds.Schema, relation.Options{})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			res, err := Discover(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+			if err != nil {
+				t.Fatalf("discover: %v", err)
+			}
+			if res.Stats.Truncated {
+				t.Fatalf("untruncated run reported truncation: %s", res.Stats.TruncatedReason)
+			}
+			checkComplete(t, h, res)
 		})
 	}
 }
@@ -285,7 +339,7 @@ func TestDiscoverSoundUnderVariants(t *testing.T) {
 		{"maxlhs-1", relation.Options{}, Options{PropagatePartial: true, MaxLHS: 1}},
 		{"no-propagation", relation.Options{}, Options{PropagatePartial: false}},
 		{"parallel", relation.Options{}, Options{PropagatePartial: true, Parallel: true}},
-		{"tiny-caps", relation.Options{}, Options{PropagatePartial: true, MaxTargetPairs: 4, MaxTargetsPerRelation: 3}},
+		{"tiny-caps", relation.Options{}, Options{PropagatePartial: true, MaxTargetsPerRelation: 3}},
 	}
 	for _, v := range variants {
 		v := v

@@ -182,9 +182,9 @@ func (run *Run) stage(name string, fn func(ctx context.Context) error) (err erro
 // plan validates the input and precomputes the relation-indexed
 // tables every later stage reads: the 64-attribute width check, the
 // Index invariant the slices depend on, per-relation hierarchy
-// depths, and the null-row tables that decide whether degenerate
-// target pairs can be satisfied vacuously. Input truncation carries
-// over into the governor so the Result reports it.
+// depths, and the null-row tables that decide whether two target
+// buckets meeting at one row can be told apart vacuously. Input
+// truncation carries over into the governor so the Result reports it.
 func (run *Run) plan() error {
 	h := run.h
 	for i, r := range h.Relations {
@@ -239,7 +239,7 @@ func (run *Run) plan() error {
 //
 // Note what is deliberately NOT required: a clean ancestor. A value
 // update to the parent leaves the subtree's outputs valid — its own
-// columns are untouched and its target pairs still index the same
+// columns are untouched and its target rows still index the same
 // parent rows — which is what makes sibling subtrees of the mutated
 // region reusable even though every update re-encodes the ancestor
 // chain's complex columns.

@@ -14,21 +14,22 @@ import (
 // in this package is observable in a traced run. The nil check keeps
 // the untraced path at one pointer compare per lifecycle step.
 
-// targetCreated records a new target with its deduplicated pair count.
-func targetCreated(rel *relation.Relation, opts *Options, st *Stats, pairs int) {
+// targetCreated records a new target with its row count, which the
+// trace event carries in its pairs field.
+func targetCreated(rel *relation.Relation, opts *Options, st *Stats, rows int) {
 	st.TargetsCreated++
 	if opts.Tracer != nil {
 		trace.Emit(opts.Tracer, &trace.Event{Kind: trace.KindTarget,
-			Relation: string(rel.Pivot), Action: "create", Pairs: pairs})
+			Relation: string(rel.Pivot), Action: "create", Pairs: rows})
 	}
 }
 
 // targetPropagated records a target lifted one relation level up.
-func targetPropagated(rel *relation.Relation, opts *Options, st *Stats, pairs int) {
+func targetPropagated(rel *relation.Relation, opts *Options, st *Stats, rows int) {
 	st.TargetsPropagated++
 	if opts.Tracer != nil {
 		trace.Emit(opts.Tracer, &trace.Event{Kind: trace.KindTarget,
-			Relation: string(rel.Pivot), Action: "propagate", Pairs: pairs})
+			Relation: string(rel.Pivot), Action: "propagate", Pairs: rows})
 	}
 }
 
@@ -41,26 +42,15 @@ func targetDropped(rel *relation.Relation, opts *Options, st *Stats, detail stri
 	}
 }
 
-// pair is one inequality t1 ≠ t2 over tuples of the relation the
-// target currently lives at, normalized a ≤ b.
-//
-// A degenerate pair (p, p) arises when two origin tuples share the
-// ancestor p: no value can distinguish them, but under strong
-// satisfaction (Definition 7) a *missing* value at p or above makes
-// the pair vacuous. The paper's updatePT returns NULL in this case,
-// which silently assumes ancestor paths are never missing; this
-// implementation keeps the degenerate pair — satisfiable only by a
-// null-valued attribute — whenever some ancestor relation actually
-// contains missing values, and collapses to NULL otherwise (the
-// paper's fast path).
-type pair struct{ a, b int32 }
-
-func mkPair(a, b int32) pair {
-	if a > b {
-		a, b = b, a
-	}
-	return pair{a, b}
-}
+// targetRow is one origin tuple as a target sees it at the relation the
+// target is checked at. The tuple lies in group: a group of the
+// origin's Π_LHS (Π_X for a key target), refined by every attribute set
+// the target absorbed on its way up. It reaches that relation's row
+// parent. It carries bucket, its class on the right-hand side: its
+// Π_{LHS∪A} group for an FD target, the tuple itself for a key target.
+// Two tuples of one group in different buckets violate the candidate
+// unless an attribute set separates their rows.
+type targetRow struct{ group, parent, bucket int32 }
 
 // lhsPart records attributes absorbed into a target's LHS at one
 // relation level.
@@ -71,11 +61,11 @@ type lhsPart struct {
 
 // target is a partition target (the paper's Figure 10 struct): a
 // candidate partial FD — or, when keyOnly is set, a candidate partial
-// Key — originating at relation origin, together with the
-// inequalities (pairs) that ancestor attribute sets must satisfy for
-// it to hold. Inequalities are expressed in tuple indices of the
+// Key — originating at relation origin, together with the rows that
+// ancestor attribute sets must separate for it to hold. Rows index the
 // relation the target is currently checked at and are re-expressed on
-// parent tuples as the target moves up (convert).
+// parent rows as the target moves up (convert). A target holds at most
+// one row per origin tuple, however large its groups.
 //
 // The paper folds FDTarget and KeyTarget into one structure; this
 // implementation splits them into two target kinds so that minimality
@@ -94,7 +84,9 @@ type target struct {
 	// every parent but not globally; rhs is meaningless.
 	keyOnly bool
 
-	pairs []pair
+	// rows are sorted by (group, parent, bucket) without duplicates;
+	// groups are numbered from 0 in order, and each spans two buckets.
+	rows []targetRow
 
 	// satisfied lists minimal attribute sets of the current relation
 	// that already completed the target, for superset suppression.
@@ -103,7 +95,7 @@ type target struct {
 
 // clone returns a copy safe to offer to a fresh run: the satisfied
 // list is reset (the consuming relation appends to it per level), and
-// the immutable pairs and parts are shared. The warm layer hands out
+// the immutable rows and parts are shared. The warm layer hands out
 // clones of cached outgoing targets so that one run's minimality
 // bookkeeping never leaks into the next.
 func (t *target) clone() *target {
@@ -112,78 +104,23 @@ func (t *target) clone() *target {
 	return &c
 }
 
-// pairSet collects a target's pairs during construction as packed
-// uint64s (a<<32 | b, which orders like (a, b)), appended raw and then
-// sorted and deduplicated. Duplicate pairs across partition groups are
-// common, so the raw stream is compacted whenever it reaches twice the
-// cap, which keeps memory bounded by the cap. The cap applies to the
-// deduplicated size and is checked before each insert: the set
-// overflows exactly when the distinct pairs added before the final add
-// already number max or more. add detects that at its compaction
-// points; slice settles it for the rest of the stream.
-type pairSet struct {
-	packed   []uint64
-	max      int
-	overflow bool
-}
-
-func newPairSet(max int) *pairSet {
-	return &pairSet{max: max}
-}
-
-func (ps *pairSet) add(p pair) {
-	if ps.overflow {
-		return
-	}
-	if len(ps.packed) >= 2*ps.max {
-		ps.compact()
-		if len(ps.packed) >= ps.max {
-			ps.overflow = true
-			return
-		}
-	}
-	ps.packed = append(ps.packed, uint64(uint32(p.a))<<32|uint64(uint32(p.b)))
-}
-
-func (ps *pairSet) compact() {
-	slices.Sort(ps.packed)
-	ps.packed = slices.Compact(ps.packed)
-}
-
-// slice settles the cap against every add but the last, then returns
-// the deduplicated pairs in (a, b) order, deterministic for downstream
-// reproducibility. Callers check overflow after calling it.
-func (ps *pairSet) slice() []pair {
-	if n := len(ps.packed); n > 0 && !ps.overflow {
-		last := ps.packed[n-1]
-		ps.packed = ps.packed[:n-1]
-		ps.compact()
-		if len(ps.packed) >= ps.max {
-			ps.overflow = true
-		} else if i, found := slices.BinarySearch(ps.packed, last); !found {
-			ps.packed = slices.Insert(ps.packed, i, last)
-		}
-	}
-	if ps.overflow {
-		return nil
-	}
-	out := make([]pair, len(ps.packed))
-	for i, v := range ps.packed {
-		out[i] = pair{a: int32(v >> 32), b: int32(uint32(v))}
-	}
-	return out
-}
-
-// nullInfo tells target construction whether a degenerate pair at a
-// given parent tuple can ever be satisfied vacuously: the parent
-// relation must have a missing value in that row, or missing values
+// nullInfo tells target construction whether two buckets meeting at a
+// parent row can still be told apart vacuously, by a missing value:
+// the parent relation must have one in that row, or missing values
 // must exist strictly above it.
+//
+// The paper's updatePT returns NULL as soon as two violating tuples
+// share an ancestor, which silently assumes ancestor paths are never
+// missing. Under strong satisfaction (Definition 7) a missing value at
+// or above the shared row excuses the tuples, so the target survives
+// whenever such a value can exist, and dies otherwise (the paper's
+// fast path).
 type nullInfo struct {
 	parentAnyNull []bool // per parent-relation row: any column null
 	aboveParent   bool   // nulls anywhere strictly above the parent
 }
 
-// keep reports whether a degenerate pair at parent tuple p is worth
+// keep reports whether buckets meeting at parent row p are worth
 // tracking.
 func (ni nullInfo) keep(p int32) bool {
 	if ni.aboveParent {
@@ -192,298 +129,230 @@ func (ni nullInfo) keep(p int32) bool {
 	return ni.parentAnyNull != nil && ni.parentAnyNull[p]
 }
 
-// separated reports whether the attribute set described by gids and
-// nulls satisfies the inequality p under strong satisfaction: a
-// degenerate pair is vacuously satisfied iff some attribute of the
-// set is missing at that tuple; a distinct pair is satisfied iff the
-// partition separates the tuples. gids == nil means the attribute set
-// is a key of its relation (separates every distinct pair).
-func separated(p pair, gids []int32, nulls []bool) bool {
-	if p.a == p.b {
-		return nulls != nil && nulls[p.a]
+// class returns the class of row p under an attribute set X of the
+// relation a target is checked at, given X's group ids (nil when X is
+// a key) and its missing-value mask. X separates rows in different
+// classes. A missing value excuses its row under strong satisfaction:
+// class -1, separated from every row, itself included. A stripped
+// singleton, or any row when X is a key, is a class of its own,
+// numbered past every group id: separated from every other row, but
+// not from itself.
+func class(gids []int32, nulls []bool, p int32) int32 {
+	switch {
+	case nulls != nil && nulls[p]:
+		return -1
+	case gids == nil:
+		return p
+	case gids[p] >= 0:
+		return gids[p]
 	}
-	if gids == nil {
-		return true
-	}
-	return partition.Separates(gids, p.a, p.b)
+	return int32(len(gids)) + p
 }
 
-// parentMarks is the reusable scratch of target creation, owned by one
-// relation's latticeRun. Epoch stamps over the parent relation's rows
-// mark the parents seen in the current Π group — a new epoch clears
-// every mark at once — together with the bucket that reached each one
-// first; keys, parents and ends hold one group's sort keys and its
-// runs of distinct parents.
-type parentMarks struct {
-	epoch   uint32
-	stamp   []uint32 // per parent row: the epoch that last marked it
-	first   []int32  // per parent row: the bucket that marked it
-	keys    []uint64
-	parents []int32
-	ends    []int // end offset in parents of each run
+// targetScratch is the reusable scratch of one relation's target work,
+// owned by its latticeRun: packed sort keys and a row buffer for
+// building targets, and epoch-stamped marks over classes for checking
+// them (a new epoch clears every mark at once).
+type targetScratch struct {
+	keys, classes []uint64
+	rows          []targetRow
+	epoch         uint32
+	stamp         []uint32 // per class: the epoch that last marked it
+	first         []int32  // per class: the bucket that marked it first
 }
 
-// next starts a new epoch over n parent rows.
-func (pm *parentMarks) next(n int) {
-	if len(pm.stamp) < n {
-		pm.stamp, pm.first, pm.epoch = make([]uint32, n), make([]int32, n), 0
+// next starts a new epoch over n classes.
+func (sc *targetScratch) next(n int) {
+	if len(sc.stamp) < n {
+		sc.stamp, sc.first, sc.epoch = make([]uint32, n), make([]int32, n), 0
 	}
-	pm.epoch++
-	if pm.epoch == 0 { // wrapped around: old stamps could match again
-		clear(pm.stamp)
-		pm.epoch = 1
-	}
-}
-
-// mark records that bucket b reached parent row p. It returns the
-// bucket that reached p first in this epoch and whether p was already
-// marked.
-func (pm *parentMarks) mark(p, b int32) (int32, bool) {
-	if pm.stamp[p] == pm.epoch {
-		return pm.first[p], true
-	}
-	pm.stamp[p], pm.first[p] = pm.epoch, b
-	return b, false
-}
-
-// run returns the i-th run of distinct parents.
-func (pm *parentMarks) run(i int) []int32 {
-	lo := 0
-	if i > 0 {
-		lo = pm.ends[i-1]
-	}
-	return pm.parents[lo:pm.ends[i]]
-}
-
-// createTarget builds a candidate-partial-FD target from a failed
-// intra-relation edge LHS → rhs at relation rel (Figure 10,
-// creatept). plhs is Π_LHS; allIDs are the group ids of Π_{LHS∪rhs}.
-// It returns nil when a violating pair shares a parent tuple and no
-// ancestor relation has missing values that could satisfy it
-// vacuously (Lemma 3 part 1, corrected for strong satisfaction).
-func createTarget(rel *relation.Relation, lhs AttrSet, rhs int,
-	plhs *partition.Partition, nAllGroups int, allIDs []int32,
-	ni nullInfo, pm *parentMarks, opts *Options, st *Stats) *target {
-
-	parents := rel.ParentIdx
-	fdSet := newPairSet(opts.maxTargetPairs())
-
-	// For each Π_LHS group, split tuples into buckets by their
-	// Π_{LHS∪rhs} group (stripped singletons are buckets of their own,
-	// numbered from nAllGroups in row order). Cross-bucket tuple pairs
-	// violate the FD at this level and must be separated — or
-	// vacuously excused — by their ancestors.
-	for _, g := range plhs.Groups {
-		keys := pm.keys[:0]
-		next := uint64(nAllGroups)
-		first := allIDs[g[0]]
-		one := first >= 0
-		for _, t := range g {
-			id := allIDs[t]
-			one = one && id == first
-			b := next
-			if id >= 0 {
-				b = uint64(id)
-			} else {
-				next++
-			}
-			keys = append(keys, b<<32|uint64(t))
-		}
-		pm.keys = keys
-		if one {
-			continue // one bucket: no violation within this group
-		}
-		// Sorting the packed (bucket, tuple) keys visits buckets in
-		// ascending id, each bucket's tuples in row order. The order
-		// matters: a parent spanning two buckets is attributed to the
-		// first that reaches it, which decides the cross-bucket pairs
-		// enumerated below.
-		slices.Sort(keys)
-		// Distinct parents per bucket, one run each; a parent spanning
-		// two buckets yields a degenerate pair.
-		pm.next(rel.Parent.NRows())
-		pm.parents, pm.ends = pm.parents[:0], pm.ends[:0]
-		for i, k := range keys {
-			if i > 0 && k>>32 != keys[i-1]>>32 {
-				pm.ends = append(pm.ends, len(pm.parents))
-			}
-			b, p := int32(k>>32), parents[uint32(k)]
-			if fb, seen := pm.mark(p, b); !seen {
-				pm.parents = append(pm.parents, p)
-			} else if fb != b {
-				if !ni.keep(p) {
-					targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
-					return nil
-				}
-				fdSet.add(pair{p, p})
-			}
-		}
-		pm.ends = append(pm.ends, len(pm.parents))
-		// All cross-bucket parent pairs must be separated upstream (no
-		// parent is in two runs). Bound the enumeration first:
-		// Σ_{i<j} |P_i|·|P_j| = (T² − Σ|P_i|²)/2.
-		total, sq := len(pm.parents), 0
-		for i := range pm.ends {
-			sq += len(pm.run(i)) * len(pm.run(i))
-		}
-		if (total*total-sq)/2 > opts.maxTargetPairs() {
-			targetDropped(rel, opts, st, "pair bound exceeded")
-			return nil
-		}
-		for i := range pm.ends {
-			for j := i + 1; j < len(pm.ends); j++ {
-				for _, p1 := range pm.run(i) {
-					for _, p2 := range pm.run(j) {
-						fdSet.add(mkPair(p1, p2))
-					}
-				}
-			}
-		}
-	}
-	ps := fdSet.slice()
-	if fdSet.overflow {
-		targetDropped(rel, opts, st, "pair set overflow")
-		return nil
-	}
-	targetCreated(rel, opts, st, len(ps))
-	return &target{
-		origin: rel,
-		lhs0:   lhs,
-		rhs:    rhs,
-		pairs:  ps,
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped around: old stamps could match again
+		clear(sc.stamp)
+		sc.epoch = 1
 	}
 }
 
-// createKeyTarget builds a candidate-partial-Key target for attribute
-// set a at relation rel: a is not a key of the relation, but ancestor
-// attributes could complete it into an inter-relation Key (the
-// KeyTarget side of Figure 10). Two tuples agreeing on a under one
-// parent yield a degenerate pair (key possible only through a missing
-// ancestor value); with no nulls above, the target dies immediately.
-func createKeyTarget(rel *relation.Relation, a AttrSet, pa *partition.Partition,
-	ni nullInfo, pm *parentMarks, opts *Options, st *Stats) *target {
-
-	max := opts.maxTargetPairs()
-	parents := rel.ParentIdx
-
-	// Phase 1: distinct parents per group, one run each, and an upper
-	// bound on the pair count, so hopeless targets are dropped before
-	// any quadratic enumeration.
-	pm.parents, pm.ends = pm.parents[:0], pm.ends[:0]
-	var degenerates []int32
-	bound := 0
-	for _, g := range pa.Groups {
-		pm.next(rel.Parent.NRows())
-		start := len(pm.parents)
-		for _, t := range g {
-			p := parents[t]
-			if _, seen := pm.mark(p, 0); !seen {
-				pm.parents = append(pm.parents, p)
-				continue
-			}
-			if !ni.keep(p) {
-				targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
-				return nil
-			}
-			degenerates = append(degenerates, p)
-		}
-		n := len(pm.parents) - start
-		bound += n * (n - 1) / 2
-		if bound > max {
-			targetDropped(rel, opts, st, "pair bound exceeded")
-			return nil
-		}
-		pm.ends = append(pm.ends, len(pm.parents))
+// mark records that bucket b reached class c and returns the bucket
+// that reached c first in this epoch.
+func (sc *targetScratch) mark(c, b int32) int32 {
+	if sc.stamp[c] != sc.epoch {
+		sc.stamp[c], sc.first[c] = sc.epoch, b
 	}
-
-	keySet := newPairSet(max)
-	for _, p := range degenerates {
-		keySet.add(pair{p, p})
-	}
-	for g := range pm.ends {
-		ps := pm.run(g)
-		for i := range ps {
-			for j := i + 1; j < len(ps); j++ {
-				keySet.add(mkPair(ps[i], ps[j]))
-			}
-		}
-	}
-	ps := keySet.slice()
-	if keySet.overflow {
-		targetDropped(rel, opts, st, "pair set overflow")
-		return nil
-	}
-	targetCreated(rel, opts, st, len(ps))
-	return &target{
-		origin:  rel,
-		lhs0:    a,
-		keyOnly: true,
-		pairs:   ps,
-	}
+	return sc.first[c]
 }
 
-// convert lifts the target one level up (Figure 10, updatePT):
-// inequalities not already satisfied by (gids, nulls) — both nil for
-// a pure conversion — are re-expressed on parent tuples of rel.
-// ni tells whether a collapsing pair can still be satisfied by a
-// missing value at or above the parent; otherwise it kills the
-// target. The satisfied list resets: minimality bookkeeping is per
-// level.
-func (t *target) convert(rel *relation.Relation, gids []int32, nulls []bool,
-	absorbed AttrSet, ni nullInfo, opts *Options, st *Stats) *target {
+// pack encodes a row's parent and bucket as one sort key.
+func pack(parent, bucket int32) uint64 {
+	return uint64(parent)<<32 | uint64(uint32(bucket))
+}
 
-	parents := rel.ParentIdx
-	set := newPairSet(opts.maxTargetPairs())
-	for _, p := range t.pairs {
-		if (gids != nil || nulls != nil) && separated(p, gids, nulls) {
+// addGroup appends one group, given as packed (parent, bucket) keys, to
+// rows under the next group number, sorted and without duplicates. A
+// group whose keys carry one bucket has nothing left to separate and is
+// skipped. addGroup returns false when two buckets meet at a parent row
+// that no missing value can excuse: no ancestor attribute set can tell
+// them apart, so the target can never hold (Lemma 3 part 1, corrected
+// for strong satisfaction). It reorders keys.
+func addGroup(rows []targetRow, keys []uint64, ni nullInfo) ([]targetRow, bool) {
+	if !slices.ContainsFunc(keys, func(k uint64) bool { return uint32(k) != uint32(keys[0]) }) {
+		return rows, true
+	}
+	slices.Sort(keys)
+	g := int32(0)
+	if len(rows) > 0 {
+		g = rows[len(rows)-1].group + 1
+	}
+	for i, k := range keys {
+		p := int32(k >> 32)
+		if i > 0 && k == keys[i-1] {
 			continue
 		}
-		pa, pb := parents[p.a], parents[p.b]
-		if pa == pb && !ni.keep(pa) {
-			targetDropped(rel, opts, st, "degenerate pair unsatisfiable at parent")
+		if i > 0 && p == int32(keys[i-1]>>32) && !ni.keep(p) {
+			return rows, false
+		}
+		rows = append(rows, targetRow{group: g, parent: p, bucket: int32(uint32(k))})
+	}
+	return rows, true
+}
+
+// nextGroup splits rows into their first group and the rest.
+func nextGroup(rows []targetRow) (grp, rest []targetRow) {
+	n := 1
+	for n < len(rows) && rows[n].group == rows[0].group {
+		n++
+	}
+	return rows[:n], rows[n:]
+}
+
+// createTarget builds the target relation rel hands its parent
+// (Figure 10, creatept) in one pass over the tuples of groups. For a
+// candidate partial FD, groups is Π_LHS of a failed edge LHS → rhs and
+// ids are the group ids of Π_{LHS∪rhs}. For a candidate partial Key X,
+// groups is Π_X and ids is nil. A tuple's bucket is its id, or the
+// tuple itself when it has none: a stripped singleton, or any tuple of
+// a key target. createTarget returns nil when two buckets meet at a
+// parent row that no missing value can excuse.
+func createTarget(rel *relation.Relation, lhs AttrSet, rhs int, groups *partition.Partition, ids []int32,
+	ni nullInfo, sc *targetScratch, opts *Options, st *Stats) *target {
+
+	parents := rel.ParentIdx
+	rows := sc.rows[:0]
+	for _, g := range groups.Groups {
+		keys := sc.keys[:0]
+		for _, t := range g {
+			b := -1 - t
+			if ids != nil && ids[t] >= 0 {
+				b = ids[t]
+			}
+			keys = append(keys, pack(parents[t], b))
+		}
+		sc.keys = keys
+		var ok bool
+		rows, ok = addGroup(rows, keys, ni)
+		sc.rows = rows
+		if !ok {
+			targetDropped(rel, opts, st, "degenerate pair unsatisfiable")
 			return nil
 		}
-		set.add(mkPair(pa, pb))
 	}
-	ps := set.slice()
-	if set.overflow {
-		targetDropped(rel, opts, st, "pair set overflow")
-		return nil
+	targetCreated(rel, opts, st, len(rows))
+	return &target{origin: rel, lhs0: lhs, rhs: rhs, keyOnly: ids == nil, rows: slices.Clone(rows)}
+}
+
+// convert lifts the target one level up (Figure 10, updatePT). x is the
+// attribute set of rel absorbed into the LHS, with gids and nulls as
+// for class; x == 0 is a pure conversion, which separates nothing. In
+// one pass over the groups, convert refines each group by x's classes,
+// dropping the rows x excuses, skips the parts left with one bucket,
+// and maps each row to its parent row. Two buckets meeting at a parent
+// row that ni cannot excuse kill the target. The satisfied list
+// resets: minimality bookkeeping is per level.
+func (t *target) convert(rel *relation.Relation, x AttrSet, gids []int32, nulls []bool,
+	ni nullInfo, sc *targetScratch, opts *Options, st *Stats) *target {
+
+	parents := rel.ParentIdx
+	rows := sc.rows[:0]
+	for rest := t.rows; len(rest) > 0; {
+		var grp []targetRow
+		grp, rest = nextGroup(rest)
+		// Sort the group's row indices by class.
+		cls := sc.classes[:0]
+		for i, r := range grp {
+			c := int32(0)
+			if x != 0 {
+				c = class(gids, nulls, r.parent)
+			}
+			if c >= 0 {
+				cls = append(cls, uint64(c)<<32|uint64(i))
+			}
+		}
+		slices.Sort(cls)
+		sc.classes = cls
+		for lo, hi := 0, 0; lo < len(cls); lo = hi {
+			keys := sc.keys[:0]
+			for hi = lo; hi < len(cls) && cls[hi]>>32 == cls[lo]>>32; hi++ {
+				r := grp[uint32(cls[hi])]
+				keys = append(keys, pack(parents[r.parent], r.bucket))
+			}
+			sc.keys = keys
+			var ok bool
+			rows, ok = addGroup(rows, keys, ni)
+			sc.rows = rows
+			if !ok {
+				targetDropped(rel, opts, st, "degenerate pair unsatisfiable at parent")
+				return nil
+			}
+		}
 	}
 	parts := t.parts
-	if absorbed != 0 {
-		parts = append(append([]lhsPart(nil), t.parts...), lhsPart{rel: rel, attrs: absorbed})
+	if x != 0 {
+		parts = append(append([]lhsPart(nil), t.parts...), lhsPart{rel: rel, attrs: x})
 	}
-	targetPropagated(rel, opts, st, len(ps))
+	targetPropagated(rel, opts, st, len(rows))
 	return &target{
 		origin:  t.origin,
 		lhs0:    t.lhs0,
 		rhs:     t.rhs,
 		parts:   parts,
 		keyOnly: t.keyOnly,
-		pairs:   ps,
+		rows:    slices.Clone(rows),
 	}
 }
 
-// satisfiedBy reports whether the attribute set described by (gids,
-// nulls) satisfies every inequality. gids == nil means the set is a
-// key of the relation (Figure 9 line 18); nulls must still be
-// supplied for degenerate pairs.
-func (t *target) satisfiedBy(gids []int32, nulls []bool) bool {
-	for _, p := range t.pairs {
-		if !separated(p, gids, nulls) {
-			return false
+// satisfiedBy reports whether the attribute set given by gids and nulls
+// (as for class) satisfies the target: inside every group, the rows of
+// one class carry one bucket. gids == nil means the set is a key of the
+// relation (Figure 9 line 18); nulls has one entry per row. The check
+// visits each row at most once.
+func (t *target) satisfiedBy(gids []int32, nulls []bool, sc *targetScratch) bool {
+	for rest := t.rows; len(rest) > 0; {
+		var grp []targetRow
+		grp, rest = nextGroup(rest)
+		sc.next(2 * len(nulls))
+		for _, r := range grp {
+			if c := class(gids, nulls, r.parent); c >= 0 && sc.mark(c, r.bucket) != r.bucket {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// anySeparated reports whether (gids, nulls) satisfies at least one
-// inequality, i.e. whether absorbing the attribute set makes progress.
+// anySeparated reports whether the attribute set separates two rows the
+// target needs told apart, i.e. whether absorbing it makes progress:
+// some group spans two classes or holds an excused row. Each group
+// spans two buckets, so either case separates rows in different
+// buckets.
 func (t *target) anySeparated(gids []int32, nulls []bool) bool {
-	for _, p := range t.pairs {
-		if separated(p, gids, nulls) {
-			return true
+	for rest := t.rows; len(rest) > 0; {
+		var grp []targetRow
+		grp, rest = nextGroup(rest)
+		c0 := class(gids, nulls, grp[0].parent)
+		for _, r := range grp {
+			if c := class(gids, nulls, r.parent); c < 0 || c != c0 {
+				return true
+			}
 		}
 	}
 	return false

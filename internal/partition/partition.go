@@ -213,12 +213,6 @@ func (p *Partition) GroupIDs() []int32 {
 	return ids
 }
 
-// Separates reports whether the partition puts rows a and b into
-// different equivalence classes, given a GroupIDs lookup.
-func Separates(ids []int32, a, b int32) bool {
-	return ids[a] < 0 || ids[b] < 0 || ids[a] != ids[b]
-}
-
 // Refines reports whether p refines q: whenever two tuples share a
 // group in p they share a group in q (Lemma 1). Implemented via
 // group-id lookup; O(‖p‖ + ‖q‖ + n).

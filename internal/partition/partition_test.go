@@ -79,14 +79,14 @@ func TestRefines(t *testing.T) {
 	}
 }
 
-func TestGroupIDsAndSeparates(t *testing.T) {
+func TestGroupIDs(t *testing.T) {
 	p := FromCodes([]int64{1, 1, 2, 3, 3})
 	ids := p.GroupIDs()
 	if ids[2] != -1 {
 		t.Fatal("singleton rows should have id -1")
 	}
-	if Separates(ids, 0, 1) || !Separates(ids, 0, 3) || !Separates(ids, 0, 2) {
-		t.Fatal("Separates wrong")
+	if ids[0] < 0 || ids[0] != ids[1] || ids[3] < 0 || ids[3] != ids[4] || ids[0] == ids[3] {
+		t.Fatalf("ids %v do not name the groups {0,1} and {3,4}", ids)
 	}
 }
 

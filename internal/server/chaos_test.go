@@ -378,6 +378,10 @@ func TestChaosLoad(t *testing.T) {
 	if err := s.Drain(dctx); err != nil {
 		t.Fatalf("drain after chaos: %v", err)
 	}
+	// Drain waits for runs, not handlers: a client can read a whole
+	// response before its handler emits request_end. Close blocks until
+	// every outstanding request has finished, so the trace is whole.
+	ts.Close()
 
 	traceMu.Lock()
 	raw := append([]byte(nil), traceBuf.Bytes()...)
@@ -398,6 +402,4 @@ func TestChaosLoad(t *testing.T) {
 		t.Error("no run completed under chaos")
 	}
 	t.Logf("chaos: %d runs traced, stats %+v", sum.Runs, snap)
-
-	ts.Close() // join the listener's conns before the goroutine check
 }

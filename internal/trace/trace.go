@@ -49,8 +49,8 @@ const (
 	// hit rate for the level, plus the cache's live byte gauge.
 	KindLevel Kind = "level"
 	// KindTarget reports a partition-target lifecycle step: relation,
-	// action ∈ {create, propagate, drop}, pairs (inequality count),
-	// and for drops a detail naming the cause.
+	// action ∈ {create, propagate, drop}, pairs (the target's row
+	// count), and for drops a detail naming the cause.
 	KindTarget Kind = "target"
 	// KindGovernor reports a resource-governor action: action ∈
 	// {worker_spawn, truncate}, with workers counting a spawn batch

@@ -165,29 +165,42 @@ func TestDiscoverDeadlineTruncatesPublicAPI(t *testing.T) {
 
 // TestDiscoverMaxTuplesTruncatesPublicAPI drives the tuple budget
 // through the public API, for both the in-memory and streaming paths.
+// A far deadline must not change what the truncated run finds.
 func TestDiscoverMaxTuplesTruncatesPublicAPI(t *testing.T) {
 	xml := bigLibraryXML(40)
 	s := librarySchema(t, xml)
-	opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: 30}}
-
 	doc, err := discoverxfd.ParseDocument(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.NewEngine(opts).Discover(context.Background(), doc, s)
-	if err != nil {
-		t.Fatalf("tuple budget must degrade gracefully, got error: %v", err)
-	}
-	if !res.Stats.Truncated || !strings.Contains(res.Stats.TruncatedReason, "tuple budget") {
-		t.Fatalf("Truncated=%v reason=%q", res.Stats.Truncated, res.Stats.TruncatedReason)
-	}
+	var want string
+	for _, deadline := range []time.Duration{0, time.Hour} {
+		opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: 30, Deadline: deadline}}
+		res, err := discoverxfd.NewEngine(opts).Discover(context.Background(), doc, s)
+		if err != nil {
+			t.Fatalf("deadline %v: tuple budget must degrade gracefully, got error: %v", deadline, err)
+		}
+		if !res.Stats.Truncated || !strings.Contains(res.Stats.TruncatedReason, "tuple budget") {
+			t.Fatalf("deadline %v: Truncated=%v reason=%q", deadline, res.Stats.Truncated, res.Stats.TruncatedReason)
+		}
 
-	sres, err := discoverxfd.NewEngine(opts).DiscoverStream(context.Background(), strings.NewReader(xml), s)
-	if err != nil {
-		t.Fatalf("streamed tuple budget must degrade gracefully, got error: %v", err)
-	}
-	if !sres.Stats.Truncated || !strings.Contains(sres.Stats.TruncatedReason, "tuple budget") {
-		t.Fatalf("stream Truncated=%v reason=%q", sres.Stats.Truncated, sres.Stats.TruncatedReason)
+		sres, err := discoverxfd.NewEngine(opts).DiscoverStream(context.Background(), strings.NewReader(xml), s)
+		if err != nil {
+			t.Fatalf("deadline %v: streamed tuple budget must degrade gracefully, got error: %v", deadline, err)
+		}
+		if !sres.Stats.Truncated || !strings.Contains(sres.Stats.TruncatedReason, "tuple budget") {
+			t.Fatalf("deadline %v: stream Truncated=%v reason=%q", deadline, sres.Stats.Truncated, sres.Stats.TruncatedReason)
+		}
+
+		got := fmt.Sprint(res.FDs, res.Keys)
+		if deadline == 0 {
+			if len(res.FDs)+len(res.Keys) == 0 {
+				t.Fatal("truncated run found nothing to compare")
+			}
+			want = got
+		} else if got != want {
+			t.Errorf("deadline %v: FDs and keys\n%s\nwant, as without a deadline,\n%s", deadline, got, want)
+		}
 	}
 }
 
