@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd"
 
@@ -37,7 +38,7 @@ func runDiscover(b *testing.B, h *relation.Hierarchy, opts core.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Discover(h, opts); err != nil {
+		if _, err := core.NewEngine(opts).Discover(context.Background(), h, time.Time{}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +147,7 @@ func BenchmarkE5IntraInter(b *testing.B) {
 	b.Run("intra-only", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DiscoverIntra(h, core.Options{}); err != nil {
+			if _, err := core.NewEngine(core.Options{NoInterRelation: true}).Discover(context.Background(), h, time.Time{}, false); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,7 +16,7 @@
 //	GET  /v1/jobs/{id}/result  the rendered result once done
 //	DELETE /v1/jobs/{id}       cancel the job's run
 //	GET  /healthz, /readyz     liveness / readiness
-//	GET  /v1/stats, /debug/vars  operational counters
+//	GET  /v1/stats             operational counters
 //	GET  /metrics              Prometheus text exposition (RED metrics,
 //	                           admission gauges, engine counters; see
 //	                           docs/INTERNALS.md §17)
@@ -32,7 +32,9 @@
 // budget exhaustion instead of 504, ?max_tuples= / ?max_nodes= /
 // ?max_depth= / ?max_lattice_level= tighten (never exceed) the
 // server's limits, and the X-Tenant header selects the admission
-// quota bucket.
+// quota bucket. A resident document's limits are set when POST
+// /v1/documents creates it, so its discover endpoint answers the limit
+// parameters with 400.
 //
 // Overload is shed with 429 + Retry-After once the admission queue
 // fills; SIGTERM/SIGINT drains — readiness flips to 503, in-flight
@@ -137,8 +139,6 @@ func main() {
 		Log:            log,
 		SlowRun:        *slowRun,
 	})
-	srv.PublishExpvar("xfdd")
-
 	// No BaseContext override: a request's context must die with its
 	// connection (client-disconnect backpressure), not with the first
 	// SIGTERM — in-flight runs get the drain's grace period.

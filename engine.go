@@ -94,7 +94,7 @@ func (e *Engine) Discover(ctx context.Context, doc *Document, s *Schema) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return e.discover(ctx, h, deadline, false)
+	return e.core.Discover(ctx, h, deadline, false)
 }
 
 // DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy, under
@@ -106,7 +106,7 @@ func (e *Engine) DiscoverHierarchy(ctx context.Context, h *Hierarchy) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return e.discover(ctx, h, deadline, true)
+	return e.core.Discover(ctx, h, deadline, true)
 }
 
 // DiscoverStream runs DiscoverXFD over an XML stream without
@@ -122,18 +122,7 @@ func (e *Engine) DiscoverStream(ctx context.Context, r io.Reader, s *Schema) (*R
 	if err != nil {
 		return nil, err
 	}
-	return e.discover(ctx, h, deadline, false)
-}
-
-// discover routes one governed run into the core engine with the
-// call's absolute deadline. warm is true only for hierarchies the
-// caller holds and may present again (DiscoverHierarchy); a hierarchy
-// built inside the call would only pin memory in the warm layer.
-func (e *Engine) discover(ctx context.Context, h *Hierarchy, deadline time.Time, warm bool) (*Result, error) {
-	if e.opts.IntraOnly {
-		return e.core.DiscoverIntraAt(ctx, h, deadline, warm)
-	}
-	return e.core.DiscoverAt(ctx, h, deadline, warm)
+	return e.core.Discover(ctx, h, deadline, false)
 }
 
 // LoadDocument parses an XML document from r under the engine's parse

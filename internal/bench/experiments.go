@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,7 +19,7 @@ func discoverDataset(ds xmlgen.Dataset, ropts relation.Options, copts core.Optio
 		panic(fmt.Sprintf("bench: %s: %v", ds.Name, err))
 	}
 	start := time.Now()
-	res, err := core.Discover(h, copts)
+	res, err := core.NewEngine(copts).Discover(context.Background(), h, time.Time{}, false)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s: %v", ds.Name, err))
 	}

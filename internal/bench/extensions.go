@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -38,7 +39,7 @@ func E8Approximate(quick bool) *Table {
 				panic(err)
 			}
 			start := time.Now()
-			res, err := core.Discover(h, core.Options{PropagatePartial: true, ApproxError: budget})
+			res, err := core.NewEngine(core.Options{PropagatePartial: true, ApproxError: budget}).Discover(context.Background(), h, time.Time{}, false)
 			if err != nil {
 				panic(err)
 			}
@@ -106,7 +107,7 @@ func E9Refinement(quick bool) *Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := core.Discover(h, core.Options{PropagatePartial: true})
+			res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
 			if err != nil {
 				panic(err)
 			}

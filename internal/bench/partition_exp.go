@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -121,7 +122,7 @@ func bestDiscover(h *relation.Hierarchy, opts core.Options) (time.Duration, uint
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := core.Discover(h, opts)
+		res, err := core.NewEngine(opts).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}

@@ -38,7 +38,7 @@ func E15UpdateIncremental(quick bool) *Table {
 		Metrics: map[string]float64{},
 		Stats:   map[string]core.Stats{},
 		Notes: []string{
-			"cold = relation.Build over the mutated tree + one-shot core.Discover",
+			"cold = relation.Build over the mutated tree + Engine.Discover on a fresh engine, warm layer off",
 			"incremental = Engine.ApplyUpdate (warm partitions patched in place) + Engine.Discover",
 			"mutation batches are seeded random column-localized value updates over one table of the wide-forest corpus",
 			"each incremental result is differentially checked against its cold run",
@@ -72,7 +72,7 @@ func E15UpdateIncremental(quick bool) *Table {
 		}
 		opts := core.Options{PropagatePartial: true, ApproxError: 0.05}
 		eng := core.NewEngine(opts)
-		if _, err := eng.Discover(context.Background(), h); err != nil {
+		if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 			panic(fmt.Sprintf("bench: warm-up: %v", err))
 		}
 
@@ -98,7 +98,7 @@ func E15UpdateIncremental(quick bool) *Table {
 			if err != nil {
 				panic(fmt.Sprintf("bench: apply: %v", err))
 			}
-			res, err := eng.Discover(context.Background(), h)
+			res, err := eng.Discover(context.Background(), h, time.Time{}, true)
 			if err != nil {
 				panic(fmt.Sprintf("bench: incremental discover: %v", err))
 			}
@@ -120,7 +120,7 @@ func E15UpdateIncremental(quick bool) *Table {
 			if err != nil {
 				panic(fmt.Sprintf("bench: cold rebuild: %v", err))
 			}
-			res, err := core.Discover(h2, opts)
+			res, err := core.NewEngine(opts).Discover(context.Background(), h2, time.Time{}, false)
 			if err != nil {
 				panic(fmt.Sprintf("bench: cold discover: %v", err))
 			}

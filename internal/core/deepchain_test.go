@@ -88,7 +88,7 @@ func TestFourLevelLHS(t *testing.T) {
 		}
 	}
 
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestDiscoveryDeterministic(t *testing.T) {
 	var first string
 	for i := 0; i < 4; i++ {
 		opts := Options{PropagatePartial: true, ApproxError: 0.05, Parallel: i%2 == 1}
-		res, err := Discover(h, opts)
+		res, err := discoverCold(h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestApproxOrderDeterministic(t *testing.T) {
 	}
 	var first string
 	for i, opts := range cases {
-		res, err := Discover(h, opts)
+		res, err := discoverCold(h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestRebuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Discover(h, Options{PropagatePartial: true})
+		res, err := discoverCold(h, Options{PropagatePartial: true})
 		if err != nil {
 			t.Fatal(err)
 		}

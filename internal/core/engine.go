@@ -11,9 +11,9 @@ import (
 )
 
 // Engine is a reusable discovery engine: construct it once from an
-// Options value and call Discover / DiscoverIntra / Evaluate from as
-// many goroutines as you like. Each call builds its own Run (governor,
-// partition cache, stats — see run.go), so concurrent calls are fully
+// Options value and call Discover / Evaluate from as many goroutines
+// as you like. Each call builds its own Run (governor, partition
+// cache, stats — see run.go), so concurrent calls are fully
 // isolated; the only state an Engine shares across runs is a warm
 // layer of immutable partitions, keyed by hierarchy, that repeated
 // runs over the same document reuse instead of recomputing (the E14
@@ -28,9 +28,9 @@ import (
 // beyond a small cap. Runs under Options.NaivePartitions never seed
 // from nor publish to the warm layer: the naive engine is the
 // differential baseline and must stay bit-for-bit cold. Neither do
-// DiscoverAt/DiscoverIntraAt runs with warm false: their hierarchy
-// was built inside the caller's call, so no later run can hit its
-// entry, which would only pin the hierarchy until evicted.
+// Discover calls with warm false: their hierarchy was built inside
+// the caller's call, so no later run can hit its entry, which would
+// only pin the hierarchy until evicted.
 type Engine struct {
 	opts Options
 
@@ -38,8 +38,7 @@ type Engine struct {
 	warm []*warmHierarchy // guarded by mu
 
 	// met is the engine's cumulative run instrumentation (see
-	// Metrics); all of its methods are nil-engine safe, so the legacy
-	// one-shot wrappers (which run with a nil *Engine) need no guards.
+	// Metrics).
 	met engineMetrics
 }
 
@@ -69,7 +68,6 @@ type warmHierarchy struct {
 // written only by ApplyUpdate under the hierarchy's writer lock and
 // read by runs under the reader lock, so the two never race.
 type subtreeMemo struct {
-	xfd   bool          // Discover (true) vs DiscoverIntra outputs
 	outs  []*memoOutput // by Relation.Index; nil for non-essential or skipped
 	dirty []bool        // by Relation.Index; set when an update touches the relation
 
@@ -119,56 +117,16 @@ const engineWarmHierarchies = 4
 
 // NewEngine returns an Engine that runs every call with the given
 // options. The zero Options value is valid (it is DiscoverFD-style
-// discovery without partial propagation); callers porting from the
-// legacy Discover wrappers keep passing the same Options.
+// discovery without partial propagation).
 func NewEngine(opts Options) *Engine {
 	return &Engine{opts: opts}
-}
-
-// Options returns a copy of the engine's configuration.
-func (e *Engine) Options() Options { return e.opts }
-
-// Discover runs the DiscoverXFD pipeline over the hierarchy (see
-// DiscoverContext for the cancellation and truncation contract).
-func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
-	return e.discover(ctx, h, e.opts, !e.opts.NoInterRelation, true)
-}
-
-// DiscoverAt is Discover with a per-call wall-clock deadline,
-// overriding the engine's configured Options.Deadline. The public
-// layer computes the absolute instant from its relative Limits budget
-// at each call boundary. warm false runs the hierarchy without the
-// warm layer — no seeding, no publishing — for hierarchies the caller
-// built inside its own call and will never present again.
-func (e *Engine) DiscoverAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
-	opts := e.opts
-	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, !opts.NoInterRelation, warm)
-}
-
-// DiscoverIntra runs DiscoverFD (Figure 8) independently on each
-// essential relation: only intra-relation FDs and Keys are found,
-// whatever the engine's NoInterRelation setting.
-func (e *Engine) DiscoverIntra(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
-	opts := e.opts
-	opts.NoInterRelation = true
-	return e.discover(ctx, h, opts, false, true)
-}
-
-// DiscoverIntraAt is DiscoverIntra with a per-call deadline and warm
-// choice (see DiscoverAt).
-func (e *Engine) DiscoverIntraAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
-	opts := e.opts
-	opts.NoInterRelation = true
-	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, false, warm)
 }
 
 // Evaluate checks a single XML FD directly against a hierarchy,
 // independent of discovery (see EvaluateContext). The hierarchy's
 // reader lock is held for the duration, serializing against
 // ApplyUpdate; the package-level EvaluateContext itself does not lock
-// (discovery's FD verification calls it under discover's reader lock,
+// (discovery's FD verification calls it under Discover's reader lock,
 // and read locks do not nest safely with a writer waiting).
 func (e *Engine) Evaluate(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
 	e.evaluated()
@@ -177,20 +135,25 @@ func (e *Engine) Evaluate(ctx context.Context, h *relation.Hierarchy, class sche
 	return EvaluateContext(ctx, h, class, lhs, rhs)
 }
 
-// discover executes one run through the staged pipeline, wrapped in
-// the engine's warm-partition layer unless warm is false. A nil
-// receiver is valid and simply runs cold (no sharing), which is what
-// the legacy one-shot wrappers use.
-func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Options, xfd, warm bool) (*Result, error) {
+// Discover runs one discovery over the hierarchy: DiscoverXFD
+// (Figure 9), or DiscoverFD (Figure 8) on each essential relation
+// when Options.NoInterRelation is set. Cancelling ctx aborts with an
+// error. Exhausting a budget instead returns the partial Result found
+// so far with Stats.Truncated set: the wall-clock deadline (zero
+// means none), Options.MaxLatticeLevel, or a truncated input
+// hierarchy. warm false runs without the warm layer, neither seeding
+// from nor publishing to it, for a hierarchy the caller built inside
+// its own call and will never present again.
+func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
 	e.runStarted()
-	run := newRun(ctx, h, opts, xfd)
+	run := newRun(ctx, h, e.opts, deadline)
 	// Hold the hierarchy's reader lock across seed, execute, AND
 	// publish: publishing inside the critical section is what keeps a
 	// finishing run from installing pre-update partitions over a warm
 	// entry ApplyUpdate just patched.
 	h.RLock()
 	defer h.RUnlock()
-	share := warm && e != nil && !opts.NaivePartitions
+	share := warm && !e.opts.NaivePartitions
 	if share {
 		if parts, memo := e.warmFor(h); parts != nil {
 			run.cache.seed(parts)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"discoverxfd/internal/relation"
+	"discoverxfd/internal/schema"
 )
 
 // TestEngineWarmLayerReuse pins the engine's warm-layer contract: a
@@ -18,11 +19,11 @@ func TestEngineWarmLayerReuse(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
 	eng := NewEngine(Options{PropagatePartial: true})
 
-	cold, err := eng.Discover(context.Background(), h)
+	cold, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.Discover(context.Background(), h)
+	warm, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestEngineWarmEviction(t *testing.T) {
 	hs := make([]*relation.Hierarchy, engineWarmHierarchies+2)
 	for i := range hs {
 		hs[i] = buildWarehouse(t, relation.Options{})
-		if _, err := eng.Discover(context.Background(), hs[i]); err != nil {
+		if _, err := eng.Discover(context.Background(), hs[i], time.Time{}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,14 +79,14 @@ func TestEngineWarmEviction(t *testing.T) {
 func TestEngineNaiveStaysCold(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
 	eng := NewEngine(Options{NaivePartitions: true})
-	first, err := eng.Discover(context.Background(), h)
+	first, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w, _ := eng.warmFor(h); w != nil {
 		t.Fatal("naive run published to the warm layer")
 	}
-	second, err := eng.Discover(context.Background(), h)
+	second, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +99,19 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 }
 
 // TestEngineCallBuiltHierarchiesStayCold pins that runs over a
-// hierarchy built inside the caller's own call (DiscoverAt and
-// DiscoverIntraAt with warm false) neither seed from nor publish to
-// the warm layer, so a long-lived engine retains none of them, yet
-// they still count in Metrics; warm runs over one hierarchy the
-// caller holds keep seeding.
+// hierarchy built inside the caller's own call (Discover with warm
+// false) neither seed from nor publish to the warm layer, so a
+// long-lived engine retains none of them, yet they still count in
+// Metrics; warm runs over one hierarchy the caller holds keep seeding.
 func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 	eng := NewEngine(Options{PropagatePartial: true})
 	ctx := context.Background()
 	h := buildWarehouse(t, relation.Options{})
 	for i := 0; i < 2; i++ {
-		if _, err := eng.DiscoverAt(ctx, h, time.Time{}, false); err != nil {
+		if _, err := eng.Discover(ctx, h, time.Time{}, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.DiscoverIntraAt(ctx, buildWarehouse(t, relation.Options{}), time.Time{}, false); err != nil {
+		if _, err := eng.Discover(ctx, buildWarehouse(t, relation.Options{}), time.Time{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		if _, err := eng.DiscoverAt(ctx, h, time.Time{}, true); err != nil {
+		if _, err := eng.Discover(ctx, h, time.Time{}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,26 +135,56 @@ func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 	}
 }
 
-// TestEngineIntraMatchesWrapper pins Engine.DiscoverIntra to the
-// legacy DiscoverIntra wrapper.
-func TestEngineIntraMatchesWrapper(t *testing.T) {
-	h := buildWarehouse(t, relation.Options{})
-	opts := Options{PropagatePartial: true}
-	want, err := DiscoverIntra(h, opts)
+// TestDeadlineTruncatedRunLeavesWarmLayerClean pins that the per-call
+// deadline, the one budget that can differ between runs of one engine
+// over one hierarchy, cannot poison the warm layer: a warm run cut
+// short at any essential relation must not leave outputs behind that a
+// later run without a deadline replays.
+func TestDeadlineTruncatedRunLeavesWarmLayerClean(t *testing.T) {
+	h := buildAuction(t)
+	cold, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewEngine(opts).DiscoverIntra(context.Background(), h)
-	if err != nil {
-		t.Fatal(err)
+	if len(cold.FDs) != 7 || len(cold.Keys) != 15 {
+		t.Fatalf("cold run found %d FDs and %d keys, want 7 and 15", len(cold.FDs), len(cold.Keys))
 	}
-	if !reflect.DeepEqual(fdStrings(want), fdStrings(got)) {
-		t.Fatalf("engine intra differs from wrapper:\n%v\n%v", fdStrings(want), fdStrings(got))
-	}
-	for _, fd := range got.FDs {
-		if fd.Inter {
-			t.Errorf("intra-only discovery reported inter-relation FD %s", fd)
+	ctx := context.Background()
+	for _, r := range h.Relations {
+		if !r.Essential {
+			continue
 		}
+		t.Run(strings.TrimPrefix(string(r.Pivot), "/"), func(t *testing.T) {
+			// The hook outsleeps the call's deadline on reaching r, so
+			// r's lattice, and everything after it, runs out of budget.
+			var deadline time.Time
+			eng := NewEngine(Options{PropagatePartial: true, RelationHook: func(p schema.Path) {
+				if p == r.Pivot && !deadline.IsZero() {
+					time.Sleep(time.Until(deadline) + 10*time.Millisecond)
+				}
+			}})
+			deadline = time.Now().Add(200 * time.Millisecond)
+			first, err := eng.Discover(ctx, h, deadline, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.Stats.Truncated {
+				t.Fatal("run past its deadline was not truncated")
+			}
+			deadline = time.Time{}
+			second, err := eng.Discover(ctx, h, deadline, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Stats.Truncated {
+				t.Fatalf("run without a deadline truncated: %s", second.Stats.TruncatedReason)
+			}
+			if len(second.FDs) != len(cold.FDs) || len(second.Keys) != len(cold.Keys) {
+				t.Fatalf("run after a truncated warm run replayed %d relations and found %d FDs and %d keys, want %d and %d",
+					second.Stats.RelationsReused, len(second.FDs), len(second.Keys), len(cold.FDs), len(cold.Keys))
+			}
+			requireSameResult(t, "run after a truncated warm run", second, cold)
+		})
 	}
 }
 
@@ -166,7 +196,7 @@ func TestRunPlanRejectsBadIndex(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
 	h.Relations[1].Index = 7
 	defer func() { h.Relations[1].Index = 1 }()
-	_, err := NewEngine(Options{}).Discover(context.Background(), h)
+	_, err := discoverCold(h, Options{})
 	if err == nil || !strings.Contains(err.Error(), "hierarchies must come from relation.Build") {
 		t.Fatalf("expected index-invariant error, got %v", err)
 	}

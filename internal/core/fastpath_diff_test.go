@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
@@ -47,7 +49,7 @@ func TestVerifyMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		run := newRun(nil, h, Options{PropagatePartial: true}, true)
+		run := newRun(context.Background(), h, Options{PropagatePartial: true}, time.Time{})
 		if err := run.plan(); err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
@@ -101,7 +103,7 @@ func TestFastPathMatchesNaive(t *testing.T) {
 
 		naiveOpts := base
 		naiveOpts.NaivePartitions = true
-		naive, err := Discover(h, naiveOpts)
+		naive, err := discoverCold(h, naiveOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func TestFastPathMatchesNaive(t *testing.T) {
 		for name, tweak := range fastVariants {
 			opts := base
 			tweak(&opts)
-			fast, err := Discover(h, opts)
+			fast, err := discoverCold(h, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds.Name, name, err)
 			}

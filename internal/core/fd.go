@@ -232,7 +232,7 @@ type Options struct {
 	// PropagatePartial enables Figure 9 lines 26–29: targets not
 	// fully satisfied at a level may absorb a level-local attribute
 	// set and continue upward, enabling LHSs spanning three or more
-	// hierarchy levels. On by default in Discover.
+	// hierarchy levels. The public discoverxfd.Engine always sets it.
 	PropagatePartial bool
 	// MaxPartialAttrs bounds the attribute-set size absorbed by a
 	// partial propagation (≥1; 0 means 2, the default).
@@ -284,12 +284,6 @@ type Options struct {
 	// FDs sought), hitting this cap marks the result Truncated: levels
 	// that could have held results were skipped. 0 means unbounded.
 	MaxLatticeLevel int
-	// Deadline, when nonzero, is the wall-clock instant past which the
-	// traversal stops and Discover returns the partial Result found so
-	// far with Stats.Truncated set — graceful degradation, not an
-	// error. Cancellation (an error) comes from the context passed to
-	// DiscoverContext instead.
-	Deadline time.Time
 	// RelationHook, if non-nil, is invoked at the start of each
 	// essential relation's lattice traversal with the relation's pivot
 	// path. It exists for fault injection in tests

@@ -44,11 +44,8 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer faultinject.CheckGoroutines(t)()
 			start := time.Now()
-			res, err := Discover(h, Options{
-				PropagatePartial: true,
-				Parallel:         parallel,
-				Deadline:         time.Now().Add(50 * time.Millisecond),
-			})
+			eng := NewEngine(Options{PropagatePartial: true, Parallel: parallel})
+			res, err := eng.Discover(context.Background(), h, time.Now().Add(50*time.Millisecond), false)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("deadline must degrade gracefully, got error: %v", err)
@@ -76,10 +73,8 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 // dependent.
 func TestExpiredDeadlineTruncatesDeterministically(t *testing.T) {
 	h := buildAuction(t)
-	res, err := Discover(h, Options{
-		PropagatePartial: true,
-		Deadline:         time.Now().Add(-time.Second),
-	})
+	eng := NewEngine(Options{PropagatePartial: true})
+	res, err := eng.Discover(context.Background(), h, time.Now().Add(-time.Second), false)
 	if err != nil {
 		t.Fatalf("expired deadline must not error: %v", err)
 	}
@@ -98,7 +93,7 @@ func TestCancelledContextIsAnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		res, err := DiscoverContext(ctx, h, Options{PropagatePartial: true, Parallel: parallel})
+		res, err := NewEngine(Options{PropagatePartial: true, Parallel: parallel}).Discover(ctx, h, time.Time{}, false)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("parallel=%v: err = %v, want context.Canceled", parallel, err)
 		}
@@ -112,11 +107,11 @@ func TestCancelledContextIsAnError(t *testing.T) {
 // are the subset reachable at low levels, and the Stats say so.
 func TestMaxLatticeLevelTruncates(t *testing.T) {
 	h := buildAuction(t)
-	full, err := Discover(h, Options{PropagatePartial: true})
+	full, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Discover(h, Options{PropagatePartial: true, MaxLatticeLevel: 1})
+	capped, err := discoverCold(h, Options{PropagatePartial: true, MaxLatticeLevel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +137,8 @@ func TestMaxLatticeLevelTruncates(t *testing.T) {
 		}
 	}
 	// A far deadline must not stop the capped traversal early.
-	timed, err := Discover(h, Options{PropagatePartial: true, MaxLatticeLevel: 1, Deadline: time.Now().Add(time.Hour)})
+	eng := NewEngine(Options{PropagatePartial: true, MaxLatticeLevel: 1})
+	timed, err := eng.Discover(context.Background(), h, time.Now().Add(time.Hour), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +160,7 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer faultinject.CheckGoroutines(t)()
 			hook, fired := faultinject.PanicHook("bid")
-			res, err := Discover(h, Options{
+			res, err := discoverCold(h, Options{
 				PropagatePartial: true,
 				Parallel:         parallel,
 				RelationHook:     hook,
@@ -190,17 +186,14 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 // deadline yields a byte-identical result to the plain run.
 func TestUnfiredGovernorIsByteIdentical(t *testing.T) {
 	h := buildAuction(t)
-	plain, err := Discover(h, Options{PropagatePartial: true, ApproxError: 0.05})
+	plain, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	governed, err := DiscoverContext(ctx, h, Options{
-		PropagatePartial: true,
-		ApproxError:      0.05,
-		Deadline:         time.Now().Add(time.Hour),
-	})
+	eng := NewEngine(Options{PropagatePartial: true, ApproxError: 0.05})
+	governed, err := eng.Discover(ctx, h, time.Now().Add(time.Hour), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,11 @@ func (lr *latticeRun) close() {
 	lr.sc = nil
 }
 
-// run executes the traversal. xfd selects DiscoverXFD behaviour
-// (candidateLHS2, target handling); with xfd false it is exactly
-// DiscoverFD of Figure 8.
-func (lr *latticeRun) run(xfd bool) {
+// run executes the traversal: DiscoverXFD behaviour (candidateLHS2,
+// target handling), or exactly DiscoverFD of Figure 8 under
+// Options.NoInterRelation.
+func (lr *latticeRun) run() {
+	xfd := !lr.opts.NoInterRelation
 	rel := lr.rel
 	n := rel.NRows()
 	m := rel.NAttrs()
@@ -110,7 +111,7 @@ func (lr *latticeRun) run(xfd bool) {
 	// The empty attribute set can itself be a candidate partial Key:
 	// if every parent has at most one tuple here, ancestor attributes
 	// alone may identify the tuples of this class.
-	if xfd && rel.Parent != nil && !lr.opts.NoInterRelation {
+	if xfd && rel.Parent != nil {
 		lr.seedKeyTarget(0, lr.getPartition(0))
 	}
 
@@ -270,7 +271,7 @@ func (lr *latticeRun) emitLevel(tr trace.Tracer, level int, snap *levelSnapshot)
 // seedTargets creates candidate-partial-FD targets from the failed
 // edges into node a (Figure 9 lines 34–37).
 func (lr *latticeRun) seedTargets(a AttrSet, pa *partition.Partition, ls []AttrSet) {
-	if lr.rel.Parent == nil || lr.opts.NoInterRelation {
+	if lr.rel.Parent == nil {
 		return
 	}
 	ts := time.Now()
@@ -297,7 +298,7 @@ func (lr *latticeRun) seedTargets(a AttrSet, pa *partition.Partition, ls []AttrS
 // (the KeyTarget side of Figure 10): pa is not a key here, but ancestor
 // attributes could complete a into an inter-relation Key.
 func (lr *latticeRun) seedKeyTarget(a AttrSet, pa *partition.Partition) {
-	if lr.rel.Parent == nil || lr.opts.NoInterRelation || !lr.admit() {
+	if lr.rel.Parent == nil || !lr.admit() {
 		return
 	}
 	ts := time.Now()

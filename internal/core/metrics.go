@@ -10,8 +10,8 @@ import (
 // counters, taken with Engine.Metrics. Counters cover every run the
 // engine executed since construction; Totals accumulates the Stats of
 // finished runs (failed runs contribute to RunsFailed only — they
-// return no Stats). The snapshot is a plain value: encode it, diff
-// it, or publish it via expvar freely.
+// return no Stats). The snapshot is a plain value: encode it or diff
+// it freely.
 type Metrics struct {
 	// RunsStarted counts discovery runs entered; RunsFinished those
 	// that returned a Result (truncated counts as finished),
@@ -72,9 +72,6 @@ type engineMetrics struct {
 
 // runStarted records a discovery run entering the pipeline.
 func (e *Engine) runStarted() {
-	if e == nil {
-		return
-	}
 	e.met.mu.Lock()
 	e.met.runsStarted++
 	e.met.mu.Unlock()
@@ -82,9 +79,6 @@ func (e *Engine) runStarted() {
 
 // warmSeeded records a run seeded from the warm layer.
 func (e *Engine) warmSeededRun() {
-	if e == nil {
-		return
-	}
 	e.met.mu.Lock()
 	e.met.warmSeeded++
 	e.met.mu.Unlock()
@@ -92,9 +86,6 @@ func (e *Engine) warmSeededRun() {
 
 // evaluated records one direct FD evaluation.
 func (e *Engine) evaluated() {
-	if e == nil {
-		return
-	}
 	e.met.mu.Lock()
 	e.met.evaluations++
 	e.met.mu.Unlock()
@@ -102,9 +93,6 @@ func (e *Engine) evaluated() {
 
 // updateDone folds one ApplyUpdate batch into the counters.
 func (e *Engine) updateDone(cs *relation.Changeset, err error, pr []patchReport) {
-	if e == nil {
-		return
-	}
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
 	if err != nil {
@@ -122,9 +110,6 @@ func (e *Engine) updateDone(cs *relation.Changeset, err error, pr []patchReport)
 
 // runDone folds a finished (or failed) run into the counters.
 func (e *Engine) runDone(res *Result, err error) {
-	if e == nil {
-		return
-	}
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
 	if err != nil || res == nil {
@@ -151,13 +136,9 @@ func (e *Engine) runDone(res *Result, err error) {
 }
 
 // Metrics returns a snapshot of the engine's cumulative counters. Safe
-// for concurrent use with running discoveries; a nil engine reports
-// zeroes.
+// for concurrent use with running discoveries.
 func (e *Engine) Metrics() Metrics {
 	var m Metrics
-	if e == nil {
-		return m
-	}
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
 	m.RunsStarted = e.met.runsStarted

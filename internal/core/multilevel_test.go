@@ -88,7 +88,7 @@ func TestThreeLevelLHS(t *testing.T) {
 		}
 	}
 
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestThreeLevelLHS(t *testing.T) {
 	// reach (pure conversion can only defer the whole LHS to one
 	// ancestor level at a time without absorbing intermediate
 	// attributes).
-	res2, err := Discover(h, Options{PropagatePartial: false})
+	res2, err := discoverCold(h, Options{PropagatePartial: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestThreeLevelLHS(t *testing.T) {
 // TestMaxLHSBound checks that the per-level LHS bound is honored.
 func TestMaxLHSBound(t *testing.T) {
 	h := buildThreeLevel(t)
-	res, err := Discover(h, Options{PropagatePartial: true, MaxLHS: 1})
+	res, err := discoverCold(h, Options{PropagatePartial: true, MaxLHS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMaxLHSBound(t *testing.T) {
 // superkey LHSs, which the superkey filter removes in all variants).
 func TestPruningAblationPreservesFDs(t *testing.T) {
 	h := buildThreeLevel(t)
-	base, err := Discover(h, Options{PropagatePartial: true, MaxLHS: 3})
+	base, err := discoverCold(h, Options{PropagatePartial: true, MaxLHS: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestPruningAblationPreservesFDs(t *testing.T) {
 		baseSet[fd.String()] = true
 	}
 	for i, opts := range variants {
-		res, err := Discover(h, opts)
+		res, err := discoverCold(h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestPruningAblationPreservesFDs(t *testing.T) {
 	}
 }
 
-// TestIntraOnlySkipsInterFDs checks DiscoverIntra finds no
+// TestIntraOnlySkipsInterFDs checks NoInterRelation finds no
 // inter-relation results.
 func TestIntraOnlySkipsInterFDs(t *testing.T) {
 	h := buildThreeLevel(t)
-	res, err := DiscoverIntra(h, Options{})
+	res, err := discoverCold(h, Options{NoInterRelation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTooManyAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Discover(h, Options{}); err == nil {
+	if _, err := discoverCold(h, Options{}); err == nil {
 		t.Fatal("expected an error for >64 attributes")
 	}
 }

@@ -178,7 +178,7 @@ func TestDiscoverMatchesNaiveEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			res, err := Discover(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+			res, err := discoverCold(h, Options{PropagatePartial: true, KeepConstantFDs: true})
 			if err != nil {
 				t.Fatalf("discover: %v", err)
 			}
@@ -313,7 +313,7 @@ func TestDiscoverCompleteOnGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			res, err := Discover(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+			res, err := discoverCold(h, Options{PropagatePartial: true, KeepConstantFDs: true})
 			if err != nil {
 				t.Fatalf("discover: %v", err)
 			}
@@ -350,7 +350,7 @@ func TestDiscoverSoundUnderVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Discover(h, v.copts)
+				res, err := discoverCold(h, v.copts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,9 +19,10 @@ func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats,
 	}
 	stats.Relations = 1
 	stats.Tuples = rel.NRows()
+	opts.NoInterRelation = true // DiscoverFD: no partition targets
 	cache := newPartitionCache(opts.MaxPartitionBytes)
 	lr := &latticeRun{rel: rel, opts: &opts, stats: &stats, cache: cache}
-	lr.run(false)
+	lr.run()
 	cache.retire(lr.pc)
 	lr.close()
 	cache.flushStats(&stats)

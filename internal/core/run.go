@@ -18,10 +18,10 @@ import (
 // the run-wide partition cache, the Stats record being accumulated,
 // and the relation-indexed depth and null-row tables the traversal
 // and the partition targets consult. One Run is created per
-// Engine.Discover call (or per legacy Discover* wrapper), used on
-// however many goroutines the governed traversal spawns, and
-// discarded; nothing in it is shared across runs except the immutable
-// partitions the owning Engine chooses to carry over.
+// Engine.Discover call, used on however many goroutines the governed
+// traversal spawns, and discarded; nothing in it is shared across
+// runs except the immutable partitions the owning Engine chooses to
+// carry over.
 //
 // A run executes as a fixed pipeline of named stages (see execute):
 //
@@ -33,7 +33,6 @@ import (
 type Run struct {
 	h    *relation.Hierarchy
 	opts Options
-	xfd  bool
 
 	gov   *governor
 	cache *partitionCache
@@ -72,9 +71,9 @@ type Run struct {
 // to demultiplex concurrent runs sharing one tracer.
 var runSeq atomic.Int64
 
-// newRun assembles the per-run state. ctx may be nil (legacy
-// ungoverned entry points); the governor normalizes it.
-func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) *Run {
+// newRun assembles the per-run state; deadline is the run's
+// wall-clock budget (zero means none).
+func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, deadline time.Time) *Run {
 	id := "run-" + strconv.FormatInt(runSeq.Add(1), 10)
 	// Stamp the tracer once so every emit site below — including the
 	// governor's and the lattice's — carries the run id for free.
@@ -82,10 +81,9 @@ func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) 
 	return &Run{
 		h:     h,
 		opts:  opts,
-		xfd:   xfd,
 		id:    id,
 		tr:    opts.Tracer,
-		gov:   newGovernor(ctx, &opts),
+		gov:   &governor{ctx: ctx, deadline: deadline, tr: opts.Tracer},
 		cache: newPartitionCache(opts.MaxPartitionBytes),
 		res:   &Result{},
 	}
@@ -245,13 +243,12 @@ func (run *Run) plan() error {
 // chain's complex columns.
 func (run *Run) planReuse() {
 	m := run.memo
-	if m == nil || m.xfd != run.xfd ||
-		len(m.outs) != len(run.h.Relations) || len(m.dirty) != len(run.h.Relations) ||
-		len(m.anyNull) != len(run.h.Relations) || len(m.nullsAtOrAbove) != len(run.h.Relations) {
+	n := len(run.h.Relations)
+	if m == nil || len(m.outs) != n || len(m.dirty) != n || len(m.anyNull) != n || len(m.nullsAtOrAbove) != n {
 		run.memo = nil
 		return
 	}
-	run.reusable = make([]bool, len(run.h.Relations))
+	run.reusable = make([]bool, n)
 	var subClean func(r *relation.Relation) bool
 	subClean = func(r *relation.Relation) bool {
 		ok := !m.dirty[r.Index] && (!r.Essential || m.outs[r.Index] != nil)
@@ -422,7 +419,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 	// The relation label scopes profile samples of this lattice
 	// traversal (and the product workers it spawns) to the pivot.
 	pprof.Do(ctx, pprof.Labels("xfd_relation", string(r.Pivot)), func(context.Context) {
-		lr.run(run.xfd)
+		lr.run()
 	})
 	if lr.err != nil {
 		g.err = lr.err
@@ -508,7 +505,6 @@ func (run *Run) memoSnapshot() *subtreeMemo {
 		return nil
 	}
 	return &subtreeMemo{
-		xfd:            run.xfd,
 		outs:           run.memoOuts,
 		dirty:          make([]bool, len(run.memoOuts)),
 		anyNull:        run.anyNull,

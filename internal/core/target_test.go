@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
@@ -177,7 +179,7 @@ func newTargetWorld(t *testing.T, seed int64) *targetWorld {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	run := newRun(nil, h, Options{}, true)
+	run := newRun(context.Background(), h, Options{}, time.Time{})
 	if err := run.plan(); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -314,7 +316,7 @@ func FuzzTargetMatchesPairOracle(f *testing.F) {
 // relation drops the rest, is Truncated, and names the relation.
 func TestTargetCapTruncates(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := Discover(h, Options{PropagatePartial: true, MaxTargetsPerRelation: 1})
+	res, err := discoverCold(h, Options{PropagatePartial: true, MaxTargetsPerRelation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,13 @@ import (
 // almost everywhere, which is what the E-update benchmark measures.
 //
 // ApplyUpdate serializes against running discoveries: it takes h's
-// writer lock while discover holds the reader lock across seed,
+// writer lock while Discover holds the reader lock across seed,
 // execute, and publish, so a run never observes half-applied updates
 // and never publishes pre-update partitions over a patched warm entry.
 //
-// A nil engine is valid (the document is updated, there is no warm
-// layer to patch). On error the hierarchy retains the updates applied
-// before the failing op; the warm layer is dropped for h so no stale
-// partitions can be served.
+// On error the hierarchy retains the updates applied before the
+// failing op; the warm layer is dropped for h so no stale partitions
+// can be served.
 func (e *Engine) ApplyUpdate(h *relation.Hierarchy, ops []relation.Update) (*relation.Changeset, error) {
 	start := time.Now()
 	h.Lock()
@@ -62,9 +61,6 @@ type patchReport struct {
 // lock, so no run is concurrently seeding from or publishing to the
 // entry.
 func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patchReport {
-	if e == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var w *warmHierarchy
@@ -158,9 +154,6 @@ func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patc
 // dropWarm removes h's warm entry (failed update batches leave the
 // hierarchy partially updated, so retained partitions may be stale).
 func (e *Engine) dropWarm(h *relation.Hierarchy) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	kept := e.warm[:0]
@@ -178,7 +171,7 @@ func (e *Engine) dropWarm(h *relation.Hierarchy) {
 // traceUpdate emits the update span: one update_apply event, preceded
 // by a partition_patch event per warm relation rewritten.
 func (e *Engine) traceUpdate(start time.Time, cs *relation.Changeset, err error, pr []patchReport) {
-	if e == nil || e.opts.Tracer == nil {
+	if e.opts.Tracer == nil {
 		return
 	}
 	for _, rep := range pr {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
@@ -56,7 +57,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 func TestApplyUpdateIncrementalMatchesCold(t *testing.T) {
 	h, tree := buildWarehouseTree(t, relation.Options{})
 	eng := NewEngine(Options{PropagatePartial: true})
-	if _, err := eng.Discover(context.Background(), h); err != nil {
+	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +75,7 @@ func TestApplyUpdateIncrementalMatchesCold(t *testing.T) {
 		t.Fatalf("changeset ops = %d, want 2", cs.Ops())
 	}
 
-	warm, err := eng.Discover(context.Background(), h)
+	warm, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestApplyUpdateIncrementalMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngine(Options{PropagatePartial: true}).Discover(context.Background(), coldH)
+	cold, err := discoverCold(coldH, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestApplyUpdateRandomizedDifferential(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		h, tree := buildWarehouseTree(t, relation.Options{})
 		eng := NewEngine(Options{PropagatePartial: true})
-		if _, err := eng.Discover(context.Background(), h); err != nil {
+		if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 			t.Fatal(err)
 		}
 		for batch := 0; batch < 4; batch++ {
@@ -119,7 +120,7 @@ func TestApplyUpdateRandomizedDifferential(t *testing.T) {
 			if _, err := eng.ApplyUpdate(h, ops); err != nil {
 				t.Fatalf("trial %d batch %d: apply: %v", trial, batch, err)
 			}
-			warm, err := eng.Discover(context.Background(), h)
+			warm, err := eng.Discover(context.Background(), h, time.Time{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func TestApplyUpdateRandomizedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := NewEngine(Options{PropagatePartial: true}).Discover(context.Background(), coldH)
+			cold, err := discoverCold(coldH, Options{PropagatePartial: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +231,7 @@ func TestApplyUpdateConcurrentWithDiscover(t *testing.T) {
 	h, _ := buildWarehouseTree(t, relation.Options{})
 	eng := NewEngine(Options{PropagatePartial: true})
 	books := h.ByPivot("/warehouse/state/store/book")
-	if _, err := eng.Discover(context.Background(), h); err != nil {
+	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -239,7 +240,7 @@ func TestApplyUpdateConcurrentWithDiscover(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := eng.Discover(context.Background(), h); err != nil {
+				if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 					t.Errorf("discover: %v", err)
 					return
 				}
@@ -275,7 +276,7 @@ func TestApplyUpdateFailedBatchDropsWarm(t *testing.T) {
 	h, _ := buildWarehouseTree(t, relation.Options{})
 	eng := NewEngine(Options{})
 	books := h.ByPivot("/warehouse/state/store/book")
-	if _, err := eng.Discover(context.Background(), h); err != nil {
+	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if w, _ := eng.warmFor(h); w == nil {
@@ -317,7 +318,7 @@ func TestApplyUpdateTraceEvents(t *testing.T) {
 	tr := &captureTracer{}
 	eng := NewEngine(Options{Tracer: tr})
 	books := h.ByPivot("/warehouse/state/store/book")
-	if _, err := eng.Discover(context.Background(), h); err != nil {
+	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 	tr.mu.Lock()
@@ -387,7 +388,7 @@ func TestSubtreeReuseAfterUpdate(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	eng := NewEngine(Options{PropagatePartial: true})
-	cold, err := eng.Discover(context.Background(), h)
+	cold, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestSubtreeReuseAfterUpdate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	incr, err := eng.Discover(context.Background(), h)
+	incr, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +420,14 @@ func TestSubtreeReuseAfterUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold rebuild: %v", err)
 	}
-	fresh, err := Discover(h2, Options{PropagatePartial: true})
+	fresh, err := discoverCold(h2, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "incremental vs cold", incr, fresh)
 
 	// A repeat with no intervening update replays everything.
-	again, err := eng.Discover(context.Background(), h)
+	again, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

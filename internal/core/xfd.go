@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"discoverxfd/internal/partition"
@@ -27,43 +26,6 @@ func mergeStats(dst, src *Stats) {
 	dst.TargetChecks += src.TargetChecks
 	dst.IntraTime += src.IntraTime
 	dst.InterTime += src.InterTime
-}
-
-// Discover runs the DiscoverXFD algorithm (Figure 9) over the
-// hierarchical representation of a document: a bottom-up traversal of
-// the relation tree that discovers all minimal interesting
-// intra-relation and inter-relation XML FDs and Keys, and derives the
-// data redundancies they indicate (Definition 11).
-//
-// Discover and the other package-level wrappers below run one cold
-// Run each; callers issuing repeated runs (or concurrent ones) should
-// construct an Engine instead and reuse it.
-func Discover(h *relation.Hierarchy, opts Options) (*Result, error) {
-	return DiscoverContext(context.Background(), h, opts)
-}
-
-// DiscoverContext is Discover with cancellation. The context is
-// checked periodically in the lattice hot loops; cancellation aborts
-// with an error. Budget exhaustion (Options.Deadline,
-// Options.MaxLatticeLevel, or a truncated input hierarchy) instead
-// degrades gracefully: the partial Result found so far is returned
-// with Stats.Truncated set.
-func DiscoverContext(ctx context.Context, h *relation.Hierarchy, opts Options) (*Result, error) {
-	return NewEngine(opts).Discover(ctx, h)
-}
-
-// DiscoverIntra runs DiscoverFD (Figure 8) independently on each
-// essential relation: only intra-relation FDs and Keys are found.
-// This is the restriction the paper uses to contrast against full
-// DiscoverXFD (experiment E5).
-func DiscoverIntra(h *relation.Hierarchy, opts Options) (*Result, error) {
-	return DiscoverIntraContext(context.Background(), h, opts)
-}
-
-// DiscoverIntraContext is DiscoverIntra with cancellation (see
-// DiscoverContext).
-func DiscoverIntraContext(ctx context.Context, h *relation.Hierarchy, opts Options) (*Result, error) {
-	return NewEngine(opts).DiscoverIntra(ctx, h)
 }
 
 // verifyFD evaluates one candidate FD for the final Definition 11

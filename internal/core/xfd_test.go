@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
@@ -72,6 +74,12 @@ func buildWarehouse(t *testing.T, opts relation.Options) *relation.Hierarchy {
 	return h
 }
 
+// discoverCold runs one discovery on a fresh engine, with no deadline
+// and no warm layer.
+func discoverCold(h *relation.Hierarchy, opts Options) (*Result, error) {
+	return NewEngine(opts).Discover(context.Background(), h, time.Time{}, false)
+}
+
 func fdStrings(res *Result) []string {
 	out := make([]string, 0, len(res.FDs))
 	for _, f := range res.FDs {
@@ -99,7 +107,7 @@ func contains(list []string, want string) bool {
 
 func TestDiscoverWarehousePaperFDs(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -132,7 +140,7 @@ func TestDiscoverWarehousePaperFDs(t *testing.T) {
 
 func TestDiscoverWarehouseRedundancies(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -156,7 +164,7 @@ func TestDiscoverWarehouseRedundancies(t *testing.T) {
 
 func TestDiscoverWarehouseKeys(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -175,7 +183,7 @@ func TestDiscoverWarehouseKeys(t *testing.T) {
 
 func TestDiscoverResultsAllVerify(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := Discover(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{PropagatePartial: true})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}

@@ -1,10 +1,12 @@
 package refine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/datatree"
@@ -45,7 +47,7 @@ func TestApplyPropertyReducesRedundancy(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Discover(h, core.Options{PropagatePartial: true})
+		res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			return false
 		}
@@ -78,7 +80,7 @@ func TestApplyPropertyReducesRedundancy(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res2, err := core.Discover(h2, core.Options{PropagatePartial: true})
+		res2, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h2, time.Time{}, false)
 		if err != nil {
 			return false
 		}

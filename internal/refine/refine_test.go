@@ -1,8 +1,10 @@
 package refine
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/datatree"
@@ -33,7 +35,7 @@ func build(t *testing.T, xml string) (*datatree.Tree, *relation.Hierarchy, *core
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Discover(h, core.Options{PropagatePartial: true})
+	res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestApplyEliminatesRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.Discover(h2, core.Options{PropagatePartial: true})
+	res2, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h2, time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,11 +287,16 @@ func (s *Server) handleUpdateDocument(w http.ResponseWriter, r *http.Request) {
 // handleDiscoverDocument is POST /v1/documents/{id}/discover:
 // synchronous discovery over the resident hierarchy, warm after the
 // first run and incrementally after updates. Honors the same
-// ?timeout= and ?degrade= parameters as /v1/discover.
+// ?timeout= and ?degrade= parameters as /v1/discover; limit
+// parameters are a 400 (see fixedLimits).
 func (s *Server) handleDiscoverDocument(w http.ResponseWriter, r *http.Request) {
 	d := s.docs.get(r.PathValue("id"))
 	if d == nil {
 		s.writeError(w, r, docNotFound(r.PathValue("id")))
+		return
+	}
+	if err := fixedLimits(r.URL.Query()); err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	req, err := s.decodeParams(r)

@@ -182,6 +182,59 @@ func TestDocumentUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestDocumentDiscoverRejectsLimits pins that a resident document's
+// discover refuses limit parameters instead of silently running with
+// the limits the document was created with, while ?timeout= and
+// ?degrade= keep working. The same lattice cap on /v1/discover
+// truncates the run, so it is not the parameter that is unknown.
+func TestDocumentDiscoverRejectsLimits(t *testing.T) {
+	s := newTestServer(t, Config{})
+	xml := libraryXML(12)
+	rec := do(s, "POST", "/v1/documents", nil, strings.NewReader(xml))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	base := "/v1/documents/" + decodeDoc(t, rec.Body.String()).ID
+
+	rec = do(s, "POST", "/v1/discover?max_lattice_level=1", nil, strings.NewReader(xml))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "lattice capped at level 1") {
+		t.Fatalf("/v1/discover?max_lattice_level=1: %d %s, want a lattice-capped result", rec.Code, rec.Body)
+	}
+
+	cases := []struct {
+		query string
+		param string // named in the 400; "" means the run is served
+	}{
+		{"max_lattice_level=1", "max_lattice_level"},
+		{"max_lattice_level=abc", "max_lattice_level"},
+		{"max_tuples=5", "max_tuples"},
+		{"max_nodes=3", "max_nodes"},
+		{"max_depth=0", "max_depth"},
+		{"timeout=30s&max_tuples=5", "max_tuples"},
+		{"timeout=30s", ""},
+		{"degrade=truncate", ""},
+		{"", ""},
+	}
+	served := 0
+	for _, c := range cases {
+		rec := do(s, "POST", base+"/discover?"+c.query, nil, nil)
+		if c.param == "" {
+			if rec.Code != http.StatusOK {
+				t.Errorf("?%s: %d %s, want 200", c.query, rec.Code, rec.Body)
+			}
+			served++
+			continue
+		}
+		body := rec.Body.String()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(body, c.param) || !strings.Contains(body, "POST /v1/documents") {
+			t.Errorf("?%s: %d %s, want 400 naming %s and POST /v1/documents", c.query, rec.Code, body, c.param)
+		}
+	}
+	if info := decodeDoc(t, do(s, "GET", base, nil, nil).Body.String()); info.Runs != int64(served) {
+		t.Errorf("document ran %d discoveries, want %d (rejected requests must not run)", info.Runs, served)
+	}
+}
+
 // TestDocumentStoreCap pins the bounded store: creation past
 // MaxDocuments fails with 409 until a document is deleted.
 func TestDocumentStoreCap(t *testing.T) {

@@ -299,15 +299,6 @@ func TestNoSlowRecorderWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestServerPublishExpvarIdempotent is the duplicate-name regression
-// for the server snapshot publisher.
-func TestServerPublishExpvarIdempotent(t *testing.T) {
-	a := newTestServer(t, Config{})
-	b := newTestServer(t, Config{})
-	a.PublishExpvar("server_test_stats")
-	b.PublishExpvar("server_test_stats") // must not panic; latest wins
-}
-
 // writerFunc adapts a function to io.Writer.
 type writerFunc func(p []byte) (int, error)
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -243,39 +244,48 @@ func timeoutParam(v string, def, max time.Duration) (time.Duration, error) {
 	return d, nil
 }
 
+// limitParams are the query parameters that tighten Limits fields,
+// in the order limitsParams reads them.
+var limitParams = []string{"max_tuples", "max_lattice_level", "max_nodes", "max_depth"}
+
 // limitsParams tightens the server's base limits with the request's
 // query parameters. A request may only narrow the budget: when the
 // server bounds a field, a larger (or unlimited) request value is
 // clamped to the server's — limits are a protection, not a
 // negotiation.
-func limitsParams(q map[string][]string, base discoverxfd.Limits) (discoverxfd.Limits, error) {
+func limitsParams(q url.Values, base discoverxfd.Limits) (discoverxfd.Limits, error) {
 	l := base
-	for _, p := range []struct {
-		name   string
-		server int
-		dst    *int
-	}{
-		{"max_tuples", base.MaxTuples, &l.MaxTuples},
-		{"max_lattice_level", base.MaxLatticeLevel, &l.MaxLatticeLevel},
-		{"max_nodes", base.MaxNodes, &l.MaxNodes},
-		{"max_depth", base.MaxDepth, &l.MaxDepth},
-	} {
-		vs := q[p.name]
+	for i, dst := range []*int{&l.MaxTuples, &l.MaxLatticeLevel, &l.MaxNodes, &l.MaxDepth} {
+		// l starts as base, so *dst is the server's bound until set below.
+		name, server := limitParams[i], *dst
+		vs := q[name]
 		if len(vs) == 0 {
 			continue
 		}
 		n, err := strconv.Atoi(vs[0])
 		if err != nil {
-			return l, badRequest("bad %s %q: %v", p.name, vs[0], err)
+			return l, badRequest("bad %s %q: %v", name, vs[0], err)
 		}
 		if n < 0 {
-			return l, badRequest("bad %s %d: must be non-negative", p.name, n)
+			return l, badRequest("bad %s %d: must be non-negative", name, n)
 		}
 		// 0 asks for "unlimited", which only an unbounded server grants.
-		if p.server > 0 && (n == 0 || n > p.server) {
-			n = p.server
+		if server > 0 && (n == 0 || n > server) {
+			n = server
 		}
-		*p.dst = n
+		*dst = n
 	}
 	return l, nil
+}
+
+// fixedLimits rejects limit parameters on a resident document's
+// discover: its engine, and so its limits, were fixed when POST
+// /v1/documents created it, and the warm layer is not keyed by them.
+func fixedLimits(q url.Values) error {
+	for _, name := range limitParams {
+		if q.Has(name) {
+			return badRequest("%s is not accepted here: a resident document's limits are set at POST /v1/documents", name)
+		}
+	}
+	return nil
 }

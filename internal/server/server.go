@@ -2,8 +2,9 @@
 // long-lived, fault-tolerant service. It exposes synchronous
 // discovery (POST /v1/discover), an async job API (POST /v1/jobs,
 // GET /v1/jobs/{id}) with live progress streamed from the run's trace
-// events, and the operational endpoints /healthz, /readyz, /v1/stats,
-// and /debug/vars.
+// events, resident documents (POST /v1/documents, updated in place by
+// PATCH and re-discovered incrementally), and the operational
+// endpoints /healthz, /readyz, /v1/stats and /metrics.
 //
 // The interesting part is not the routing but the robustness
 // contract, built from the library's governance primitives:
@@ -15,6 +16,9 @@
 //     request context, so a client disconnect aborts its run through
 //     the engine's governor; the per-request timeout composes with
 //     Limits.Deadline (the run honors the earlier of the two).
+//   - Limits: request parameters may only tighten the server's
+//     Limits. A resident document's are fixed when it is created, so
+//     its discover endpoint rejects limit parameters with 400.
 //   - Graceful degradation: ?degrade=truncate turns budget
 //     exhaustion into a 200 carrying the partial Result (with
 //     Stats.Truncated set) instead of a 504 — the anytime-serving
@@ -33,7 +37,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -216,7 +219,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("GET /readyz", http.HandlerFunc(s.handleReadyz))
 	handle("GET /v1/stats", http.HandlerFunc(s.handleStats))
 	handle("GET /metrics", http.HandlerFunc(s.handleMetrics))
-	handle("GET /debug/vars", expvar.Handler())
 	handle("POST /v1/discover", s.guard(s.handleDiscover))
 	handle("POST /v1/jobs", s.guard(s.handleSubmitJob))
 	handle("GET /v1/jobs/{id}", s.recovered(s.handleJobStatus))

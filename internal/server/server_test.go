@@ -97,6 +97,10 @@ func TestHealthEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("stats body: %v", err)
 	}
+	// /v1/stats is the one JSON counter endpoint: no expvar twin.
+	if rec := do(s, "GET", "/debug/vars", nil, nil); rec.Code != http.StatusNotFound {
+		t.Errorf("debug/vars = %d, want 404", rec.Code)
+	}
 }
 
 // TestSyncDiscoverRawXML pins the sync path end to end: a raw XML body

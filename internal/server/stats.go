@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"discoverxfd/internal/telemetry"
 )
 
 // counters is the server's cumulative operational state, updated
@@ -73,10 +71,10 @@ type TenantStats struct {
 	Sheds   map[string]int64 `json:"sheds,omitempty"`
 }
 
-// StatsSnapshot is one observation of the server (GET /v1/stats, and
-// the xfdd expvar). Gauges (Running, Queued, Jobs, Draining, and the
-// per-tenant load inside Tenants) are read at snapshot time;
-// everything else is cumulative.
+// StatsSnapshot is one observation of the server (GET /v1/stats).
+// Gauges (Running, Queued, Jobs, Draining, and the per-tenant load
+// inside Tenants) are read at snapshot time; everything else is
+// cumulative.
 type StatsSnapshot struct {
 	Accepted         int64 `json:"accepted"`
 	Completed        int64 `json:"completed"`
@@ -105,16 +103,6 @@ type StatsSnapshot struct {
 	// sheds to its per-tenant view (encoding/json renders map keys
 	// sorted, so the document is deterministic).
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-}
-
-// PublishExpvar publishes the live stats snapshot under name in the
-// process's expvar registry (served at /debug/vars). Publication is
-// idempotent: re-publishing under a name replaces the earlier
-// publisher instead of panicking, so a process can build many Servers
-// (tests, restarts behind one mux) without tripping expvar's
-// duplicate-name panic.
-func (s *Server) PublishExpvar(name string) {
-	telemetry.PublishExpvar(name, func() any { return s.Stats() })
 }
 
 // Stats returns a consistent-enough snapshot of the server's counters

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -170,19 +169,5 @@ func TestFormatValue(t *testing.T) {
 	}
 	if got := formatValue(math.Inf(1)); got != "+Inf" && got != "+inf" {
 		t.Logf("formatValue(+Inf) = %q", got) // informational: gauges never emit Inf
-	}
-}
-
-// TestPublishExpvarIdempotent is the duplicate-name regression: two
-// publishers under one name must not panic, and the latest must win.
-func TestPublishExpvarIdempotent(t *testing.T) {
-	PublishExpvar("telemetry_test_var", func() any { return 1 })
-	PublishExpvar("telemetry_test_var", func() any { return 2 })
-	v := expvar.Get("telemetry_test_var")
-	if v == nil {
-		t.Fatal("var not published")
-	}
-	if got := v.String(); got != "2" {
-		t.Errorf("expvar reads %s, want 2 (latest publisher wins)", got)
 	}
 }

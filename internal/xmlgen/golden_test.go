@@ -1,7 +1,9 @@
 package xmlgen
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/relation"
@@ -28,7 +30,7 @@ func TestGoldenDiscoveryCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		res, err := core.Discover(h, core.Options{PropagatePartial: true})
+		res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

@@ -65,7 +65,7 @@ note "stage 1: health"
 code 200 "$BASE/healthz"
 code 200 "$BASE/readyz"
 code 200 "$BASE/v1/stats"
-code 200 "$BASE/debug/vars"
+code 404 "$BASE/debug/vars"
 
 note "stage 2: synchronous discovery"
 code 200 --data-binary "@$WORK/corpus.xml" "$BASE/v1/discover?timeout=60s"
@@ -124,6 +124,7 @@ python3 -c "import json; assert json.load(open('$WORK/body'))['fds']" ||
 code 422 -X PATCH --data-binary '[{"op":"delete","class":"/warehouse/state","key":999999}]' \
   "$BASE/v1/documents/$DOC"
 code 400 -X PATCH --data-binary 'not json' "$BASE/v1/documents/$DOC"
+code 400 -X POST "$BASE/v1/documents/$DOC/discover?max_lattice_level=1"
 code 404 -X PATCH --data-binary '[{"op":"delete","class":"/x","key":1}]' "$BASE/v1/documents/doc-999999"
 code 200 "$BASE/v1/documents"
 [ "$(stat_field docUpdates)" = "2" ] || fail "docUpdates $(stat_field docUpdates), want 2"
