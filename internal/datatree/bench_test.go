@@ -69,6 +69,46 @@ func TestParseAllocsPerNode(t *testing.T) {
 	t.Logf("allocations per data node: ParseXML %.2f, StreamRootChildren %.2f", parse/nodes, stream/nodes)
 }
 
+// TestIngestAllocs bounds the allocations of the two per-node ingest
+// passes. InferSchema allocates per distinct path only, so it
+// allocates the same count at any document size; a cold Encode
+// allocates about once per distinct subtree, for its intern key.
+func TestIngestAllocs(t *testing.T) {
+	inferAllocs := func(books int) float64 {
+		tr, err := ParseXMLString(benchDoc(books))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := InferSchema(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := inferAllocs(1000), inferAllocs(4000)
+	if small != large {
+		t.Fatalf("InferSchema allocations grow with the document: %.0f at 1000 books, %.0f at 4000", small, large)
+	}
+
+	tr, err := ParseXMLString(benchDoc(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var distinct Encoder
+	distinct.Encode(tr.Root)
+	subtrees := float64(len(distinct.intern))
+	encode := testing.AllocsPerRun(5, func() {
+		var e Encoder
+		e.Encode(tr.Root)
+	})
+	const bound = 1.5
+	if encode/subtrees > bound {
+		t.Fatalf("cold Encode allocations per distinct subtree: %.2f, want <= %.1f", encode/subtrees, bound)
+	}
+	t.Logf("InferSchema allocations: %.0f at either size; cold Encode allocations per distinct subtree: %.2f",
+		small, encode/subtrees)
+}
+
 func BenchmarkEncodeTree(b *testing.B) {
 	tr, err := ParseXMLString(benchDoc(1000))
 	if err != nil {

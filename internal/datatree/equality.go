@@ -1,9 +1,8 @@
 package datatree
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"slices"
 )
 
 // Encoder assigns canonical integer codes to subtrees such that two
@@ -19,46 +18,74 @@ import (
 // across those trees, which is what path-value equality
 // (Definition 4) between documents needs.
 //
+// A node's intern key is its label, a NUL, 'v' and the value if it
+// has one, a NUL, then its sorted child codes as uvarints. The key is
+// injective: labels hold no NUL, so the first NUL ends the label, and
+// the uvarint of a code >= 1 holds no zero byte, so the last NUL ends
+// the value, whatever bytes the value holds. Multiset and list keys
+// hold exactly one NUL ("ms" or "ls", a NUL, the codes), a node key
+// at least two. Keys are built in one reused buffer, and only
+// distinct keys allocate.
+//
 // The zero value is ready to use. Encoders are not safe for
 // concurrent use.
 type Encoder struct {
 	intern map[string]int
-	cache  map[*Node]int
+	memo   map[*Node]int // codes of the nodes with children
+	key    []byte        // the intern key being built
+	codes  []int         // child codes, one frame per node being encoded
 }
 
 // Encode returns the canonical code of the subtree rooted at n.
 func (e *Encoder) Encode(n *Node) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
+	if len(n.Children) == 0 {
+		return e.internNode(n, nil)
 	}
-	if c, ok := e.cache[n]; ok {
+	if c, ok := e.memo[n]; ok {
 		return c
 	}
-	childCodes := make([]int, len(n.Children))
-	for i, c := range n.Children {
-		childCodes[i] = e.Encode(c)
+	base := len(e.codes)
+	for _, c := range n.Children {
+		code := e.Encode(c) // may grow e.codes: append only after it returns
+		e.codes = append(e.codes, code)
 	}
-	sort.Ints(childCodes)
-	var b strings.Builder
-	b.WriteString(n.Label)
-	b.WriteByte(0)
+	codes := e.codes[base:]
+	slices.Sort(codes)
+	code := e.internNode(n, codes)
+	e.codes = e.codes[:base]
+	if e.memo == nil {
+		e.memo = make(map[*Node]int)
+	}
+	e.memo[n] = code
+	return code
+}
+
+// internNode interns the key of n with the given sorted child codes.
+func (e *Encoder) internNode(n *Node, codes []int) int {
+	k := append(e.key[:0], n.Label...)
+	k = append(k, 0)
 	if n.HasValue {
-		b.WriteByte('v')
-		b.WriteString(n.Value)
+		k = append(k, 'v')
+		k = append(k, n.Value...)
 	}
-	b.WriteByte(0)
-	for _, c := range childCodes {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
+	return e.internKey(append(k, 0), codes)
+}
+
+// internKey appends codes to the key prefix k and returns the code of
+// the finished key, handing out the next code to a key never seen.
+func (e *Encoder) internKey(k []byte, codes []int) int {
+	for _, c := range codes {
+		k = binary.AppendUvarint(k, uint64(c))
 	}
-	key := b.String()
-	code, ok := e.intern[key]
+	e.key = k
+	if e.intern == nil {
+		e.intern = make(map[string]int)
+	}
+	code, ok := e.intern[string(k)]
 	if !ok {
 		code = len(e.intern) + 1
-		e.intern[key] = code
+		e.intern[string(k)] = code
 	}
-	e.cache[n] = code
 	return code
 }
 
@@ -95,39 +122,32 @@ func (e *Encoder) MultisetCode(nodes []*Node) int {
 // hierarchy builder uses this form for member codes it has already
 // computed, including those of streamed subtrees that are long gone.
 func (e *Encoder) MultisetOfCodes(codes []int) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
-	}
-	sort.Ints(codes)
-	return e.internCodes("ms", codes)
+	slices.Sort(codes)
+	return e.internKey(append(e.key[:0], "ms\x00"...), codes)
 }
 
-// Invalidate drops the cached codes of n and every ancestor of n.
+// Invalidate drops the memoized codes of n and every ancestor of n.
 // Call it after mutating a node (value change, child grafted or
 // pruned): the subtree codes of the node and its ancestors are stale,
-// while interned codes and the rest of the cache stay valid — an
+// while interned codes and the rest of the memo stay valid — an
 // unchanged subtree re-encodes to its old code, which is what lets
 // incremental updates detect that a column did not actually change.
 func (e *Encoder) Invalidate(n *Node) {
-	if e.cache == nil {
-		return
-	}
 	for m := n; m != nil; m = m.Parent {
-		delete(e.cache, m)
+		delete(e.memo, m)
 	}
 }
 
 // Forget drops the per-node memoization for the subtree rooted at n.
 // Interned canonical codes stay valid; streaming builders call this
-// after processing a subtree so the cache does not retain discarded
-// nodes.
+// after processing a subtree so the memo does not retain discarded
+// nodes. Leaves are never memoized, so the walk skips them.
 func (e *Encoder) Forget(n *Node) {
-	if e.cache == nil {
-		return
-	}
 	n.Walk(func(m *Node) bool {
-		delete(e.cache, m)
+		if len(m.Children) == 0 {
+			return false
+		}
+		delete(e.memo, m)
 		return true
 	})
 }
@@ -148,28 +168,7 @@ func (e *Encoder) ListCode(nodes []*Node) int {
 // ListOfCodes interns an ordered list of already-encoded subtree
 // codes: the ordered counterpart of MultisetOfCodes.
 func (e *Encoder) ListOfCodes(codes []int) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
-	}
-	return e.internCodes("ls", codes)
-}
-
-func (e *Encoder) internCodes(tag string, codes []int) int {
-	var b strings.Builder
-	b.WriteString(tag)
-	b.WriteByte(0)
-	for _, c := range codes {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
-	}
-	key := b.String()
-	code, ok := e.intern[key]
-	if !ok {
-		code = len(e.intern) + 1
-		e.intern[key] = code
-	}
-	return code
+	return e.internKey(append(e.key[:0], "ls\x00"...), codes)
 }
 
 // PathValueEqual reports whether path p1 on tree t1 and path p2 on

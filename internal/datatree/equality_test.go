@@ -57,6 +57,38 @@ func TestEncoderSharedAcrossTrees(t *testing.T) {
 	}
 }
 
+// TestEncoderInvalidate checks, with one encoder throughout, the
+// contract relation.Apply relies on to detect unchanged columns: after
+// a leaf value changes and the leaf is invalidated, the root
+// re-encodes to the code of the changed document while an untouched
+// sibling subtree keeps its code, and restoring the value gives back
+// the original root code.
+func TestEncoderInvalidate(t *testing.T) {
+	tr := parse(t, `<r><a><x>1</x><y>2</y></a><b><x>3</x></b></r>`)
+	changed := parse(t, `<r><a><x>9</x><y>2</y></a><b><x>3</x></b></r>`)
+	var e Encoder
+	root := e.Encode(tr.Root)
+	sibling := tr.Root.Children[1]
+	siblingCode := e.Encode(sibling)
+	leaf := tr.Root.Children[0].Children[0]
+
+	leaf.Value = "9"
+	e.Invalidate(leaf)
+	if got := e.Encode(tr.Root); got == root || got != e.Encode(changed.Root) {
+		t.Fatalf("root code after the change is %d: was %d, the changed document encodes to %d",
+			got, root, e.Encode(changed.Root))
+	}
+	if got := e.Encode(sibling); got != siblingCode {
+		t.Fatalf("untouched sibling subtree re-encodes to %d, was %d", got, siblingCode)
+	}
+
+	leaf.Value = "1"
+	e.Invalidate(leaf)
+	if got := e.Encode(tr.Root); got != root {
+		t.Fatalf("restored document encodes to %d, want the original root code %d", got, root)
+	}
+}
+
 func TestMultisetVsListCode(t *testing.T) {
 	var e Encoder
 	a := parse(t, `<r><a>1</a><a>2</a></r>`)

@@ -41,12 +41,19 @@ func FuzzParseXML(f *testing.F) {
 	})
 }
 
+// inferSeeds seed the schema inference fuzz targets.
+var inferSeeds = []string{
+	"<a><b>1</b><b>x</b><c><d/></c></a>",
+	"<r><x>1.5</x><x>2</x></r>",
+	"<p>text <b>bold</b></p>",
+}
+
 // FuzzInferConform asserts that a schema inferred from any parseable
 // document accepts that document.
 func FuzzInferConform(f *testing.F) {
-	f.Add("<a><b>1</b><b>x</b><c><d/></c></a>")
-	f.Add("<r><x>1.5</x><x>2</x></r>")
-	f.Add("<p>text <b>bold</b></p>")
+	for _, s := range inferSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ParseXMLString(input)
 		if err != nil {
@@ -59,6 +66,45 @@ func FuzzInferConform(f *testing.F) {
 		if err := Conform(tr, s); err != nil {
 			t.Fatalf("document rejected by its inferred schema: %v\n%q", err, input)
 		}
+	})
+}
+
+// leafColumnSeeds are leaf columns mixing values at the borders of
+// int, float and str, in every rotation and as every ordered pair, so
+// each order in which a path can widen is seeded.
+func leafColumnSeeds() []string {
+	vals := []string{"NaN", "Inf", "+5", "1e3", "9223372036854775808", "1_000", "0x10", "7"}
+	var seeds []string
+	for i := range vals {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for j := range vals {
+			b.WriteString("<x>" + vals[(i+j)%len(vals)] + "</x>")
+		}
+		b.WriteString("</r>")
+		seeds = append(seeds, b.String())
+		for _, w := range vals {
+			seeds = append(seeds, "<r><x>"+vals[i]+"</x><x>"+w+"</x></r>")
+		}
+	}
+	return seeds
+}
+
+// FuzzIngestMatchesOracle asserts that schema inference and subtree
+// encoding agree with the oracles they replaced on every parseable
+// document (see CheckIngestMatchesOracle).
+func FuzzIngestMatchesOracle(f *testing.F) {
+	for _, seeds := range [][]string{parseSeeds, xmlnsRootSeeds, inferSeeds, leafColumnSeeds()} {
+		for _, s := range seeds {
+			f.Add(s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		tr, err := ParseXMLString(input)
+		if err != nil {
+			return
+		}
+		CheckIngestMatchesOracle(t, tr)
 	})
 }
 

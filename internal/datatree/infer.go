@@ -29,92 +29,150 @@ func InferSchema(t *Tree) (*schema.Schema, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("datatree: cannot infer schema from empty tree")
 	}
-	type info struct {
-		set      bool
-		complex_ bool
-		sawInt   bool
-		sawFloat bool
-		sawStr   bool
-		sawAny   bool
-		children map[string]bool
-		order    []string
-	}
-	infos := make(map[schema.Path]*info)
-	get := func(p schema.Path) *info {
-		in := infos[p]
-		if in == nil {
-			in = &info{children: make(map[string]bool)}
-			infos[p] = in
-		}
-		return in
-	}
+	in := inference{ids: make(map[pathStep]int)}
+	in.paths = append(in.paths, pathInfo{label: t.Root.Label})
+	in.walk(t.Root, 0)
+	return schema.New(t.Root.Label, in.build(t, 0, schema.PathOf(t.Root.Label)))
+}
 
-	var rec func(n *Node, p schema.Path)
-	rec = func(n *Node, p schema.Path) {
-		in := get(p)
-		counts := make(map[string]int)
-		for _, c := range n.Children {
-			counts[c.Label]++
-			if !in.children[c.Label] {
-				in.children[c.Label] = true
-				in.order = append(in.order, c.Label)
-			}
-		}
-		if len(n.Children) > 0 {
-			in.complex_ = true
-		}
-		for label, cnt := range counts {
-			if cnt > 1 {
-				get(p.Child(label)).set = true
-			}
-		}
-		if n.HasValue {
-			in.sawAny = true
-			v := strings.TrimSpace(n.Value)
-			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-				in.sawInt = true
-			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
-				in.sawFloat = true
-			} else {
-				in.sawStr = true
-			}
-		}
-		for _, c := range n.Children {
-			rec(c, p.Child(c.Label))
-		}
-	}
-	rootPath := schema.PathOf(t.Root.Label)
-	rec(t.Root, rootPath)
+// inference holds what InferSchema learned about each element path of
+// a tree. Paths are interned as ids from (parent id, label), so the
+// walk builds no path string and allocates per distinct path only;
+// the path strings are built once each, when the schema is assembled.
+type inference struct {
+	paths []pathInfo
+	ids   map[pathStep]int // index into the parent path's children
+	nodes int              // nodes with children visited so far, for pathInfo.under
+}
 
-	tree := t // build's local t shadows the parameter
-	var build func(p schema.Path) *schema.Type
-	build = func(p schema.Path) *schema.Type {
-		in := infos[p]
-		var t *schema.Type
-		if in.complex_ {
-			fields := make([]schema.Field, 0, len(in.order))
-			for _, label := range in.order {
-				fields = append(fields, schema.F(label, build(p.Child(label))))
-			}
-			t = schema.Rcd(fields...)
-		} else {
-			switch {
-			case in.sawStr || !in.sawAny:
-				t = schema.Simple(schema.String)
-			case in.sawFloat:
-				t = schema.Simple(schema.Float)
-			case in.sawInt:
-				t = schema.Simple(schema.Int)
-			default:
-				t = schema.Simple(schema.String)
-			}
-		}
-		if in.set || tree.SetHinted(p) {
-			t = schema.SetOf(t)
-		}
-		return t
+// pathStep names a child path by its parent path id and its label.
+type pathStep struct {
+	parent int32
+	label  string
+}
+
+// pathInfo is what inference learned about one path.
+type pathInfo struct {
+	label    string
+	children []int32 // child path ids in order of first appearance
+	last     int     // index in children of the child path found last
+	set      bool
+	complex_ bool
+	leaf     leafKind
+	// under is the visit number of the last node at the parent path
+	// seen with a child at this path; seeing the number again means
+	// the parent holds two or more, so the element is a set element.
+	under int
+}
+
+// leafKind is the most specific simple type admitting every value
+// seen at a path: int ⊂ float ⊂ str, with noValue below all three.
+type leafKind uint8
+
+const (
+	noValue leafKind = iota
+	intValue
+	floatValue
+	strValue
+)
+
+// widen returns the most specific kind admitting k's values and v.
+// Every string ParseInt accepts in base 10 parses as a float too, so a
+// float path needs only ParseFloat and a str path no parse at all.
+func (k leafKind) widen(v string) leafKind {
+	if k == strValue {
+		return k
 	}
-	return schema.New(t.Root.Label, build(rootPath))
+	v = strings.TrimSpace(v)
+	if k == floatValue {
+		if _, err := strconv.ParseFloat(v, 64); err != nil {
+			return strValue
+		}
+		return k
+	}
+	if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+		return intValue
+	}
+	if _, err := strconv.ParseFloat(v, 64); err == nil {
+		return floatValue
+	}
+	return strValue
+}
+
+// walk records node n, found at path id, and its subtree.
+func (in *inference) walk(n *Node, id int32) {
+	if n.HasValue {
+		in.paths[id].leaf = in.paths[id].leaf.widen(n.Value)
+	}
+	if len(n.Children) == 0 {
+		return
+	}
+	in.paths[id].complex_ = true
+	in.nodes++
+	visit := in.nodes
+	for _, c := range n.Children {
+		cid := in.child(id, c.Label)
+		// Only nodes at path id touch the marks of its child paths,
+		// and none of them lies below n, so walking c first is safe.
+		if in.paths[cid].under == visit {
+			in.paths[cid].set = true
+		}
+		in.paths[cid].under = visit
+		in.walk(c, cid)
+	}
+}
+
+// child returns the id of the path label under path id, interning it
+// on first sight. Siblings mostly repeat a label or follow the label
+// order of the previous node at the path, so the lookup tries the
+// child path found last and the one after it before the map.
+func (in *inference) child(id int32, label string) int32 {
+	p := &in.paths[id]
+	if k := len(p.children); k > 0 {
+		if c := p.children[p.last]; in.paths[c].label == label {
+			return c
+		}
+		next := (p.last + 1) % k
+		if c := p.children[next]; in.paths[c].label == label {
+			p.last = next
+			return c
+		}
+	}
+	i, ok := in.ids[pathStep{id, label}]
+	if !ok {
+		i = len(p.children)
+		in.ids[pathStep{id, label}] = i
+		p.children = append(p.children, int32(len(in.paths)))
+		in.paths = append(in.paths, pathInfo{label: label}) // may move *p
+		p = &in.paths[id]
+	}
+	p.last = i
+	return p.children[i]
+}
+
+// build assembles the schema type of path id, whose string is p.
+func (in *inference) build(t *Tree, id int32, p schema.Path) *schema.Type {
+	info := &in.paths[id]
+	var typ *schema.Type
+	switch {
+	case info.complex_:
+		fields := make([]schema.Field, 0, len(info.children))
+		for _, c := range info.children {
+			label := in.paths[c].label
+			fields = append(fields, schema.F(label, in.build(t, c, p.Child(label))))
+		}
+		typ = schema.Rcd(fields...)
+	case info.leaf == intValue:
+		typ = schema.Simple(schema.Int)
+	case info.leaf == floatValue:
+		typ = schema.Simple(schema.Float)
+	default: // strValue, or noValue when every node seen was valueless
+		typ = schema.Simple(schema.String)
+	}
+	if info.set || t.SetHinted(p) {
+		typ = schema.SetOf(typ)
+	}
+	return typ
 }
 
 // Conform checks that the tree conforms to the schema: every node's
