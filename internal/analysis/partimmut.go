@@ -15,9 +15,14 @@ import (
 // Jagadish's partition reuse assumes frozen partitions). Two rules:
 //
 //   - Partition immutability: assignments to Partition fields (or
-//     through them, e.g. p.Groups[i][j] = x, or *p = ...) are allowed
-//     only inside the internal/partition package's constructors —
-//     functions whose results include a Partition.
+//     through them, e.g. p.NRows = n, or *p = ...), and index writes
+//     on the group views Partition.Group returns, are allowed only
+//     inside the internal/partition package's constructors — functions
+//     whose results include a Partition. A view write is caught when
+//     it indexes the call itself (p.Group(i)[j] = x) or a variable
+//     assigned from it (g := p.Group(i); g[j] = x). A view that is
+//     resliced first, or handed to a callee that writes it
+//     (slices.Sort(p.Group(i))), is not tracked.
 //
 //   - Cache locality: fields of the cache types (partitionCache,
 //     relPartitions) may be written only in the file that declares
@@ -34,32 +39,31 @@ var PartImmut = &Analyzer{
 // mutated in their declaring file.
 var cacheTypes = []string{"partitionCache", "relPartitions"}
 
-// patchConstructors names the in-place patch constructors of
-// internal/partition: methods that assemble a not-yet-published
-// Partition on behalf of a returning constructor (Patch builds its
-// result through spliceFrom/mergeRebuilt) and therefore write fields
-// without having a Partition in their own results. The allowlist is
-// by name so a new in-place writer is an explicit, reviewed addition
-// here rather than a blanket //lint:partimmut suppression at the
-// write site.
-var patchConstructors = map[string]bool{
-	"spliceFrom":   true,
-	"mergeRebuilt": true,
-}
-
 func runPartImmut(pass *Pass) {
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
+		// views holds the variables assigned a Partition.Group view so
+		// far; a variable once bound to a view stays one.
+		views := make(map[types.Object]bool)
 		inspectStack(f, func(stack []ast.Node, n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					pass.checkWrite(stack, lhs)
+				for i, lhs := range n.Lhs {
+					pass.checkWrite(stack, lhs, views)
+					if id, ok := lhs.(*ast.Ident); ok && len(n.Rhs) == len(n.Lhs) && pass.isGroupCall(n.Rhs[i]) {
+						views[pass.Info.ObjectOf(id)] = true
+					}
+				}
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					if i < len(n.Values) && pass.isGroupCall(n.Values[i]) {
+						views[pass.Info.ObjectOf(id)] = true
+					}
 				}
 			case *ast.IncDecStmt:
-				pass.checkWrite(stack, n.X)
+				pass.checkWrite(stack, n.X, views)
 			}
 			return true
 		})
@@ -68,12 +72,18 @@ func runPartImmut(pass *Pass) {
 
 // checkWrite walks an assignment target down to its base and reports
 // forbidden Partition-field and cache-field writes.
-func (p *Pass) checkWrite(stack []ast.Node, lhs ast.Expr) {
+func (p *Pass) checkWrite(stack []ast.Node, lhs ast.Expr, views map[types.Object]bool) {
 	for {
 		switch e := lhs.(type) {
 		case *ast.ParenExpr:
 			lhs = e.X
 		case *ast.IndexExpr:
+			// p.Group(i)[j] = x writes into the partition's own rows.
+			base := ast.Unparen(e.X)
+			if id, ok := base.(*ast.Ident); (ok && views[p.Info.ObjectOf(id)]) || p.isGroupCall(base) {
+				p.reportPartitionWrite(stack, e.Pos(), "write through Partition.Group")
+				return
+			}
 			lhs = e.X
 		case *ast.StarExpr:
 			// *p = Partition{...} overwrites the shared struct wholesale.
@@ -101,6 +111,20 @@ func (p *Pass) checkWrite(stack []ast.Node, lhs ast.Expr) {
 	}
 }
 
+// isGroupCall reports whether x is a call of Partition.Group.
+func (p *Pass) isGroupCall(x ast.Expr) bool {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Group" {
+		return false
+	}
+	s, ok := p.Info.Selections[sel]
+	return ok && s.Kind() == types.MethodVal && isNamed(s.Recv(), "internal/partition", "Partition")
+}
+
 // reportPartitionWrite flags a Partition-field write unless it occurs
 // inside one of the partition package's constructors.
 func (p *Pass) reportPartitionWrite(stack []ast.Node, pos token.Pos, what string) {
@@ -122,9 +146,6 @@ func (p *Pass) inPartitionConstructor(stack []ast.Node) bool {
 	var ftype *ast.FuncType
 	switch fn := fn.(type) {
 	case *ast.FuncDecl:
-		if fn.Recv != nil && patchConstructors[fn.Name.Name] {
-			return true
-		}
 		ftype = fn.Type
 	case *ast.FuncLit:
 		ftype = fn.Type

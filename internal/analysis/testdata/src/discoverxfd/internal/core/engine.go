@@ -21,6 +21,28 @@ func mutate(p *partition.Partition) {
 	p.NRows = 1 // want "write to Partition.NRows"
 }
 
+// sortGroup writes into a cached partition's rows through the view
+// Group returns.
+func sortGroup(p *partition.Partition) {
+	g := p.Group(0)
+	p.Group(0)[0], p.Group(0)[1] = g[1], g[0] // want "write through Partition.Group" "write through Partition.Group"
+}
+
+// swapRows writes into the rows through variables bound to the view.
+func swapRows(p *partition.Partition) {
+	g := p.Group(0)
+	g[0], g[1] = g[1], g[0] // want "write through Partition.Group" "write through Partition.Group"
+	var h = p.Group(1)
+	h[0]++         // want "write through Partition.Group"
+	g = p.Group(2) // rebinding the variable writes nothing
+}
+
+// readGroup only reads the view.
+func readGroup(p *partition.Partition) int32 {
+	g := p.Group(1)
+	return p.Group(0)[0] + g[0]
+}
+
 func suppressedStash(rp *relPartitions, a string, p *partition.Partition) {
 	//lint:partimmut fixture models a migration shim documented in pcache.go
 	rp.parts[a] = p

@@ -4,24 +4,37 @@
 // post-publication mutation of a shared, cached value.
 package partition
 
-// Partition mirrors the real stripped-partition representation.
+// Partition mirrors the real stripped-partition representation: every
+// group's rows back to back, and each group's offset.
 type Partition struct {
-	Groups [][]int32
+	rows   []int32
+	starts []int32
 	NRows  int
+}
+
+// Group returns a view of group i's rows.
+func (p *Partition) Group(i int) []int32 {
+	lo, hi := p.starts[i], p.starts[i+1]
+	return p.rows[lo:hi:hi]
 }
 
 // FromGroups is a sanctioned constructor: it returns the Partition it
 // builds, so its field writes happen before publication.
 func FromGroups(groups [][]int32, n int) *Partition {
 	p := &Partition{}
-	p.Groups = groups
+	for _, g := range groups {
+		p.starts = append(p.starts, int32(len(p.rows)))
+		p.rows = append(p.rows, g...)
+	}
+	p.starts = append(p.starts, int32(len(p.rows)))
 	p.NRows = n
+	p.Group(0)[0] = 0
 	return p
 }
 
 // shrink also has constructor shape (a Partition in its results).
 func (p *Partition) shrink() *Partition {
-	p.Groups = p.Groups[:1]
+	p.starts = p.starts[:2]
 	return p
 }
 
@@ -31,8 +44,11 @@ func (p *Partition) reset() {
 }
 
 func poke(p *Partition) {
-	p.Groups[0][0] = 7 // want "write to Partition.Groups"
-	p.NRows++          // want "write to Partition.NRows"
+	p.rows[0] = 7       // want "write to Partition.rows"
+	p.NRows++           // want "write to Partition.NRows"
+	p.Group(0)[1] = 7   // want "write through Partition.Group"
+	p.Group(1)[0]--     // want "write through Partition.Group"
+	(p.Group(0))[0] = 7 // want "write through Partition.Group"
 }
 
 func clobber(dst *Partition, src Partition) {
@@ -44,27 +60,10 @@ func scrub(p *Partition) {
 	p.NRows = 0
 }
 
-// spliceFrom and mergeRebuilt are the allowlisted in-place patch
-// constructors: they build the unpublished partition Patch returns,
-// so their field writes are pre-publication despite the constructor
-// shape (no Partition in the results).
-func (p *Partition) spliceFrom(prev *Partition, affected []bool, n int) {
-	p.Groups = append(p.Groups, prev.Groups...)
-}
-
-func (p *Partition) mergeRebuilt(rebuilt [][]int32) {
-	p.Groups = append(p.Groups, rebuilt...)
-}
-
-// a same-shaped helper that is not on the allowlist is still flagged.
-func (p *Partition) spliceOther(prev *Partition) {
-	p.Groups = prev.Groups // want "write to Partition.Groups"
-}
-
-// the allowlist covers methods only; a plain function with the name
-// does not get a pass.
-func mergeRebuilt(p *Partition) {
-	p.NRows = 0 // want "write to Partition.NRows"
+// a helper that assembles a partition in place, without a Partition in
+// its results, is flagged like any other post-publication write.
+func (p *Partition) spliceFrom(prev *Partition) {
+	p.rows = append(p.rows, prev.rows...) // want "write to Partition.rows"
 }
 
 // function literals follow the same constructor rule.
@@ -74,11 +73,12 @@ var fill = func(p *Partition) {
 
 var build = func(groups [][]int32) *Partition {
 	p := &Partition{}
-	p.Groups = groups
+	p.NRows = len(groups)
 	return p
 }
 
-// reads are always fine.
+// reads are always fine, through the fields or a group view.
 func size(p *Partition) int {
-	return p.NRows + len(p.Groups)
+	g := p.Group(0)
+	return p.NRows + len(p.starts) + int(g[0])
 }

@@ -32,7 +32,8 @@ import (
 func g3Error(plhs *partition.Partition, allIDs []int32) int {
 	removals := 0
 	counts := make(map[int32]int)
-	for _, g := range plhs.Groups {
+	for i := range plhs.Size() {
+		g := plhs.Group(i)
 		clear(counts)
 		max := 1 // a stripped singleton subgroup always exists as a floor
 		for _, t := range g {
@@ -67,7 +68,8 @@ func g3Error(plhs *partition.Partition, allIDs []int32) int {
 // far over budget, making this the common exit.
 func g3ErrorDense(plhs *partition.Partition, allIDs []int32, counts []int32, limit int) int {
 	removals := 0
-	for _, g := range plhs.Groups {
+	for i := range plhs.Size() {
+		g := plhs.Group(i)
 		max := int32(1) // a stripped singleton subgroup always exists as a floor
 		for _, t := range g {
 			if id := allIDs[t]; id >= 0 {
@@ -146,8 +148,8 @@ func (lr *latticeRun) discoverApprox(maxErr float64) []FD {
 			if lr.opts.NaivePartitions {
 				removals = g3Error(pal, lr.groupIDs(a))
 			} else {
-				if len(pa.Groups) > len(counts) {
-					counts = make([]int32, len(pa.Groups))
+				if pa.Size() > len(counts) {
+					counts = make([]int32, pa.Size())
 				}
 				removals = g3ErrorDense(pal, lr.groupIDs(a), counts, budget)
 			}

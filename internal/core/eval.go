@@ -200,7 +200,7 @@ type verifier struct {
 	// lifts memoizes lifted attribute partitions for the length of the
 	// stage, keyed by (origin, relation, attribute), the relations by
 	// Relation.Index.
-	lifts  map[[3]int]*partition.Partition
+	lifts  map[[3]int]*lifted
 	codes  []int64 // the lifted column being built
 	counts []int32 // RHS multiplicities by dense code; all zero between groups
 }
@@ -211,7 +211,7 @@ func newVerifier(h *relation.Hierarchy, cache *partitionCache, naive bool) *veri
 		rows = max(rows, r.NRows())
 	}
 	return &verifier{h: h, cache: cache, naive: naive, sc: partition.GetScratch(rows),
-		lifts: make(map[[3]int]*partition.Partition)}
+		lifts: make(map[[3]int]*lifted)}
 }
 
 // close returns the pooled scratch.
@@ -224,25 +224,40 @@ func (v *verifier) close() {
 // reaches into ancestor relations: the product of its attributes'
 // lifted partitions.
 func (v *verifier) lhsPartition(origin *relation.Relation, refs []ref) *partition.Partition {
-	p := v.lift(origin, refs[0])
+	p := v.lift(origin, refs[0]).p
 	for _, r := range refs[1:] {
 		if p.IsKey() {
 			break // every row is a singleton already
 		}
-		p = p.Product(v.lift(origin, r), v.sc)
+		p = p.Product(v.lift(origin, r).groupIDs(), v.sc)
 	}
 	return p
 }
 
+// lifted is a memoized lifted partition with its row→group ids, which
+// are computed the first time the lift is a right operand of a
+// product.
+type lifted struct {
+	p   *partition.Partition
+	ids []int32
+}
+
+func (l *lifted) groupIDs() []int32 {
+	if l.ids == nil {
+		l.ids = l.p.GroupIDs()
+	}
+	return l.ids
+}
+
 // lift returns the partition of the origin's rows by one LHS
-// attribute. An ancestor attribute's code is read by walking ParentIdx
-// up from each origin row; a missing ancestor or a null value gets a
-// row-unique null code, so the row is a singleton — exactly the tuples
-// Evaluate skips as vacuous.
-func (v *verifier) lift(origin *relation.Relation, r ref) *partition.Partition {
+// attribute, memoized for the stage. An ancestor attribute's code is
+// read by walking ParentIdx up from each origin row; a missing
+// ancestor or a null value gets a row-unique null code, so the row is
+// a singleton — exactly the tuples Evaluate skips as vacuous.
+func (v *verifier) lift(origin *relation.Relation, r ref) *lifted {
 	key := [3]int{origin.Index, r.rel.Index, r.attr}
-	if p, ok := v.lifts[key]; ok {
-		return p
+	if l, ok := v.lifts[key]; ok {
+		return l
 	}
 	var p *partition.Partition
 	if r.ups == 0 {
@@ -265,8 +280,9 @@ func (v *verifier) lift(origin *relation.Relation, r ref) *partition.Partition {
 		}
 		p = partition.FromDense(codes, bound)
 	}
-	v.lifts[key] = p
-	return p
+	l := &lifted{p: p}
+	v.lifts[key] = l
+	return l
 }
 
 // evaluation derives the Evaluation of LHS → rhs from Π_LHS, whose
@@ -281,7 +297,8 @@ func (v *verifier) evaluation(p *partition.Partition, rcol []int64, bound int64)
 	}
 	ev := Evaluation{Holds: true, LHSIsKey: p.IsKey()}
 	removals := 0
-	for _, g := range p.Groups {
+	for i := range p.Size() {
+		g := p.Group(i)
 		first := rcol[g[0]]
 		agree := !relation.IsNull(first)
 		most := int32(1)

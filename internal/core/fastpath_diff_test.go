@@ -178,9 +178,26 @@ func TestFastPartitionsMatchNaive(t *testing.T) {
 	}
 }
 
+// storeBytes recomputes a store's charge from what it holds.
+func storeBytes(rp *relPartitions) int64 {
+	n := int64(0)
+	for _, p := range rp.parts {
+		n += p.MemBytes()
+	}
+	for _, g := range rp.gids {
+		n += 4 * int64(len(g))
+	}
+	for _, nl := range rp.nulls {
+		n += int64(len(nl))
+	}
+	return n
+}
+
 // TestCacheEvictionRecomputes checks that trimming a retired store
 // down to its column partitions loses no information: a later lookup
-// rebuilds the same partition.
+// rebuilds the same partition. The cache's byte gauge must count the
+// derived lookups as well as the partitions, before and after the
+// trim.
 func TestCacheEvictionRecomputes(t *testing.T) {
 	ds := xmlgen.Wide(xmlgen.WideParams{Rows: 100, Attrs: 6, Domain: 4, FDEvery: 2, Seed: 3})
 	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
@@ -193,9 +210,16 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 	sc := partition.NewScratch(r.NRows())
 	a := AttrSet(0).Add(0).Add(1).Add(2)
 	before := cache.partitionOf(rp, a, sc, false, nil)
+	cache.nullsOf(rp, a, func() []bool { return make([]bool, r.NRows()) })
+	if got, want := cache.liveBytes(), storeBytes(rp); got != want || len(rp.gids) == 0 {
+		t.Fatalf("cache charges %d bytes for a store holding %d (%d group-id lookups)", got, want, len(rp.gids))
+	}
 	cache.retire(rp)
 	if _, ok := rp.parts[a]; ok {
 		t.Fatal("retire under a 1-byte budget kept a multi-attribute partition")
+	}
+	if got, want := cache.liveBytes(), storeBytes(rp); got != want || len(rp.gids)+len(rp.nulls) != 0 {
+		t.Fatalf("after the trim the cache charges %d bytes for a store holding %d (%d lookups kept)", got, want, len(rp.gids)+len(rp.nulls))
 	}
 	if cache.evictions.Load() == 0 {
 		t.Fatal("no evictions counted")

@@ -273,11 +273,12 @@ type Options struct {
 	// engine, kept selectable for differential tests and as the
 	// benchmark baseline; results are identical either way.
 	NaivePartitions bool
-	// MaxPartitionBytes caps the estimated bytes of partitions retained
-	// by the run-wide cache across relations. The active relation's
-	// working set is never evicted mid-traversal; completed relations
-	// are trimmed to column partitions when over budget. Eviction
-	// affects speed only, never results. 0 means unlimited.
+	// MaxPartitionBytes caps the estimated bytes of partitions, and of
+	// the group-id and null lookups derived from them, retained by the
+	// run-wide cache across relations. The active relation's working
+	// set is never evicted mid-traversal; completed relations are
+	// trimmed to column partitions when over budget. Eviction affects
+	// speed only, never results. 0 means unlimited.
 	MaxPartitionBytes int64
 	// MaxLatticeLevel caps the attribute-set size explored in any
 	// relation's lattice. Unlike MaxLHS (a language restriction on the

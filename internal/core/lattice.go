@@ -302,7 +302,7 @@ func (lr *latticeRun) seedKeyTarget(a AttrSet, pa *partition.Partition) {
 		return
 	}
 	ts := time.Now()
-	if lr.doomed() && len(pa.Groups) > 0 {
+	if lr.doomed() && !pa.IsKey() {
 		targetDropped(lr.rel, lr.opts, lr.stats, "degenerate pair unsatisfiable")
 	} else {
 		lr.emit(createTarget(lr.rel, a, 0, pa, nil, lr.ni, &lr.ts, lr.opts, lr.stats))
@@ -459,16 +459,18 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 		return
 	}
 	// Resolve each product's operands serially first (almost always
-	// cache hits from the previous level); workers then run pure
-	// products with no shared state.
+	// cache hits from the previous level, and the column's group ids
+	// from the store); workers then run pure products with no shared
+	// state.
 	type job struct {
-		a            AttrSet
-		rest, single *partition.Partition
+		a    AttrSet
+		rest *partition.Partition
+		ids  []int32
 	}
 	jobs := make([]job, 0, len(work))
 	for _, a := range work {
-		b := a.MaxBit()
-		jobs = append(jobs, job{a, lr.getPartition(a.Without(b)), lr.getPartition(AttrSet(0).Add(b))})
+		rest, ids := lr.cache.operands(lr.pc, a, lr.sc, lr.opts.NaivePartitions, lr.stats)
+		jobs = append(jobs, job{a, rest, ids})
 	}
 	results := make([]*partition.Partition, len(jobs))
 	errs := make([]error, len(jobs))
@@ -496,7 +498,7 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 					errs[i] = err
 					return
 				}
-				results[i] = jobs[i].rest.Product(jobs[i].single, sc)
+				results[i] = jobs[i].rest.Product(jobs[i].ids, sc)
 			}
 		})
 	}
@@ -521,14 +523,14 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 
 // groupIDs returns (and caches) the row→group lookup for Π_A.
 func (lr *latticeRun) groupIDs(a AttrSet) []int32 {
-	return lr.pc.gidsOf(a, func() []int32 { return lr.getPartition(a).GroupIDs() })
+	return lr.cache.gidsOf(lr.pc, a, func() []int32 { return lr.getPartition(a).GroupIDs() })
 }
 
 // nullsFor returns (and caches) the per-row missing-value lookup for
 // attribute set a: true where any attribute of a is null. Used by
 // target checks, where a missing value excuses its row.
 func (lr *latticeRun) nullsFor(a AttrSet) []bool {
-	return lr.pc.nullsOf(a, func() []bool {
+	return lr.cache.nullsOf(lr.pc, a, func() []bool {
 		nl := make([]bool, lr.rel.NRows())
 		for _, i := range a.Attrs() {
 			col := lr.rel.Cols[i]

@@ -24,13 +24,14 @@ import (
 // discover.
 //
 // Memory contract: maxBytes (Options.MaxPartitionBytes) caps the
-// estimated bytes *retained* across relations. The active relation's
-// working set is never evicted mid-traversal (the level-wise search
-// needs its previous level; MaxLatticeLevel is the lever for bounding
-// that). Instead, when a relation's traversal finishes, retire trims
-// completed stores down to their column partitions — everything a
-// later phase needs again can be recomputed from those, so eviction
-// affects speed, never results.
+// estimated bytes *retained* across relations: partitions and the
+// derived lookups (group ids, null maps) a store holds. The active
+// relation's working set is never evicted mid-traversal (the
+// level-wise search needs its previous level; MaxLatticeLevel is the
+// lever for bounding that). Instead, when a relation's traversal
+// finishes, retire trims completed stores down to their column
+// partitions — everything a later phase needs again can be recomputed
+// from those, so eviction affects speed, never results.
 type partitionCache struct {
 	maxBytes int64
 
@@ -84,10 +85,11 @@ func (c *partitionCache) store(rel *relation.Relation) *relPartitions {
 	return rp
 }
 
-// add accounts for a newly cached partition.
-func (c *partitionCache) add(rp *relPartitions, p *partition.Partition) {
-	rp.bytes += p.MemBytes()
-	c.charge(p.MemBytes())
+// add accounts n bytes of a newly cached partition or lookup to the
+// store and the cache.
+func (c *partitionCache) add(rp *relPartitions, n int64) {
+	rp.bytes += n
+	c.charge(n)
 }
 
 // charge adds n to the cache-wide byte total, tracking the peak.
@@ -181,11 +183,15 @@ func (c *partitionCache) trim(rp *relPartitions) {
 		evicted++
 		delete(rp.parts, a)
 	}
-	if evicted > 0 {
-		rp.bytes -= freed
-		c.bytes.Add(-freed)
-		c.evictions.Add(evicted)
+	for _, g := range rp.gids {
+		freed += gidsBytes(g)
 	}
+	for _, nl := range rp.nulls {
+		freed += int64(len(nl))
+	}
+	rp.bytes -= freed
+	c.bytes.Add(-freed)
+	c.evictions.Add(evicted)
 	rp.gids = make(map[AttrSet][]int32)
 	rp.nulls = make(map[AttrSet][]bool)
 }
@@ -198,7 +204,7 @@ func (c *partitionCache) trim(rp *relPartitions) {
 // confined to this file.
 func (c *partitionCache) install(rp *relPartitions, a AttrSet, p *partition.Partition) {
 	rp.parts[a] = p
-	c.add(rp, p)
+	c.add(rp, p.MemBytes())
 	c.misses.Add(1)
 	rp.misses++
 }
@@ -208,24 +214,30 @@ func (c *partitionCache) install(rp *relPartitions, a AttrSet, p *partition.Part
 func (c *partitionCache) liveBytes() int64 { return c.bytes.Load() }
 
 // gidsOf returns the cached row→group lookup for Π_A, running compute
-// on first use.
-func (rp *relPartitions) gidsOf(a AttrSet, compute func() []int32) []int32 {
+// on first use. The lookup is charged to the cache like a partition,
+// and trim refunds it when it drops the store's lookups.
+func (c *partitionCache) gidsOf(rp *relPartitions, a AttrSet, compute func() []int32) []int32 {
 	if g, ok := rp.gids[a]; ok {
 		return g
 	}
 	g := compute()
 	rp.gids[a] = g
+	c.add(rp, gidsBytes(g))
 	return g
 }
 
+// gidsBytes is the charge for a cached group-id lookup.
+func gidsBytes(g []int32) int64 { return 4 * int64(len(g)) }
+
 // nullsOf is gidsOf for the per-row missing-value lookup of an
-// attribute set.
-func (rp *relPartitions) nullsOf(a AttrSet, compute func() []bool) []bool {
+// attribute set, charged one byte a row.
+func (c *partitionCache) nullsOf(rp *relPartitions, a AttrSet, compute func() []bool) []bool {
 	if nl, ok := rp.nulls[a]; ok {
 		return nl
 	}
 	nl := compute()
 	rp.nulls[a] = nl
+	c.add(rp, int64(len(nl)))
 	return nl
 }
 
@@ -264,14 +276,24 @@ func (c *partitionCache) partitionOf(rp *relPartitions, a AttrSet, sc *partition
 			p = rp.rel.ColumnPartition(i)
 		}
 	default:
-		b := a.MaxBit()
-		p = c.partitionOf(rp, a.Without(b), sc, naive, st).
-			Product(c.partitionOf(rp, AttrSet(0).Add(b), sc, naive, st), sc)
+		rest, ids := c.operands(rp, a, sc, naive, st)
+		p = rest.Product(ids, sc)
 		if st != nil {
 			st.PartitionsComputed++
 		}
 	}
 	rp.parts[a] = p
-	c.add(rp, p)
+	c.add(rp, p.MemBytes())
 	return p
+}
+
+// operands resolves the factors of Π_A's product for |A| ≥ 2, with b
+// the largest attribute of A: Π_{A∖b}, and the row→group ids of Π_b
+// from the store's group-id map. Both partitions are looked up through
+// the cache, so each counts its hit or miss.
+func (c *partitionCache) operands(rp *relPartitions, a AttrSet, sc *partition.Scratch, naive bool, st *Stats) (*partition.Partition, []int32) {
+	b := AttrSet(0).Add(a.MaxBit())
+	rest := c.partitionOf(rp, a.Without(a.MaxBit()), sc, naive, st)
+	pb := c.partitionOf(rp, b, sc, naive, st)
+	return rest, c.gidsOf(rp, b, pb.GroupIDs)
 }

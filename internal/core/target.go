@@ -238,7 +238,8 @@ func createTarget(rel *relation.Relation, lhs AttrSet, rhs int, groups *partitio
 
 	parents := rel.ParentIdx
 	rows := sc.rows[:0]
-	for _, g := range groups.Groups {
+	for i := range groups.Size() {
+		g := groups.Group(i)
 		keys := sc.keys[:0]
 		for _, t := range g {
 			b := -1 - t

@@ -25,7 +25,7 @@ func BenchmarkFromCodes(b *testing.B) {
 
 func BenchmarkProduct(b *testing.B) {
 	pa := FromCodes(benchCodes(10000, 50))
-	pb := FromCodes(benchCodes(10000, 50))
+	pb := FromCodes(benchCodes(10000, 50)).GroupIDs()
 	sc := NewScratch(10000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,7 +38,7 @@ func BenchmarkProductSkewed(b *testing.B) {
 	// One huge group against many small ones: the shape set
 	// pseudo-attributes produce.
 	pa := FromCodes(benchCodes(10000, 2))
-	pb := FromCodes(benchCodes(10000, 500))
+	pb := FromCodes(benchCodes(10000, 500)).GroupIDs()
 	sc := NewScratch(10000)
 	b.ReportAllocs()
 	b.ResetTimer()

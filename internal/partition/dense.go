@@ -27,11 +27,11 @@ func FromDense(codes []int64, bound int64) *Partition {
 		counts[c]++
 	}
 
-	// Lay every non-singleton group out in one backing array. next[c]
-	// is one past the slot the code's next row goes to (offset by one
-	// so 0 keeps meaning "unclaimed"); ranges are claimed at each
-	// group's first row, so groups come out already sorted by smallest
-	// row and no sort pass is needed.
+	// Lay every non-singleton group out in one flat array. next[c] is
+	// one past the slot the code's next row goes to (offset by one so 0
+	// keeps meaning "unclaimed"); ranges are claimed at each group's
+	// first row, so groups come out already sorted by smallest row and
+	// no sort pass is needed.
 	total, nGroups := 0, 0
 	for _, n := range counts {
 		if n >= 2 {
@@ -42,24 +42,24 @@ func FromDense(codes []int64, bound int64) *Partition {
 	if total == 0 {
 		return &Partition{NRows: len(codes)}
 	}
-	backing := make([]int32, total)
+	rows := make([]int32, total)
+	starts := make([]int32, 0, nGroups+1)
 	next := getCounts(int(bound))
 	defer putCounts(next)
-	groups := make([][]int32, 0, nGroups)
 	claimed := int32(0)
 	for row, c := range codes {
 		if c < 1 || counts[c] < 2 {
 			continue
 		}
 		if next[c] == 0 {
+			starts = append(starts, claimed)
 			next[c] = claimed + 1
 			claimed += counts[c]
-			groups = append(groups, backing[next[c]-1:claimed:claimed])
 		}
-		backing[next[c]-1] = int32(row)
+		rows[next[c]-1] = int32(row)
 		next[c]++
 	}
-	return &Partition{Groups: groups, NRows: len(codes)}
+	return &Partition{rows: rows, starts: append(starts, claimed), NRows: len(codes)}
 }
 
 // countsPool recycles the counting buffers of FromDense; dictionary
@@ -105,20 +105,17 @@ func GetScratch(nRows int) *Scratch {
 }
 
 // PutScratch returns a Scratch to the pool. The scratch must not be
-// used after; its row table is already reset by Product's cleanup
-// pass.
+// used after; Product leaves its tables zeroed.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
 		scratchPool.Put(sc)
 	}
 }
 
-// MemBytes estimates the heap footprint of the partition: the group
-// headers plus the row indices. Used for cache accounting.
+// MemBytes estimates the heap footprint of the partition: the two
+// slice headers plus the row indices and group offsets. Used for cache
+// accounting.
 func (p *Partition) MemBytes() int64 {
 	const sliceHeader = 24
-	n := int64(sliceHeader) // Groups header itself
-	n += int64(len(p.Groups)) * sliceHeader
-	n += int64(p.Card()) * 4
-	return n
+	return 2*sliceHeader + 4*int64(len(p.rows)+len(p.starts))
 }

@@ -38,12 +38,13 @@ func TestFromDenseMatchesFromCodes(t *testing.T) {
 			got := FromDense(codes, tc.bound)
 			if !got.Equal(want) {
 				t.Fatalf("n=%d bound=%d: FromDense != FromCodes\n got: %v\nwant: %v",
-					tc.n, tc.bound, got.Groups, want.Groups)
+					tc.n, tc.bound, groupsOf(got), groupsOf(want))
 			}
 			// Determinism guarantees beyond set equality: groups ordered
 			// by smallest row, rows ascending.
-			for gi, g := range got.Groups {
-				if wg := want.Groups[gi]; g[0] != wg[0] || len(g) != len(wg) {
+			for gi := range got.Size() {
+				g := got.Group(gi)
+				if wg := want.Group(gi); g[0] != wg[0] || len(g) != len(wg) {
 					t.Fatalf("group %d ordering differs: got %v want %v", gi, g, wg)
 				}
 				for i := 1; i < len(g); i++ {
@@ -61,10 +62,10 @@ func TestFromDenseOutOfBoundFallsBack(t *testing.T) {
 	got := FromDense(codes, 3) // 99 >= bound
 	want := FromCodes(codes)
 	if !got.Equal(want) {
-		t.Fatalf("fallback mismatch: got %v want %v", got.Groups, want.Groups)
+		t.Fatalf("fallback mismatch: got %v want %v", groupsOf(got), groupsOf(want))
 	}
 	if got := FromDense(codes, 0); !got.Equal(want) {
-		t.Fatalf("bound=0 fallback mismatch: got %v", got.Groups)
+		t.Fatalf("bound=0 fallback mismatch: got %v", groupsOf(got))
 	}
 }
 
@@ -86,10 +87,10 @@ func TestScratchPoolReuse(t *testing.T) {
 	// Either a fresh or the pooled scratch; both must be usable.
 	p := FromCodes([]int64{1, 1, 2, 2, 3})
 	q := FromCodes([]int64{1, 2, 1, 2, 3})
-	got := p.Product(q, sc2)
-	want := p.Product(q, nil)
+	got := p.Product(q.GroupIDs(), sc2)
+	want := p.Product(q.GroupIDs(), nil)
 	if !got.Equal(want) {
-		t.Fatalf("pooled scratch product mismatch: %v vs %v", got.Groups, want.Groups)
+		t.Fatalf("pooled scratch product mismatch: %v vs %v", groupsOf(got), groupsOf(want))
 	}
 	PutScratch(sc2)
 	PutScratch(nil) // must not panic

@@ -11,19 +11,55 @@
 // in non-singleton groups minus the number of such groups).
 package partition
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Partition is a striped attribute partition: only groups with two or
 // more tuples are stored. Tuples are identified by their row index in
 // the underlying relation.
+//
+// The groups are stored flat: rows holds every stored group back to
+// back, and group i is rows[starts[i]:starts[i+1]] (starts carries a
+// closing entry len(rows); both are nil when no group is stored). Row
+// indices within a group are ascending; groups appear in order of
+// their smallest row. Neither array holds a pointer, so the garbage
+// collector never scans a partition's contents, and the counts below
+// are O(1).
 type Partition struct {
-	// Groups holds the non-singleton equivalence classes. Row indices
-	// within a group are ascending; groups appear in order of their
-	// smallest row.
-	Groups [][]int32
+	rows   []int32
+	starts []int32
 	// NRows is the number of tuples in the relation the partition is
 	// over (including tuples in dropped singleton groups).
 	NRows int
+}
+
+// fromGroups builds the partition with the given equivalence classes
+// over a relation of nRows tuples. Each group lists its rows in
+// ascending order; groups with fewer than two rows are dropped
+// (stripped form). groups is reordered in place by smallest row, and
+// the rows are copied, so the caller keeps ownership of the slices.
+func fromGroups(groups [][]int32, nRows int) *Partition {
+	kept := groups[:0]
+	total := 0
+	for _, g := range groups {
+		if len(g) >= 2 {
+			kept = append(kept, g)
+			total += len(g)
+		}
+	}
+	if len(kept) == 0 {
+		return &Partition{NRows: nRows}
+	}
+	sortGroups(kept)
+	p := &Partition{rows: make([]int32, 0, total), starts: make([]int32, 0, len(kept)+1), NRows: nRows}
+	for _, g := range kept {
+		p.starts = append(p.starts, int32(len(p.rows)))
+		p.rows = append(p.rows, g...)
+	}
+	p.starts = append(p.starts, int32(total))
+	return p
 }
 
 // FromCodes builds the partition of a single column: rows with equal
@@ -48,9 +84,8 @@ func FromCodes(codes []int64) *Partition {
 		first[c] = int32(i)
 	}
 	// Groups were appended in order of their *second* occurrence;
-	// normalize to order of smallest row for determinism.
-	sortGroups(groups)
-	return &Partition{Groups: groups, NRows: len(codes)}
+	// fromGroups normalizes to order of smallest row.
+	return fromGroups(groups, len(codes))
 }
 
 func sortGroups(groups [][]int32) {
@@ -81,43 +116,43 @@ func Single(nRows int) *Partition {
 	if nRows < 2 {
 		return &Partition{NRows: nRows}
 	}
-	g := make([]int32, nRows)
-	for i := range g {
-		g[i] = int32(i)
+	rows := make([]int32, nRows)
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	return &Partition{Groups: [][]int32{g}, NRows: nRows}
+	return &Partition{rows: rows, starts: []int32{0, int32(nRows)}, NRows: nRows}
 }
 
 // Size returns the number of stored (non-singleton) groups.
-func (p *Partition) Size() int { return len(p.Groups) }
+func (p *Partition) Size() int { return max(len(p.starts)-1, 0) }
+
+// Group returns the rows of stored group i, 0 ≤ i < Size(), in
+// ascending order. The slice is a read-only view into the partition,
+// clipped to its length so an append cannot reach the next group.
+func (p *Partition) Group(i int) []int32 {
+	lo, hi := p.starts[i], p.starts[i+1]
+	return p.rows[lo:hi:hi]
+}
 
 // Card returns ‖Π‖, the number of tuples in stored groups.
-func (p *Partition) Card() int {
-	n := 0
-	for _, g := range p.Groups {
-		n += len(g)
-	}
-	return n
-}
+func (p *Partition) Card() int { return len(p.rows) }
 
 // Error returns e(Π) = ‖Π‖ − |Π|, the number of tuples that would
 // have to be removed to make the attribute set a key. For striped
 // partitions, Π_X = Π_{X∪A} iff e(Π_X) == e(Π_{X∪A}) (since the
 // product always refines), which is the FD satisfaction test of
 // Lemma 2.
-func (p *Partition) Error() int { return p.Card() - len(p.Groups) }
+func (p *Partition) Error() int { return p.Card() - p.Size() }
 
 // IsKey reports whether every group is a singleton, i.e. the
 // attribute set uniquely identifies each tuple (Figure 8, line 11).
-func (p *Partition) IsKey() bool { return len(p.Groups) == 0 }
+func (p *Partition) IsKey() bool { return len(p.rows) == 0 }
 
 // MaxGroupSize returns the size of the largest group (0 if none).
 func (p *Partition) MaxGroupSize() int {
 	m := 0
-	for _, g := range p.Groups {
-		if len(g) > m {
-			m = len(g)
-		}
+	for i := range p.Size() {
+		m = max(m, int(p.starts[i+1]-p.starts[i]))
 	}
 	return m
 }
@@ -126,74 +161,121 @@ func (p *Partition) MaxGroupSize() int {
 // reused across many Product calls over the same relation; it is not
 // safe for concurrent use.
 type Scratch struct {
-	t []int32 // row -> group index in the left operand, -1 if singleton
-	s [][]int32
+	// t is indexed by the right operand's group id while a group is
+	// split (a count, then a negative write cursor) and by row while
+	// the output is reordered; it is all zero between calls.
+	t       []int32
+	mark    []uint64 // one bit per row, set at each output group's smallest row; all zero between calls
+	touched []int32  // ids met in the group being split, in order of first occurrence
+	rows    []int32  // staged output rows
+	starts  []int32  // staged output group offsets
 }
 
 // NewScratch allocates scratch space for relations with nRows tuples.
 func NewScratch(nRows int) *Scratch {
-	t := make([]int32, nRows)
-	for i := range t {
-		t[i] = -1
-	}
-	return &Scratch{t: t}
+	return &Scratch{t: make([]int32, nRows), mark: make([]uint64, (nRows+63)/64)}
 }
 
 // Product computes the striped partition Π_{X∪Y} from Π_X (receiver)
-// and Π_Y using the standard TANE stripped-product algorithm, linear
-// in ‖Π_X‖ + ‖Π_Y‖.
-func (p *Partition) Product(q *Partition, sc *Scratch) *Partition {
-	if p.NRows != q.NRows {
+// and ids, the row→group lookup of Π_Y (see GroupIDs). Each group of
+// Π_X is split by the ids of its rows, so the cost is O(‖Π_X‖) plus
+// the reordering below, independent of ‖Π_Y‖.
+//
+// Split groups come out in order of smallest row within each group of
+// Π_X, but a later group's part can start below an earlier group's
+// part. The output is staged in sc; if it is out of order, a bit is
+// set at each staged group's smallest row and the bitmap is walked
+// from the lowest marked word, restoring the canonical order in
+// O(|Π_{X∪Y}| + span/64) for span the distance between the smallest
+// and the largest first row. The result is written once into arrays
+// of exact size.
+func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
+	if len(ids) != p.NRows {
 		panic("partition: product of partitions over different relations")
 	}
 	if sc == nil || len(sc.t) < p.NRows {
 		sc = NewScratch(p.NRows)
 	}
 	t := sc.t
-	if cap(sc.s) < len(p.Groups) {
-		sc.s = make([][]int32, len(p.Groups))
-	}
-	s := sc.s[:len(p.Groups)]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	for i, g := range p.Groups {
+	staged := slices.Grow(sc.rows[:0], p.Card())[:p.Card()]
+	starts := sc.starts[:0]
+	end := int32(0)
+	ordered := true
+	for i := range p.Size() {
+		g := p.Group(i)
+		touched := sc.touched[:0]
 		for _, row := range g {
-			t[row] = int32(i)
-		}
-	}
-	// All output groups share one backing array: the product's total
-	// membership is bounded by min(‖p‖, ‖q‖), so a single allocation
-	// replaces one per group and relieves the garbage collector on
-	// lattice-heavy workloads.
-	backing := make([]int32, 0, min(p.Card(), q.Card()))
-	var out [][]int32
-	for _, g := range q.Groups {
-		for _, row := range g {
-			if gi := t[row]; gi >= 0 {
-				s[gi] = append(s[gi], row)
+			if id := ids[row]; id >= 0 {
+				if t[id] == 0 {
+					touched = append(touched, id)
+				}
+				t[id]++
 			}
 		}
-		for _, row := range g {
-			gi := t[row]
-			if gi < 0 {
+		sc.touched = touched
+		first := len(starts)
+		for _, id := range touched {
+			n := t[id]
+			if n < 2 {
+				t[id] = 0 // a singleton part, stripped
 				continue
 			}
-			if len(s[gi]) >= 2 {
-				start := len(backing)
-				backing = append(backing, s[gi]...)
-				out = append(out, backing[start:len(backing):len(backing)])
-			}
-			s[gi] = s[gi][:0]
+			starts = append(starts, end)
+			t[id] = -end - 1
+			end += n
 		}
-	}
-	for _, g := range p.Groups {
+		if first == len(starts) {
+			continue
+		}
 		for _, row := range g {
-			t[row] = -1
+			if id := ids[row]; id >= 0 {
+				if c := t[id]; c < 0 {
+					staged[-c-1] = row
+					t[id] = c - 1
+				}
+			}
+		}
+		for _, id := range touched {
+			t[id] = 0
+		}
+		if first > 0 && staged[starts[first]] < staged[starts[first-1]] {
+			ordered = false
 		}
 	}
-	sortGroups(out)
-	return &Partition{Groups: out, NRows: p.NRows}
+	sc.rows, sc.starts = staged, starts
+	k := len(starts)
+	if k == 0 {
+		return &Partition{NRows: p.NRows}
+	}
+	out := &Partition{rows: make([]int32, end), starts: make([]int32, k+1), NRows: p.NRows}
+	out.starts[k] = end
+	if ordered {
+		copy(out.rows, staged[:end])
+		copy(out.starts, starts)
+		return out
+	}
+	starts = append(starts, end)
+	sc.starts = starts
+	lo, hi := int32(p.NRows), int32(0)
+	for gi, s := range starts[:k] {
+		r := staged[s]
+		sc.mark[r>>6] |= 1 << (r & 63)
+		t[r] = int32(gi)
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	j, at := 0, int32(0)
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for m := sc.mark[w]; m != 0; m &= m - 1 {
+			r := w<<6 | int32(bits.TrailingZeros64(m))
+			gi := t[r]
+			t[r] = 0
+			out.starts[j] = at
+			at += int32(copy(out.rows[at:], staged[starts[gi]:starts[gi+1]]))
+			j++
+		}
+		sc.mark[w] = 0
+	}
+	return out
 }
 
 // GroupIDs returns a row→group lookup: ids[row] is the index of the
@@ -205,8 +287,8 @@ func (p *Partition) GroupIDs() []int32 {
 	for i := range ids {
 		ids[i] = -1
 	}
-	for gi, g := range p.Groups {
-		for _, row := range g {
+	for gi := range p.Size() {
+		for _, row := range p.Group(gi) {
 			ids[row] = int32(gi)
 		}
 	}
@@ -221,7 +303,8 @@ func (p *Partition) Refines(q *Partition) bool {
 		return false
 	}
 	ids := q.GroupIDs()
-	for _, g := range p.Groups {
+	for i := range p.Size() {
+		g := p.Group(i)
 		first := ids[g[0]]
 		if first < 0 {
 			return false
@@ -238,7 +321,7 @@ func (p *Partition) Refines(q *Partition) bool {
 // Equal reports whether two striped partitions contain the same
 // groups (group and row order insensitive).
 func (p *Partition) Equal(q *Partition) bool {
-	if p.NRows != q.NRows || len(p.Groups) != len(q.Groups) || p.Card() != q.Card() {
+	if p.NRows != q.NRows || p.Size() != q.Size() || p.Card() != q.Card() {
 		return false
 	}
 	return p.Refines(q) && q.Refines(p)

@@ -14,8 +14,8 @@ func TestFromCodesBasic(t *testing.T) {
 		t.Fatalf("NRows=%d Size=%d", p.NRows, p.Size())
 	}
 	want := [][]int32{{0, 1, 3}, {4, 5}}
-	if !reflect.DeepEqual(p.Groups, want) {
-		t.Fatalf("Groups = %v, want %v", p.Groups, want)
+	if got := groupsOf(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 	if p.Card() != 5 || p.Error() != 3 || p.MaxGroupSize() != 3 || p.IsKey() {
 		t.Fatalf("Card=%d Error=%d Max=%d IsKey=%v", p.Card(), p.Error(), p.MaxGroupSize(), p.IsKey())
@@ -27,8 +27,8 @@ func TestUniqueNegativesAreSingletons(t *testing.T) {
 	// null row is its own singleton and vanishes from the striped
 	// partition.
 	p := FromCodes([]int64{-1, -2, -3, 5, 5})
-	if p.Size() != 1 || p.Groups[0][0] != 3 {
-		t.Fatalf("nulls should strip away: %v", p.Groups)
+	if p.Size() != 1 || p.Group(0)[0] != 3 {
+		t.Fatalf("nulls should strip away: %v", groupsOf(p))
 	}
 }
 
@@ -53,7 +53,7 @@ func TestProductMatchesDirectGrouping(t *testing.T) {
 	a := []int64{1, 1, 2, 2, 1, 1}
 	b := []int64{7, 8, 7, 7, 7, 8}
 	pa, pb := FromCodes(a), FromCodes(b)
-	prod := pa.Product(pb, NewScratch(6))
+	prod := pa.Product(pb.GroupIDs(), NewScratch(6))
 	// Direct grouping by the pair (a,b).
 	pair := make([]int64, len(a))
 	for i := range a {
@@ -61,7 +61,7 @@ func TestProductMatchesDirectGrouping(t *testing.T) {
 	}
 	want := FromCodes(pair)
 	if !prod.Equal(want) {
-		t.Fatalf("product %v != direct %v", prod.Groups, want.Groups)
+		t.Fatalf("product %v != direct %v", groupsOf(prod), groupsOf(want))
 	}
 }
 
@@ -114,7 +114,7 @@ func TestProductProperties(t *testing.T) {
 		y := randomCodes(r, n, 1+r.Intn(6))
 		px, py := FromCodes(x), FromCodes(y)
 		sc := NewScratch(n)
-		prod := px.Product(py, sc)
+		prod := px.Product(py.GroupIDs(), sc)
 
 		pair := make([]int64, n)
 		for i := range pair {
@@ -130,7 +130,7 @@ func TestProductProperties(t *testing.T) {
 		if (px.Error() == prod.Error()) != px.Refines(py) {
 			return false
 		}
-		prod2 := py.Product(px, sc)
+		prod2 := py.Product(px.GroupIDs(), sc)
 		return prod.Equal(prod2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -147,8 +147,8 @@ func TestScratchReuse(t *testing.T) {
 		x := randomCodes(r, 50, 4)
 		y := randomCodes(r, 50, 4)
 		px, py := FromCodes(x), FromCodes(y)
-		got := px.Product(py, sc)
-		want := px.Product(py, NewScratch(50))
+		got := px.Product(py.GroupIDs(), sc)
+		want := px.Product(py.GroupIDs(), NewScratch(50))
 		if !got.Equal(want) {
 			t.Fatalf("scratch reuse corrupted product at iteration %d", i)
 		}
@@ -161,7 +161,7 @@ func TestProductPanicsOnMismatchedRows(t *testing.T) {
 			t.Fatal("expected panic for mismatched NRows")
 		}
 	}()
-	FromCodes([]int64{1, 1}).Product(FromCodes([]int64{1, 1, 1}), nil)
+	FromCodes([]int64{1, 1}).Product(FromCodes([]int64{1, 1, 1}).GroupIDs(), nil)
 }
 
 func TestEqualEdgeCases(t *testing.T) {

@@ -6,10 +6,7 @@ package partition
 // column partition is obtained by splicing the touched rows out of
 // their old equivalence classes and re-merging them under their new
 // codes, instead of rebuilding from all n rows. Groups the edit does
-// not reach are *shared* with the previous partition — sound because
-// partitions are immutable after construction (the partimmut analyzer
-// enforces it), which is the same property that lets the engine's warm
-// layer hand one partition to many runs.
+// not reach are copied over unchanged.
 
 // Patch returns the partition of the updated column codes, given that
 // the receiver is the partition of a previous version of the column
@@ -20,11 +17,10 @@ package partition
 //
 // The result is a fresh immutable Partition equal to
 // FromCodes(codes); groups that contain neither a touched row nor a
-// row sharing a touched row's new code are shared (not copied) with
-// the receiver. Cost is O(n) for the single code scan plus work
-// proportional to the affected groups — the scan has a trivial
-// constant next to a hash build, which is where the incremental-update
-// speedup comes from.
+// row sharing a touched row's new code are copied unchanged from the
+// receiver. Cost is O(n) for the single code scan and the copy — both
+// have a trivial constant next to a hash build, which is where the
+// incremental-update speedup comes from.
 func (p *Partition) Patch(codes []int64, touched []int32) *Partition {
 	n := len(codes)
 	if len(touched) == 0 && n == p.NRows {
@@ -60,54 +56,21 @@ func (p *Partition) Patch(codes []int64, touched []int32) *Partition {
 			}
 		}
 	}
-	out := &Partition{NRows: n, Groups: make([][]int32, 0, len(p.Groups)+len(order))}
-	out.spliceFrom(p, affected, n)
-	out.mergeRebuilt(order)
-	sortGroups(out.Groups)
-	return out
-}
-
-// spliceFrom carries the previous partition's groups into the
-// partition under construction: a group no row of which is affected
-// (or out of range) is shared as-is; otherwise the affected and
-// out-of-range rows are spliced out and the remainder kept if it still
-// has two or more rows. In-place patch constructor: out is the
-// unpublished partition Patch is building, so writing its fields
-// cannot race with readers (partimmut allowlists this method by name).
-func (out *Partition) spliceFrom(prev *Partition, affected []bool, n int) {
-	for _, g := range prev.Groups {
-		clean := true
-		for _, row := range g {
-			if int(row) >= n || affected[row] {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			out.Groups = append(out.Groups, g)
-			continue
-		}
-		var kept []int32
-		for _, row := range g {
+	// Carry the previous partition's groups over with the affected and
+	// out-of-range rows spliced out (fromGroups drops a remainder of
+	// fewer than two rows), then add the re-formed classes of the
+	// touched rows' new codes. kept never outgrows its capacity, so the
+	// group slices cut from it stay valid.
+	groups := make([][]int32, 0, p.Size()+len(order))
+	kept := make([]int32, 0, p.Card())
+	for i := range p.Size() {
+		start := len(kept)
+		for _, row := range p.Group(i) {
 			if int(row) < n && !affected[row] {
 				kept = append(kept, row)
 			}
 		}
-		if len(kept) >= 2 {
-			out.Groups = append(out.Groups, kept)
-		}
+		groups = append(groups, kept[start:])
 	}
-}
-
-// mergeRebuilt appends the re-formed equivalence classes of the
-// edit's target codes: each entry lists, in ascending row order,
-// every row now sharing one touched row's new code. Singletons are
-// dropped (stripped form). In-place patch constructor, allowlisted by
-// partimmut like spliceFrom.
-func (out *Partition) mergeRebuilt(rebuilt [][]int32) {
-	for _, g := range rebuilt {
-		if len(g) >= 2 {
-			out.Groups = append(out.Groups, g)
-		}
-	}
+	return fromGroups(append(groups, order...), n)
 }

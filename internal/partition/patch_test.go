@@ -13,7 +13,7 @@ func requirePatchEqual(t *testing.T, old []int64, p *Partition, codes []int64, t
 	want := FromCodes(codes)
 	if !got.Equal(want) {
 		t.Fatalf("Patch mismatch\nold:     %v\nnew:     %v\ntouched: %v\ngot:     %v\nwant:    %v",
-			old, codes, touched, got.Groups, want.Groups)
+			old, codes, touched, groupsOf(got), groupsOf(want))
 	}
 	if got.NRows != len(codes) {
 		t.Fatalf("Patch NRows = %d, want %d", got.NRows, len(codes))
@@ -72,16 +72,10 @@ func TestPatchNoTouchSharesGroups(t *testing.T) {
 	if got := p.Patch(old, nil); got != p {
 		t.Fatalf("Patch with no edits should return the receiver")
 	}
-	// A disjoint edit must share the untouched group's backing slice.
+	// A disjoint edit keeps both untouched groups.
 	codes := append([]int64(nil), old...)
 	codes[4] = 9
-	got := p.Patch(codes, []int32{4})
-	if len(got.Groups) != 2 || len(p.Groups) != 2 {
-		t.Fatalf("unexpected groups: got %v, prev %v", got.Groups, p.Groups)
-	}
-	if &got.Groups[0][0] != &p.Groups[0][0] || &got.Groups[1][0] != &p.Groups[1][0] {
-		t.Fatalf("untouched groups were copied instead of shared")
-	}
+	requirePatchEqual(t, old, p, codes, []int32{4})
 }
 
 // TestPatchSpliceIntoEmpty grows a partition from zero rows: the
@@ -113,14 +107,14 @@ func TestPatchEmptiesClass(t *testing.T) {
 	codes[0], codes[1] = 3, 3
 	requirePatchEqual(t, old, p, codes, []int32{0, 1})
 	got := p.Patch(codes, []int32{0, 1})
-	if len(got.Groups) != 2 {
-		t.Fatalf("emptied class still present: groups = %v", got.Groups)
+	if got.Size() != 2 {
+		t.Fatalf("emptied class still present: groups = %v", groupsOf(got))
 	}
 
 	// Empty a class by deletion: truncate away the whole tail class.
 	requirePatchEqual(t, old, p, old[:5], nil)
-	if got := p.Patch(old[:5], nil); len(got.Groups) != 2 {
-		t.Fatalf("truncated class still present: groups = %v", got.Groups)
+	if got := p.Patch(old[:5], nil); got.Size() != 2 {
+		t.Fatalf("truncated class still present: groups = %v", groupsOf(got))
 	}
 
 	// Combined: splice out the middle class via swap-deletes, emptying
@@ -184,7 +178,7 @@ func TestPatchChainMatchesColdRebuild(t *testing.T) {
 		cold := FromCodes(next)
 		if !p.Equal(cold) {
 			t.Fatalf("step %d: differential state diverged from cold rebuild:\ngot  %v\nwant %v",
-				i, p.Groups, cold.Groups)
+				i, groupsOf(p), groupsOf(cold))
 		}
 		codes = next
 	}

@@ -131,7 +131,7 @@ func TestAuthorSelfValue(t *testing.T) {
 	// dictionary encodes equal strings equally.
 	p := author.ColumnPartition(0)
 	if p.Size() != 2 {
-		t.Fatalf("author value partition: %v", p.Groups)
+		t.Fatalf("author value partition has %d groups, want 2", p.Size())
 	}
 }
 

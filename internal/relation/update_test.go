@@ -119,7 +119,7 @@ func requirePatchContract(t *testing.T, h *Hierarchy, before [][][]int64, cs *Ch
 			want := partition.FromCodes(r.Cols[ai])
 			if !got.Equal(want) {
 				t.Fatalf("%s.%s: patched partition != cold partition\npatched: %v\ncold: %v\nrows: %v",
-					r.Pivot, r.Attrs[ai].Name(), got.Groups, want.Groups, rows)
+					r.Pivot, r.Attrs[ai].Name(), *got, *want, rows)
 			}
 		}
 	}
