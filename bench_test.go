@@ -57,7 +57,7 @@ func BenchmarkE1Datasets(b *testing.B) {
 		ds := ds
 		b.Run(ds.Name, func(b *testing.B) {
 			h := mustHierarchy(b, ds, relation.Options{})
-			runDiscover(b, h, core.Options{PropagatePartial: true})
+			runDiscover(b, h, core.Options{})
 		})
 	}
 }
@@ -72,7 +72,7 @@ func BenchmarkE2Scalability(b *testing.B) {
 			ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: factor, Seed: 4})
 			h := mustHierarchy(b, ds, relation.Options{})
 			b.ReportMetric(float64(h.TotalTuples()), "tuples")
-			runDiscover(b, h, core.Options{PropagatePartial: true})
+			runDiscover(b, h, core.Options{})
 		})
 	}
 	for _, scale := range []int{1, 2, 4, 8} {
@@ -84,7 +84,7 @@ func BenchmarkE2Scalability(b *testing.B) {
 			ds := xmlgen.PSD(p)
 			h := mustHierarchy(b, ds, relation.Options{})
 			b.ReportMetric(float64(h.TotalTuples()), "tuples")
-			runDiscover(b, h, core.Options{PropagatePartial: true})
+			runDiscover(b, h, core.Options{})
 		})
 	}
 }
@@ -98,7 +98,7 @@ func BenchmarkE3FlatVsHier(b *testing.B) {
 		ds := xmlgen.PSD(xmlgen.PSDParams{Entries: 40, ProteinPool: 20, UnrelatedSets: k, MembersPerSet: 3, Seed: 3})
 		b.Run(fmt.Sprintf("hier/sets=%d", k), func(b *testing.B) {
 			h := mustHierarchy(b, ds, relation.Options{})
-			runDiscover(b, h, core.Options{PropagatePartial: true})
+			runDiscover(b, h, core.Options{})
 		})
 		b.Run(fmt.Sprintf("flat/sets=%d", k), func(b *testing.B) {
 			tbl, err := flat.Build(ds.Tree, ds.Schema, 1<<20)
@@ -153,7 +153,7 @@ func BenchmarkE5IntraInter(b *testing.B) {
 		}
 	})
 	b.Run("full-xfd", func(b *testing.B) {
-		runDiscover(b, h, core.Options{PropagatePartial: true})
+		runDiscover(b, h, core.Options{})
 	})
 }
 
@@ -167,10 +167,10 @@ func BenchmarkE6Pruning(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"all-pruning", core.Options{PropagatePartial: true, MaxLHS: 4}},
-		{"no-key-pruning", core.Options{PropagatePartial: true, MaxLHS: 4, DisableKeyPruning: true}},
-		{"no-fd-pruning", core.Options{PropagatePartial: true, MaxLHS: 4, DisableFDPruning: true}},
-		{"no-pruning", core.Options{PropagatePartial: true, MaxLHS: 4, DisableKeyPruning: true, DisableFDPruning: true}},
+		{"all-pruning", core.Options{MaxLHS: 4}},
+		{"no-key-pruning", core.Options{MaxLHS: 4, DisableKeyPruning: true}},
+		{"no-fd-pruning", core.Options{MaxLHS: 4, DisableFDPruning: true}},
+		{"no-pruning", core.Options{MaxLHS: 4, DisableKeyPruning: true, DisableFDPruning: true}},
 	}
 	for _, v := range variants {
 		v := v
@@ -193,7 +193,7 @@ func BenchmarkE7SetVsList(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			h := mustHierarchy(b, ds, relation.Options{OrderedSets: ordered})
-			runDiscover(b, h, core.Options{PropagatePartial: true})
+			runDiscover(b, h, core.Options{})
 		})
 	}
 }
@@ -205,7 +205,7 @@ func BenchmarkE8Approx(b *testing.B) {
 	p.NoisePermille = 10
 	ds := xmlgen.Wide(p)
 	h := mustHierarchy(b, ds, relation.Options{})
-	runDiscover(b, h, core.Options{PropagatePartial: true, ApproxError: 0.02})
+	runDiscover(b, h, core.Options{ApproxError: 0.02})
 }
 
 // BenchmarkE10Notions — Section 2.3 evaluators on the warehouse

@@ -166,7 +166,6 @@ func (o *Options) coreOptions() core.Options {
 	return core.Options{
 		MaxLHS:            o.MaxLHS,
 		NoInterRelation:   o.IntraOnly,
-		PropagatePartial:  true,
 		KeepConstantFDs:   o.KeepConstantFDs,
 		ApproxError:       o.ApproxError,
 		Parallel:          o.Parallel,

@@ -65,7 +65,7 @@ func E14EngineReuse(quick bool) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s: %v", c.ds.Name, err))
 		}
-		opts := core.Options{PropagatePartial: true, ApproxError: 0.05}
+		opts := core.Options{ApproxError: 0.05}
 
 		coldDur, _, _, _ := bestDiscover(h, opts)
 

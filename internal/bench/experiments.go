@@ -26,10 +26,6 @@ func discoverDataset(ds xmlgen.Dataset, ropts relation.Options, copts core.Optio
 	return res, time.Since(start), h
 }
 
-func defaultOpts() core.Options {
-	return core.Options{PropagatePartial: true}
-}
-
 func fmtDur(d time.Duration) string {
 	switch {
 	case d >= time.Second:
@@ -91,7 +87,7 @@ func E1Datasets(quick bool) *Table {
 			"keys", "redundant values", "time"},
 	}
 	for _, ds := range sets {
-		res, dur, h := discoverDataset(ds, relation.Options{}, defaultOpts())
+		res, dur, h := discoverDataset(ds, relation.Options{}, core.Options{})
 		t.Rows = append(t.Rows, []string{
 			ds.Name,
 			fmt.Sprintf("%d", ds.Tree.Size()),
@@ -126,7 +122,7 @@ func E2Scalability(quick bool) *Table {
 		au := xmlgen.DefaultAuction()
 		au.Factor = sc
 		ds := xmlgen.Auction(au)
-		res, dur, h := discoverDataset(ds, relation.Options{}, defaultOpts())
+		res, dur, h := discoverDataset(ds, relation.Options{}, core.Options{})
 		_ = res
 		t.Rows = append(t.Rows, []string{
 			"auction", fmt.Sprintf("x%d", sc),
@@ -141,7 +137,7 @@ func E2Scalability(quick bool) *Table {
 		ps.Entries *= sc
 		ps.ProteinPool *= sc
 		ds := xmlgen.PSD(ps)
-		res, dur, h := discoverDataset(ds, relation.Options{}, defaultOpts())
+		res, dur, h := discoverDataset(ds, relation.Options{}, core.Options{})
 		_ = res
 		t.Rows = append(t.Rows, []string{
 			"psd", fmt.Sprintf("x%d", sc),
@@ -176,7 +172,7 @@ func E3FlatVsHier(quick bool) *Table {
 	for k := 1; k <= 4; k++ {
 		ps := xmlgen.PSDParams{Entries: entries, ProteinPool: entries / 2, UnrelatedSets: k, MembersPerSet: 3, Seed: 3}
 		ds := xmlgen.PSD(ps)
-		res, dur, h := discoverDataset(ds, relation.Options{}, defaultOpts())
+		res, dur, h := discoverDataset(ds, relation.Options{}, core.Options{})
 
 		flatRows, err := flat.CountRows(ds.Tree, ds.Schema)
 		if err != nil {
@@ -282,7 +278,7 @@ func E5IntraInter(quick bool) *Table {
 			"propagated", "checks", "inter FDs", "inter keys"},
 	}
 	for _, ds := range sets {
-		res, _, _ := discoverDataset(ds, relation.Options{}, defaultOpts())
+		res, _, _ := discoverDataset(ds, relation.Options{}, core.Options{})
 		interKeys := 0
 		for _, k := range res.Keys {
 			if k.Inter {
@@ -334,8 +330,7 @@ func E6Pruning(quick bool) *Table {
 	}
 	for _, ds := range sets {
 		for _, v := range variants {
-			opts := defaultOpts()
-			opts.MaxLHS = 4 // keep the unpruned lattice finite
+			opts := core.Options{MaxLHS: 4} // keep the unpruned lattice finite
 			v.mod(&opts)
 			res, dur, _ := discoverDataset(ds, relation.Options{}, opts)
 			t.Rows = append(t.Rows, []string{
@@ -380,7 +375,7 @@ func E7SetVsList(quick bool) *Table {
 			if ordered {
 				name = "list"
 			}
-			res, dur, h := discoverDataset(ds, relation.Options{OrderedSets: ordered}, defaultOpts())
+			res, dur, h := discoverDataset(ds, relation.Options{OrderedSets: ordered}, core.Options{})
 			setRHS := 0
 			for _, f := range res.FDs {
 				if rel := h.ByPivot(f.Class); rel != nil {

@@ -39,7 +39,7 @@ func E8Approximate(quick bool) *Table {
 				panic(err)
 			}
 			start := time.Now()
-			res, err := core.NewEngine(core.Options{PropagatePartial: true, ApproxError: budget}).Discover(context.Background(), h, time.Time{}, false)
+			res, err := core.NewEngine(core.Options{ApproxError: budget}).Discover(context.Background(), h, time.Time{}, false)
 			if err != nil {
 				panic(err)
 			}
@@ -107,7 +107,7 @@ func E9Refinement(quick bool) *Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
+			res, err := core.NewEngine(core.Options{}).Discover(context.Background(), h, time.Time{}, false)
 			if err != nil {
 				panic(err)
 			}

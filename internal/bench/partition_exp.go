@@ -66,8 +66,8 @@ func E13Partition(quick bool) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s: %v", c.ds.Name, err))
 		}
-		naiveOpts := core.Options{PropagatePartial: true, ApproxError: 0.05, NaivePartitions: true}
-		fastOpts := core.Options{PropagatePartial: true, ApproxError: 0.05, Parallel: true}
+		naiveOpts := core.Options{ApproxError: 0.05, NaivePartitions: true}
+		fastOpts := core.Options{ApproxError: 0.05, Parallel: true}
 
 		naiveDur, naiveAllocs, _, naiveSamples := bestDiscover(h, naiveOpts)
 		fastDur, fastAllocs, fastRes, fastSamples := bestDiscover(h, fastOpts)

@@ -92,7 +92,7 @@ func E16SourceParity(quick bool) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s build: %v", format, err))
 		}
-		opts := core.Options{PropagatePartial: true}
+		opts := core.Options{}
 		dur, _, res, samples := bestDiscover(h, opts)
 		t.Latencies["discover_"+format] = summarizeLatency(samples)
 		fingerprints[format] = resultFingerprint(res)

@@ -39,7 +39,7 @@ func E15UpdateIncremental(quick bool) *Table {
 		Stats:   map[string]core.Stats{},
 		Notes: []string{
 			"cold = relation.Build over the mutated tree + Engine.Discover on a fresh engine, warm layer off",
-			"incremental = Engine.ApplyUpdate (warm partitions patched in place) + Engine.Discover",
+			"incremental = Engine.ApplyUpdate (clean warm partitions kept, dirty columns rebuilt from their codes) + Engine.Discover",
 			"mutation batches are seeded random column-localized value updates over one table of the wide-forest corpus",
 			"each incremental result is differentially checked against its cold run",
 			fmt.Sprintf("GOMAXPROCS=%d; the 1%% case is gated and floor-checked by benchgate", runtime.GOMAXPROCS(0)),
@@ -70,7 +70,7 @@ func E15UpdateIncremental(quick bool) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s: %v", ds.Name, err))
 		}
-		opts := core.Options{PropagatePartial: true, ApproxError: 0.05}
+		opts := core.Options{ApproxError: 0.05}
 		eng := core.NewEngine(opts)
 		if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 			panic(fmt.Sprintf("bench: warm-up: %v", err))

@@ -38,7 +38,7 @@ func TestApproximateFDDiscovery(t *testing.T) {
 	h := buildDirty(t, 100, 4) // a -> b violated by 4 of 100 rows
 
 	// Exact discovery must not report a -> b.
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestApproximateFDDiscovery(t *testing.T) {
 	}
 
 	// With a 5% budget it appears as approximate with g3 = 0.04.
-	res, err = discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.05})
+	res, err = discoverCold(h, Options{ApproxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestApproximateFDDiscovery(t *testing.T) {
 	}
 
 	// With a 3% budget it must not appear.
-	res, err = discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.03})
+	res, err = discoverCold(h, Options{ApproxError: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestApproximateFDDiscovery(t *testing.T) {
 
 func TestApproximateMatchesEvaluatorError(t *testing.T) {
 	h := buildDirty(t, 80, 6)
-	res, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.2})
+	res, err := discoverCold(h, Options{ApproxError: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestApproximateMatchesEvaluatorError(t *testing.T) {
 
 func TestApproximateExcludesExactImplied(t *testing.T) {
 	h := buildDirty(t, 60, 0) // clean: a -> b exact
-	res, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.5})
+	res, err := discoverCold(h, Options{ApproxError: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestDiscoveryOverXMLAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestFourLevelLHS(t *testing.T) {
 		}
 	}
 
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

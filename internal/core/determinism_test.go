@@ -18,7 +18,7 @@ func TestDiscoveryDeterministic(t *testing.T) {
 	}
 	var first string
 	for i := 0; i < 4; i++ {
-		opts := Options{PropagatePartial: true, ApproxError: 0.05, Parallel: i%2 == 1}
+		opts := Options{ApproxError: 0.05, Parallel: i%2 == 1}
 		res, err := discoverCold(h, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -48,11 +48,11 @@ func TestApproxOrderDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []Options{
-		{PropagatePartial: true, ApproxError: 0.05},
-		{PropagatePartial: true, ApproxError: 0.05, Parallel: true},
-		{PropagatePartial: true, ApproxError: 0.05, MaxPartitionBytes: 1 << 12},
-		{PropagatePartial: true, ApproxError: 0.05, Parallel: true, MaxPartitionBytes: 1 << 12},
-		{PropagatePartial: true, ApproxError: 0.05, NaivePartitions: true},
+		{ApproxError: 0.05},
+		{ApproxError: 0.05, Parallel: true},
+		{ApproxError: 0.05, MaxPartitionBytes: 1 << 12},
+		{ApproxError: 0.05, Parallel: true, MaxPartitionBytes: 1 << 12},
+		{ApproxError: 0.05, NaivePartitions: true},
 	}
 	var first string
 	for i, opts := range cases {
@@ -85,7 +85,7 @@ func TestRebuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := discoverCold(h, Options{PropagatePartial: true})
+		res, err := discoverCold(h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,8 +116,8 @@ type memoOutput struct {
 const engineWarmHierarchies = 4
 
 // NewEngine returns an Engine that runs every call with the given
-// options. The zero Options value is valid (it is DiscoverFD-style
-// discovery without partial propagation).
+// options. The zero Options value is valid: DiscoverXFD with every
+// extension off and no limits.
 func NewEngine(opts Options) *Engine {
 	return &Engine{opts: opts}
 }

@@ -17,7 +17,7 @@ import (
 // fewer partition misses) and produces identical constraints.
 func TestEngineWarmLayerReuse(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 
 	cold, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 // long-lived engine retains none of them, yet they still count in
 // Metrics; warm runs over one hierarchy the caller holds keep seeding.
 func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 	ctx := context.Background()
 	h := buildWarehouse(t, relation.Options{})
 	for i := 0; i < 2; i++ {
@@ -142,7 +142,7 @@ func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 // later run without a deadline replays.
 func TestDeadlineTruncatedRunLeavesWarmLayerClean(t *testing.T) {
 	h := buildAuction(t)
-	cold, err := discoverCold(h, Options{PropagatePartial: true})
+	cold, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDeadlineTruncatedRunLeavesWarmLayerClean(t *testing.T) {
 			// The hook outsleeps the call's deadline on reaching r, so
 			// r's lattice, and everything after it, runs out of budget.
 			var deadline time.Time
-			eng := NewEngine(Options{PropagatePartial: true, RelationHook: func(p schema.Path) {
+			eng := NewEngine(Options{RelationHook: func(p schema.Path) {
 				if p == r.Pivot && !deadline.IsZero() {
 					time.Sleep(time.Until(deadline) + 10*time.Millisecond)
 				}

@@ -49,7 +49,7 @@ func TestVerifyMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		run := newRun(context.Background(), h, Options{PropagatePartial: true}, time.Time{})
+		run := newRun(context.Background(), h, Options{}, time.Time{})
 		if err := run.plan(); err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
@@ -99,7 +99,7 @@ func TestFastPathMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		base := Options{PropagatePartial: true, ApproxError: 0.05}
+		base := Options{ApproxError: 0.05}
 
 		naiveOpts := base
 		naiveOpts.NaivePartitions = true

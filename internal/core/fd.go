@@ -229,14 +229,6 @@ type Options struct {
 	// NoInterRelation disables partition targets entirely; only
 	// intra-relation FDs and Keys are found (DiscoverFD per relation).
 	NoInterRelation bool
-	// PropagatePartial enables Figure 9 lines 26–29: targets not
-	// fully satisfied at a level may absorb a level-local attribute
-	// set and continue upward, enabling LHSs spanning three or more
-	// hierarchy levels. The public discoverxfd.Engine always sets it.
-	PropagatePartial bool
-	// MaxPartialAttrs bounds the attribute-set size absorbed by a
-	// partial propagation (≥1; 0 means 2, the default).
-	MaxPartialAttrs int
 	// MaxTargetsPerRelation caps the targets a relation may emit
 	// upward; each target over the cap is dropped (counted in
 	// Stats.TargetsDropped) and the result is marked Truncated, naming
@@ -301,13 +293,6 @@ type Options struct {
 	// tracer with the run's id stamp, so one Tracer may serve many
 	// runs and still distinguish them.
 	Tracer trace.Tracer
-}
-
-func (o Options) maxPartialAttrs() int {
-	if o.MaxPartialAttrs <= 0 {
-		return 2
-	}
-	return o.MaxPartialAttrs
 }
 
 func (o Options) maxTargets() int {

@@ -44,7 +44,7 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer faultinject.CheckGoroutines(t)()
 			start := time.Now()
-			eng := NewEngine(Options{PropagatePartial: true, Parallel: parallel})
+			eng := NewEngine(Options{Parallel: parallel})
 			res, err := eng.Discover(context.Background(), h, time.Now().Add(50*time.Millisecond), false)
 			elapsed := time.Since(start)
 			if err != nil {
@@ -73,7 +73,7 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 // dependent.
 func TestExpiredDeadlineTruncatesDeterministically(t *testing.T) {
 	h := buildAuction(t)
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 	res, err := eng.Discover(context.Background(), h, time.Now().Add(-time.Second), false)
 	if err != nil {
 		t.Fatalf("expired deadline must not error: %v", err)
@@ -93,7 +93,7 @@ func TestCancelledContextIsAnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		res, err := NewEngine(Options{PropagatePartial: true, Parallel: parallel}).Discover(ctx, h, time.Time{}, false)
+		res, err := NewEngine(Options{Parallel: parallel}).Discover(ctx, h, time.Time{}, false)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("parallel=%v: err = %v, want context.Canceled", parallel, err)
 		}
@@ -107,11 +107,11 @@ func TestCancelledContextIsAnError(t *testing.T) {
 // are the subset reachable at low levels, and the Stats say so.
 func TestMaxLatticeLevelTruncates(t *testing.T) {
 	h := buildAuction(t)
-	full, err := discoverCold(h, Options{PropagatePartial: true})
+	full, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := discoverCold(h, Options{PropagatePartial: true, MaxLatticeLevel: 1})
+	capped, err := discoverCold(h, Options{MaxLatticeLevel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMaxLatticeLevelTruncates(t *testing.T) {
 		}
 	}
 	// A far deadline must not stop the capped traversal early.
-	eng := NewEngine(Options{PropagatePartial: true, MaxLatticeLevel: 1})
+	eng := NewEngine(Options{MaxLatticeLevel: 1})
 	timed, err := eng.Discover(context.Background(), h, time.Now().Add(time.Hour), false)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +161,8 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 			defer faultinject.CheckGoroutines(t)()
 			hook, fired := faultinject.PanicHook("bid")
 			res, err := discoverCold(h, Options{
-				PropagatePartial: true,
-				Parallel:         parallel,
-				RelationHook:     hook,
+				Parallel:     parallel,
+				RelationHook: hook,
 			})
 			if err == nil {
 				t.Fatal("injected panic did not surface as an error")
@@ -186,13 +185,13 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 // deadline yields a byte-identical result to the plain run.
 func TestUnfiredGovernorIsByteIdentical(t *testing.T) {
 	h := buildAuction(t)
-	plain, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.05})
+	plain, err := discoverCold(h, Options{ApproxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng := NewEngine(Options{PropagatePartial: true, ApproxError: 0.05})
+	eng := NewEngine(Options{ApproxError: 0.05})
 	governed, err := eng.Discover(ctx, h, time.Now().Add(time.Hour), false)
 	if err != nil {
 		t.Fatal(err)

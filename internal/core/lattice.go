@@ -340,11 +340,15 @@ func (lr *latticeRun) emit(pt *target) {
 	}
 }
 
+// maxPartialAttrs bounds the attribute-set size a partially satisfied
+// target absorbs when it propagates upward (Figure 9 lines 26–29).
+const maxPartialAttrs = 2
+
 // checkTargets tests every incoming target against the attribute set
 // a (Figure 9 lines 18–33). gids == nil means a is a key of the
 // relation. Satisfied targets yield inter-relation FDs or Keys;
-// partially satisfied ones may propagate upward with a absorbed into
-// their LHS.
+// partially satisfied ones propagate upward with a absorbed into
+// their LHS, enabling LHSs that span three or more hierarchy levels.
 func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 	ts := time.Now()
 	defer func() { lr.stats.InterTime += time.Since(ts) }()
@@ -371,8 +375,7 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 			}
 			continue
 		}
-		if lr.opts.PropagatePartial && lr.rel.Parent != nil &&
-			a.Size() <= lr.opts.maxPartialAttrs() &&
+		if lr.rel.Parent != nil && a.Size() <= maxPartialAttrs &&
 			pt.anySeparated(gids, nulls) && lr.admit() {
 			// Progress was made: carry the rest upward with a in the
 			// LHS (Figure 9 lines 26–29).

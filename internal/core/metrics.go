@@ -33,8 +33,8 @@ type Metrics struct {
 	UpdateOps      int64
 	UpdatesFailed  int64
 	// PartitionsPatched / PartitionsKept / PartitionsDropped count the
-	// fate of warm-layer partitions across updates: spliced in place,
-	// shared untouched, or discarded as stale.
+	// fate of warm-layer partitions across updates: rebuilt from the
+	// column's codes, shared untouched, or discarded as stale.
 	PartitionsPatched int64
 	PartitionsKept    int64
 	PartitionsDropped int64
@@ -48,46 +48,33 @@ type Metrics struct {
 	Totals Stats
 }
 
-// engineMetrics is the Engine's live counter state. Every field,
-// counters and the Stats accumulator alike, is guarded by mu; each is
-// touched a few times per run, update batch or evaluation, so
-// concurrent runs barely contend.
+// engineMetrics is the Engine's live counter state: one Metrics
+// record, counters and the Stats accumulator alike, guarded by mu.
+// Each counter is touched a few times per run, update batch or
+// evaluation, so concurrent runs barely contend.
 type engineMetrics struct {
-	mu                  sync.Mutex
-	runsStarted         int64 // guarded by mu
-	runsFinished        int64 // guarded by mu
-	runsTruncated       int64 // guarded by mu
-	runsFailed          int64 // guarded by mu
-	warmSeeded          int64 // guarded by mu
-	evaluations         int64 // guarded by mu
-	updatesApplied      int64 // guarded by mu
-	updateOps           int64 // guarded by mu
-	updatesFailed       int64 // guarded by mu
-	partitionsPatched   int64 // guarded by mu
-	partitionsKept      int64 // guarded by mu
-	partitionsDropped   int64 // guarded by mu
-	cacheHighWaterBytes int64 // guarded by mu
-	totals              Stats // guarded by mu
+	mu sync.Mutex
+	m  Metrics // guarded by mu
 }
 
 // runStarted records a discovery run entering the pipeline.
 func (e *Engine) runStarted() {
 	e.met.mu.Lock()
-	e.met.runsStarted++
+	e.met.m.RunsStarted++
 	e.met.mu.Unlock()
 }
 
 // warmSeeded records a run seeded from the warm layer.
 func (e *Engine) warmSeededRun() {
 	e.met.mu.Lock()
-	e.met.warmSeeded++
+	e.met.m.WarmSeeded++
 	e.met.mu.Unlock()
 }
 
 // evaluated records one direct FD evaluation.
 func (e *Engine) evaluated() {
 	e.met.mu.Lock()
-	e.met.evaluations++
+	e.met.m.Evaluations++
 	e.met.mu.Unlock()
 }
 
@@ -95,16 +82,17 @@ func (e *Engine) evaluated() {
 func (e *Engine) updateDone(cs *relation.Changeset, err error, pr []patchReport) {
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
+	m := &e.met.m
 	if err != nil {
-		e.met.updatesFailed++
+		m.UpdatesFailed++
 		return
 	}
-	e.met.updatesApplied++
-	e.met.updateOps += int64(cs.Ops())
+	m.UpdatesApplied++
+	m.UpdateOps += int64(cs.Ops())
 	for _, rep := range pr {
-		e.met.partitionsPatched += int64(rep.patched)
-		e.met.partitionsKept += int64(rep.kept)
-		e.met.partitionsDropped += int64(rep.dropped)
+		m.PartitionsPatched += int64(rep.patched)
+		m.PartitionsKept += int64(rep.kept)
+		m.PartitionsDropped += int64(rep.dropped)
 	}
 }
 
@@ -112,48 +100,30 @@ func (e *Engine) updateDone(cs *relation.Changeset, err error, pr []patchReport)
 func (e *Engine) runDone(res *Result, err error) {
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
+	m := &e.met.m
 	if err != nil || res == nil {
-		e.met.runsFailed++
+		m.RunsFailed++
 		return
 	}
-	e.met.runsFinished++
+	m.RunsFinished++
 	st := &res.Stats
 	if st.Truncated {
-		e.met.runsTruncated++
+		m.RunsTruncated++
 	}
-	if st.PartitionCachePeakBytes > e.met.cacheHighWaterBytes {
-		e.met.cacheHighWaterBytes = st.PartitionCachePeakBytes
-	}
-	t := &e.met.totals
+	m.CacheHighWaterBytes = max(m.CacheHighWaterBytes, st.PartitionCachePeakBytes)
+	t := &m.Totals
 	mergeStats(t, st)
 	t.WallTime += st.WallTime
 	t.PartitionCacheHits += st.PartitionCacheHits
 	t.PartitionCacheMisses += st.PartitionCacheMisses
 	t.PartitionCacheEvictions += st.PartitionCacheEvictions
-	if st.PartitionCachePeakBytes > t.PartitionCachePeakBytes {
-		t.PartitionCachePeakBytes = st.PartitionCachePeakBytes
-	}
+	t.PartitionCachePeakBytes = max(t.PartitionCachePeakBytes, st.PartitionCachePeakBytes)
 }
 
 // Metrics returns a snapshot of the engine's cumulative counters. Safe
 // for concurrent use with running discoveries.
 func (e *Engine) Metrics() Metrics {
-	var m Metrics
 	e.met.mu.Lock()
 	defer e.met.mu.Unlock()
-	m.RunsStarted = e.met.runsStarted
-	m.RunsFinished = e.met.runsFinished
-	m.RunsTruncated = e.met.runsTruncated
-	m.RunsFailed = e.met.runsFailed
-	m.WarmSeeded = e.met.warmSeeded
-	m.Evaluations = e.met.evaluations
-	m.UpdatesApplied = e.met.updatesApplied
-	m.UpdateOps = e.met.updateOps
-	m.UpdatesFailed = e.met.updatesFailed
-	m.PartitionsPatched = e.met.partitionsPatched
-	m.PartitionsKept = e.met.partitionsKept
-	m.PartitionsDropped = e.met.partitionsDropped
-	m.CacheHighWaterBytes = e.met.cacheHighWaterBytes
-	m.Totals = e.met.totals
-	return m
+	return e.met.m
 }

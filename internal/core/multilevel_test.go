@@ -61,8 +61,7 @@ func buildThreeLevel(t *testing.T) *relation.Hierarchy {
 }
 
 // TestThreeLevelLHS verifies that an FD spanning three hierarchy
-// levels is discovered via partial target propagation, and vanishes
-// when propagation is disabled.
+// levels is discovered via partial target propagation.
 func TestThreeLevelLHS(t *testing.T) {
 	h := buildThreeLevel(t)
 	machine := schema.Path("/org/region/site/machine")
@@ -88,7 +87,7 @@ func TestThreeLevelLHS(t *testing.T) {
 		}
 	}
 
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,26 +100,12 @@ func TestThreeLevelLHS(t *testing.T) {
 		}
 		t.Fatalf("three-level FD not discovered; rack FDs found: %v", got)
 	}
-
-	// Without partial propagation the three-level LHS is out of
-	// reach (pure conversion can only defer the whole LHS to one
-	// ancestor level at a time without absorbing intermediate
-	// attributes).
-	res2, err := discoverCold(h, Options{PropagatePartial: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fd := range res2.FDs {
-		if fd.Class == machine && fd.RHS == "./rack" && len(fd.LHS) == 3 {
-			t.Fatalf("unexpected three-level FD without propagation: %s", fd)
-		}
-	}
 }
 
 // TestMaxLHSBound checks that the per-level LHS bound is honored.
 func TestMaxLHSBound(t *testing.T) {
 	h := buildThreeLevel(t)
-	res, err := discoverCold(h, Options{PropagatePartial: true, MaxLHS: 1})
+	res, err := discoverCold(h, Options{MaxLHS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +138,14 @@ func TestMaxLHSBound(t *testing.T) {
 // superkey LHSs, which the superkey filter removes in all variants).
 func TestPruningAblationPreservesFDs(t *testing.T) {
 	h := buildThreeLevel(t)
-	base, err := discoverCold(h, Options{PropagatePartial: true, MaxLHS: 3})
+	base, err := discoverCold(h, Options{MaxLHS: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	variants := []Options{
-		{PropagatePartial: true, MaxLHS: 3, DisableKeyPruning: true},
-		{PropagatePartial: true, MaxLHS: 3, DisableFDPruning: true},
-		{PropagatePartial: true, MaxLHS: 3, DisableKeyPruning: true, DisableFDPruning: true},
+		{MaxLHS: 3, DisableKeyPruning: true},
+		{MaxLHS: 3, DisableFDPruning: true},
+		{MaxLHS: 3, DisableKeyPruning: true, DisableFDPruning: true},
 	}
 	baseSet := map[string]bool{}
 	for _, fd := range base.FDs {

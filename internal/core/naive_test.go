@@ -178,7 +178,7 @@ func TestDiscoverMatchesNaiveEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			res, err := discoverCold(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+			res, err := discoverCold(h, Options{KeepConstantFDs: true})
 			if err != nil {
 				t.Fatalf("discover: %v", err)
 			}
@@ -313,7 +313,7 @@ func TestDiscoverCompleteOnGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			res, err := discoverCold(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+			res, err := discoverCold(h, Options{KeepConstantFDs: true})
 			if err != nil {
 				t.Fatalf("discover: %v", err)
 			}
@@ -334,12 +334,11 @@ func TestDiscoverSoundUnderVariants(t *testing.T) {
 		ropts relation.Options
 		copts Options
 	}{
-		{"ordered-sets", relation.Options{OrderedSets: true}, Options{PropagatePartial: true}},
-		{"no-set-attrs", relation.Options{DisableSetAttrs: true}, Options{PropagatePartial: true}},
-		{"maxlhs-1", relation.Options{}, Options{PropagatePartial: true, MaxLHS: 1}},
-		{"no-propagation", relation.Options{}, Options{PropagatePartial: false}},
-		{"parallel", relation.Options{}, Options{PropagatePartial: true, Parallel: true}},
-		{"tiny-caps", relation.Options{}, Options{PropagatePartial: true, MaxTargetsPerRelation: 3}},
+		{"ordered-sets", relation.Options{OrderedSets: true}, Options{}},
+		{"no-set-attrs", relation.Options{DisableSetAttrs: true}, Options{}},
+		{"maxlhs-1", relation.Options{}, Options{MaxLHS: 1}},
+		{"parallel", relation.Options{}, Options{Parallel: true}},
+		{"tiny-caps", relation.Options{}, Options{MaxTargetsPerRelation: 3}},
 	}
 	for _, v := range variants {
 		v := v

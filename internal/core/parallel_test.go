@@ -23,11 +23,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		serial, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.05})
+		serial, err := discoverCold(h, Options{ApproxError: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := discoverCold(h, Options{PropagatePartial: true, ApproxError: 0.05, Parallel: true})
+		parallel, err := discoverCold(h, Options{ApproxError: 0.05, Parallel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestParallelRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := discoverCold(h, Options{PropagatePartial: true, Parallel: true}); err != nil {
+		if _, err := discoverCold(h, Options{Parallel: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

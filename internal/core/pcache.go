@@ -130,24 +130,20 @@ func (c *partitionCache) seed(warm map[*relation.Relation]map[AttrSet]*partition
 	}
 }
 
-// snapshot returns a copy of every relation store's partitions for the
-// Engine's warm layer. The returned maps are fresh (this run never
-// touches them again) and partitions are immutable after construction,
-// so the Engine may hand the snapshot to later runs unsynchronized.
+// snapshot returns every relation store's partition map for the
+// Engine's warm layer. The maps are handed over, not copied: store and
+// seed give each store a private map, and the Engine publishes only
+// after execute has returned, so this run never writes to them again.
+// Partitions are immutable after construction, so the Engine may hand
+// the snapshot to later runs unsynchronized.
 func (c *partitionCache) snapshot() map[*relation.Relation]map[AttrSet]*partition.Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[*relation.Relation]map[AttrSet]*partition.Partition, len(c.rels))
-	//lint:detorder snapshot only fills per-relation maps keyed by relation; visit order cannot reach any output
 	for rel, rp := range c.rels {
-		if len(rp.parts) == 0 {
-			continue
+		if len(rp.parts) > 0 {
+			out[rel] = rp.parts
 		}
-		parts := make(map[AttrSet]*partition.Partition, len(rp.parts))
-		for a, p := range rp.parts {
-			parts[a] = p
-		}
-		out[rel] = parts
 	}
 	return out
 }

@@ -22,7 +22,7 @@ func TestStatsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestStatsTimeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStatsTimeAccounting(t *testing.T) {
 
 	// Parallel: wall time still stamped, component times non-negative
 	// (they are summed worker time and may legitimately exceed wall).
-	pres, err := discoverCold(h, Options{PropagatePartial: true, Parallel: true})
+	pres, err := discoverCold(h, Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLargeScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestKeepConstantFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestKeepConstantFDs(t *testing.T) {
 			t.Fatalf("constant FD reported without the flag: %s", fd)
 		}
 	}
-	res, err = discoverCold(h, Options{PropagatePartial: true, KeepConstantFDs: true})
+	res, err = discoverCold(h, Options{KeepConstantFDs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRedundancyParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := discoverCold(h, Options{PropagatePartial: true})
+		res, err := discoverCold(h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

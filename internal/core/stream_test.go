@@ -29,11 +29,11 @@ func TestStreamedDiscoveryMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: stream build: %v", ds.Name, err)
 		}
-		resMem, err := discoverCold(mem, Options{PropagatePartial: true})
+		resMem, err := discoverCold(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resStr, err := discoverCold(str, Options{PropagatePartial: true})
+		resStr, err := discoverCold(str, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

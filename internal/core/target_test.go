@@ -316,7 +316,7 @@ func FuzzTargetMatchesPairOracle(f *testing.F) {
 // relation drops the rest, is Truncated, and names the relation.
 func TestTargetCapTruncates(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := discoverCold(h, Options{PropagatePartial: true, MaxTargetsPerRelation: 1})
+	res, err := discoverCold(h, Options{MaxTargetsPerRelation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

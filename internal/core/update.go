@@ -12,11 +12,13 @@ import (
 // ApplyUpdate applies a batch of document updates to h and patches the
 // engine's warm partition layer in place of invalidating it: retained
 // partitions of untouched relations (and of touched relations' clean
-// columns) are kept, dirty single-column partitions are spliced via
-// partition.Patch, and only multi-column sets intersecting the dirty
-// columns are dropped — those the next run recomputes by products of
-// the patched columns. The next Discover over h therefore starts warm
-// almost everywhere, which is what the E-update benchmark measures.
+// columns) are kept, dirty single-column partitions are rebuilt from
+// the column's codes by the same builder cold runs use
+// (Relation.ColumnPartition), and only multi-column sets intersecting
+// the dirty columns are dropped — those the next run recomputes by
+// products of the rebuilt columns. The next Discover over h therefore
+// starts warm almost everywhere, which is what the E-update benchmark
+// measures.
 //
 // ApplyUpdate serializes against running discoveries: it takes h's
 // writer lock while Discover holds the reader lock across seed,
@@ -51,7 +53,7 @@ type patchReport struct {
 	rows    int // touched rows
 	attrs   int // dirty columns
 	kept    int // partitions shared untouched
-	patched int // single-column partitions spliced
+	patched int // single-column partitions rebuilt from the column's codes
 	dropped int // stale multi-column sets discarded
 }
 
@@ -117,7 +119,7 @@ func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patc
 				}
 			case a.Size() == 1:
 				if i := a.MaxBit(); rc.DirtyAttr(i) {
-					nm[a] = p.Patch(rel.Cols[i], rc.Rows)
+					nm[a] = rel.ColumnPartition(i)
 					rep.patched++
 				} else {
 					nm[a] = p

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"discoverxfd/internal/datatree"
+	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
 	"discoverxfd/internal/trace"
@@ -56,7 +57,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // entry survives, so the incremental run misses less than a cold one).
 func TestApplyUpdateIncrementalMatchesCold(t *testing.T) {
 	h, tree := buildWarehouseTree(t, relation.Options{})
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestApplyUpdateIncrementalMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := discoverCold(coldH, Options{PropagatePartial: true})
+	cold, err := discoverCold(coldH, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestApplyUpdateRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
 		h, tree := buildWarehouseTree(t, relation.Options{})
-		eng := NewEngine(Options{PropagatePartial: true})
+		eng := NewEngine(Options{})
 		if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 			t.Fatal(err)
 		}
@@ -128,13 +129,95 @@ func TestApplyUpdateRandomizedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := discoverCold(coldH, Options{PropagatePartial: true})
+			cold, err := discoverCold(coldH, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("trial %d batch %d", trial, batch), warm, cold)
 		}
 	}
+}
+
+// TestApplyUpdateWarmPartitionsMatchFresh checks the warm layer
+// itself, not only the Results computed from it: after every
+// ApplyUpdate batch (sets, inserts, deletes and a cascading delete,
+// so relations get resized) and after the warm run that follows it,
+// every partition in h's warm entry equals the partition a fresh
+// cache computes for the same attribute set over the mutated
+// hierarchy, group for group and in order.
+func TestApplyUpdateWarmPartitionsMatchFresh(t *testing.T) {
+	h, _ := buildWarehouseTree(t, relation.Options{})
+	eng := NewEngine(Options{})
+	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
+		t.Fatal(err)
+	}
+	books := h.ByPivot("/warehouse/state/store/book")
+	stores := h.ByPivot("/warehouse/state/store")
+	batches := [][]relation.Update{
+		{{Op: relation.OpSet, Class: books.Pivot, Key: books.Keys[0], Attr: "./price", Value: "55"},
+			{Op: relation.OpSet, Class: books.Pivot, Key: books.Keys[1], Attr: "./title", Value: "Renamed"}},
+		{{Op: relation.OpInsert, Class: books.Pivot, Parent: stores.Keys[0],
+			Values: map[schema.RelPath]string{"./ISBN": "555", "./title": "New", "./price": "70"}}},
+		{{Op: relation.OpDelete, Class: books.Pivot, Key: books.Keys[2]}},
+		{{Op: relation.OpDelete, Class: stores.Pivot, Key: stores.Keys[0]}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < len(batches)+6; i++ {
+		var ops []relation.Update
+		if i < len(batches) {
+			ops = batches[i]
+		} else if ops = randomWarehouseOps(rng, h); len(ops) == 0 {
+			continue
+		}
+		before := eng.Metrics().PartitionsPatched
+		cs, err := eng.ApplyUpdate(h, ops)
+		if err != nil {
+			t.Fatalf("batch %d: apply: %v", i, err)
+		}
+		if i < len(batches) && eng.Metrics().PartitionsPatched == before {
+			t.Fatalf("batch %d rebuilt no partition", i)
+		}
+		if i >= 1 && i < len(batches) && !cs.Rels[books.Index].Resized {
+			t.Fatalf("batch %d did not resize %s", i, books.Pivot)
+		}
+		requireWarmMatchesFresh(t, fmt.Sprintf("batch %d applied", i), eng, h)
+		if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
+			t.Fatal(err)
+		}
+		requireWarmMatchesFresh(t, fmt.Sprintf("batch %d rediscovered", i), eng, h)
+	}
+}
+
+// requireWarmMatchesFresh requires every partition in h's warm entry
+// to equal, group for group and in order, the partition a fresh cache
+// computes for the same attribute set over h as it stands now.
+func requireWarmMatchesFresh(t *testing.T, label string, eng *Engine, h *relation.Hierarchy) {
+	t.Helper()
+	warm, _ := eng.warmFor(h)
+	if warm == nil {
+		t.Fatalf("%s: no warm entry", label)
+	}
+	fresh := newPartitionCache(0)
+	for rel, parts := range warm {
+		rp := fresh.store(rel)
+		sc := partition.NewScratch(rel.NRows())
+		for a, got := range parts {
+			want := fresh.partitionOf(rp, a, sc, false, nil)
+			if got.NRows != want.NRows || !reflect.DeepEqual(groupsOf(got), groupsOf(want)) {
+				t.Fatalf("%s: %s %v: warm partition over %d rows %v, fresh over %d rows %v",
+					label, rel.Pivot, a.Attrs(), got.NRows, groupsOf(got), want.NRows, groupsOf(want))
+			}
+		}
+	}
+}
+
+// groupsOf lists p's groups in stored order.
+func groupsOf(p *partition.Partition) [][]int32 {
+	out := make([][]int32, p.Size())
+	for i := range out {
+		out[i] = p.Group(i)
+	}
+	return out
 }
 
 // randomLeafValue emits a value conforming to the attribute's
@@ -229,7 +312,7 @@ func randomWarehouseOps(rng *rand.Rand, h *relation.Hierarchy) []relation.Update
 // safety.)
 func TestApplyUpdateConcurrentWithDiscover(t *testing.T) {
 	h, _ := buildWarehouseTree(t, relation.Options{})
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 	books := h.ByPivot("/warehouse/state/store/book")
 	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
@@ -387,7 +470,7 @@ func TestSubtreeReuseAfterUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	eng := NewEngine(Options{PropagatePartial: true})
+	eng := NewEngine(Options{})
 	cold, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +503,7 @@ func TestSubtreeReuseAfterUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold rebuild: %v", err)
 	}
-	fresh, err := discoverCold(h2, Options{PropagatePartial: true})
+	fresh, err := discoverCold(h2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func contains(list []string, want string) bool {
 
 func TestDiscoverWarehousePaperFDs(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestDiscoverWarehousePaperFDs(t *testing.T) {
 
 func TestDiscoverWarehouseRedundancies(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestDiscoverWarehouseRedundancies(t *testing.T) {
 
 func TestDiscoverWarehouseKeys(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestDiscoverWarehouseKeys(t *testing.T) {
 
 func TestDiscoverResultsAllVerify(t *testing.T) {
 	h := buildWarehouse(t, relation.Options{})
-	res, err := discoverCold(h, Options{PropagatePartial: true})
+	res, err := discoverCold(h, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}

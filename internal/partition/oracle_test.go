@@ -84,12 +84,11 @@ func oracleColumn(r *rand.Rand, n, domain, nullPct int) []int64 {
 }
 
 // checkProductMatchesOracle builds m random columns over n rows, each
-// column's partition once by FromCodes, by FromDense and by patching an
-// edited earlier version of the column, and requires all three to
-// store the same groups in the same order. It then folds the columns,
-// in a random order, through Product with one reused scratch and
-// through productOracle, and requires the same groups in the same
-// order after every step.
+// column's partition once by FromCodes and once by FromDense, and
+// requires both to store the same groups in the same order. It then
+// folds the columns, in a random order, through Product with one
+// reused scratch and through productOracle, and requires the same
+// groups in the same order after every step.
 func checkProductMatchesOracle(t *testing.T, seed int64, n, m, domain, nullPct int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -101,18 +100,7 @@ func checkProductMatchesOracle(t *testing.T, seed int64, n, m, domain, nullPct i
 		if got := groupsOf(FromDense(codes, int64(domain)+1)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d column %d: FromDense groups %v, FromCodes %v", seed, a, got, want)
 		}
-		old := append([]int64(nil), codes...)
-		var touched []int32
-		for e := r.Intn(4); e > 0 && n > 0; e-- {
-			row := r.Intn(n)
-			old[row] = 1 + int64(r.Intn(domain))
-			touched = append(touched, int32(row))
-		}
-		patched := FromCodes(old).Patch(codes, touched)
-		if got := groupsOf(patched); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d column %d: Patch groups %v, FromCodes %v", seed, a, got, want)
-		}
-		cols[a] = patched
+		cols[a] = p
 	}
 	if m == 0 {
 		return
@@ -135,8 +123,8 @@ func checkProductMatchesOracle(t *testing.T, seed int64, n, m, domain, nullPct i
 
 // FuzzProductMatchesOracle holds the flat Product to the pre-flat
 // algorithm group for group and in order — TestProductProperties only
-// compares under the order-insensitive Equal — along with the
-// FromDense and Patch constructors the fold starts from.
+// compares under the order-insensitive Equal — along with the two
+// column builders the fold starts from, FromCodes and FromDense.
 func FuzzProductMatchesOracle(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(4), uint8(3), uint8(10))
 	f.Add(int64(2), uint16(300), uint8(6), uint8(2), uint8(0))

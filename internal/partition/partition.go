@@ -35,33 +35,6 @@ type Partition struct {
 	NRows int
 }
 
-// fromGroups builds the partition with the given equivalence classes
-// over a relation of nRows tuples. Each group lists its rows in
-// ascending order; groups with fewer than two rows are dropped
-// (stripped form). groups is reordered in place by smallest row, and
-// the rows are copied, so the caller keeps ownership of the slices.
-func fromGroups(groups [][]int32, nRows int) *Partition {
-	kept := groups[:0]
-	total := 0
-	for _, g := range groups {
-		if len(g) >= 2 {
-			kept = append(kept, g)
-			total += len(g)
-		}
-	}
-	if len(kept) == 0 {
-		return &Partition{NRows: nRows}
-	}
-	sortGroups(kept)
-	p := &Partition{rows: make([]int32, 0, total), starts: make([]int32, 0, len(kept)+1), NRows: nRows}
-	for _, g := range kept {
-		p.starts = append(p.starts, int32(len(p.rows)))
-		p.rows = append(p.rows, g...)
-	}
-	p.starts = append(p.starts, int32(total))
-	return p
-}
-
 // FromCodes builds the partition of a single column: rows with equal
 // codes form a group. Codes are arbitrary; in this system missing
 // values carry a unique negative code per row, which realizes the
@@ -71,21 +44,34 @@ func FromCodes(codes []int64) *Partition {
 	first := make(map[int64]int32, len(codes))
 	groupOf := make(map[int64]int, len(codes))
 	var groups [][]int32
+	total := 0
 	for i, c := range codes {
 		if j, ok := groupOf[c]; ok {
 			groups[j] = append(groups[j], int32(i))
+			total++
 			continue
 		}
 		if f, ok := first[c]; ok {
 			groupOf[c] = len(groups)
 			groups = append(groups, []int32{f, int32(i)})
+			total += 2
 			continue
 		}
 		first[c] = int32(i)
 	}
+	if len(groups) == 0 {
+		return &Partition{NRows: len(codes)}
+	}
 	// Groups were appended in order of their *second* occurrence;
-	// fromGroups normalizes to order of smallest row.
-	return fromGroups(groups, len(codes))
+	// normalize to order of smallest row.
+	sortGroups(groups)
+	p := &Partition{rows: make([]int32, 0, total), starts: make([]int32, 0, len(groups)+1), NRows: len(codes)}
+	for _, g := range groups {
+		p.starts = append(p.starts, int32(len(p.rows)))
+		p.rows = append(p.rows, g...)
+	}
+	p.starts = append(p.starts, int32(total))
+	return p
 }
 
 func sortGroups(groups [][]int32) {

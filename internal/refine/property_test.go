@@ -47,7 +47,7 @@ func TestApplyPropertyReducesRedundancy(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
+		res, err := core.NewEngine(core.Options{}).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			return false
 		}
@@ -80,7 +80,7 @@ func TestApplyPropertyReducesRedundancy(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res2, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h2, time.Time{}, false)
+		res2, err := core.NewEngine(core.Options{}).Discover(context.Background(), h2, time.Time{}, false)
 		if err != nil {
 			return false
 		}

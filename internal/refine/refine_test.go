@@ -35,7 +35,7 @@ func build(t *testing.T, xml string) (*datatree.Tree, *relation.Hierarchy, *core
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
+	res, err := core.NewEngine(core.Options{}).Discover(context.Background(), h, time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestApplyEliminatesRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h2, time.Time{}, false)
+	res2, err := core.NewEngine(core.Options{}).Discover(context.Background(), h2, time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

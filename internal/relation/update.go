@@ -16,15 +16,16 @@ import (
 // tuple class and pivot node key. An update mutates the retained data
 // tree and the relation columns consistently, and reports exactly
 // which columns and rows changed (the Changeset), which is what lets
-// the engine's warm layer patch its striped partitions instead of
-// rebuilding them (see internal/partition.Patch and the engine's
-// ApplyUpdate).
+// the engine's warm layer keep the striped partitions of clean columns
+// and rebuild only the dirty ones (see the engine's ApplyUpdate).
 //
 // The invariants the update path maintains:
 //
 //   - Dense interning stays append-only: new leaf values and new
 //     subtree codes extend the retained interner/remap tables, so
-//     ColBound only grows and untouched codes keep their meaning.
+//     ColBound only grows, untouched codes keep their meaning, and
+//     every non-null code stays in [1, ColBound) — a rebuilt column
+//     partition takes FromDense's counting path, as in a cold build.
 //   - Null codes stay row-unique: a tuple moved by a swap-delete has
 //     its null codes renumbered to its new row, preserving the
 //     nullCode(row) convention the partitions' strong-satisfaction
@@ -97,13 +98,13 @@ type Update struct {
 type RelChange struct {
 	Rel *Relation
 	// Resized reports that tuples were inserted or deleted: row
-	// identity changed, so every multi-column partition of the
-	// relation is stale (single columns remain patchable via Rows).
+	// identity changed, so every partition of the relation is stale
+	// and DirtyAttr reports every column.
 	Resized bool
 	// Rows lists, in ascending order, the row indices of the final
-	// relation whose codes may differ from the pre-update relation —
-	// exactly the touched set partition.Patch needs. Rows at or above
-	// the final row count never appear.
+	// relation whose codes may differ from the pre-update relation
+	// (update trace events report its length). Rows at or above the
+	// final row count never appear.
 	Rows []int32
 
 	dirty uint64 // bitmask over attr indices with changed codes
@@ -118,10 +119,6 @@ func (rc *RelChange) DirtyAttr(ai int) bool {
 	}
 	return rc.Resized || rc.wide || ai >= 64 || rc.dirty&(1<<uint(ai)) != 0
 }
-
-// DirtyMask returns the changed-column bitmask (meaningful for
-// relations of at most 64 attributes and no resize; use DirtyAttr).
-func (rc *RelChange) DirtyMask() uint64 { return rc.dirty }
 
 // Changeset reports what one Apply batch changed.
 type Changeset struct {

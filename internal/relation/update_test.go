@@ -3,11 +3,11 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"discoverxfd/internal/datatree"
-	"discoverxfd/internal/partition"
 	"discoverxfd/internal/schema"
 )
 
@@ -74,7 +74,7 @@ func requireEquivalent(t *testing.T, got, want *Hierarchy) {
 }
 
 // snapshotCols deep-copies every relation's columns, for checking the
-// partition-patch contract against the pre-update state.
+// warm-layer contract against the pre-update state.
 func snapshotCols(h *Hierarchy) [][][]int64 {
 	out := make([][][]int64, len(h.Relations))
 	for i, r := range h.Relations {
@@ -87,46 +87,35 @@ func snapshotCols(h *Hierarchy) [][][]int64 {
 	return out
 }
 
-// requirePatchContract asserts the warm-layer contract of a
-// Changeset: for every relation, patching the pre-update single-column
-// partitions with the new codes and the change's touched rows yields
-// exactly the partition of the new codes — i.e. RelChange.Rows is a
-// correct touched superset, and untouched relations truly did not
-// change.
-func requirePatchContract(t *testing.T, h *Hierarchy, before [][][]int64, cs *Changeset) {
+// requireWarmContract asserts what the engine's warm layer relies on
+// after a Changeset: every column it does not mark dirty kept its
+// codes bit for bit (so the column's warm partitions stay valid, and
+// an untouched relation was not resized), and every non-null code lies
+// in [1, ColBound) — the precondition of FromDense's counting build,
+// which otherwise silently falls back to hashing when a dirty column
+// is rebuilt.
+func requireWarmContract(t *testing.T, h *Hierarchy, before [][][]int64, cs *Changeset) {
 	t.Helper()
 	for i, r := range h.Relations {
-		rc := cs.Rels[i]
-		for ai := range r.Cols {
-			old := partition.FromCodes(before[i][ai])
-			var rows []int32
-			if rc != nil {
-				if !rc.DirtyAttr(ai) && !rc.Resized {
-					// Clean column of a touched, unresized relation:
-					// codes must be bit-identical.
-					for ti, c := range r.Cols[ai] {
-						if before[i][ai][ti] != c {
-							t.Fatalf("%s.%s: clean column changed at row %d", r.Pivot, r.Attrs[ai].Name(), ti)
-						}
-					}
-					continue
+		if len(r.ColBound) != r.NAttrs() {
+			t.Fatalf("%s: %d column bounds for %d attributes", r.Pivot, len(r.ColBound), r.NAttrs())
+		}
+		for ai, col := range r.Cols {
+			for ti, c := range col {
+				if !IsNull(c) && (c < 1 || c >= r.ColBound[ai]) {
+					t.Fatalf("%s.%s row %d: code %d outside [1, %d)", r.Pivot, r.Attrs[ai].Name(), ti, c, r.ColBound[ai])
 				}
-				rows = rc.Rows
-			} else if len(before[i][ai]) != len(r.Cols[ai]) {
-				t.Fatalf("%s: resized without a RelChange", r.Pivot)
 			}
-			got := old.Patch(r.Cols[ai], rows)
-			want := partition.FromCodes(r.Cols[ai])
-			if !got.Equal(want) {
-				t.Fatalf("%s.%s: patched partition != cold partition\npatched: %v\ncold: %v\nrows: %v",
-					r.Pivot, r.Attrs[ai].Name(), *got, *want, rows)
+			if !cs.Rels[i].DirtyAttr(ai) && !slices.Equal(before[i][ai], col) {
+				t.Fatalf("%s.%s: column changed but not marked dirty\nbefore: %v\nafter:  %v",
+					r.Pivot, r.Attrs[ai].Name(), before[i][ai], col)
 			}
 		}
 	}
 }
 
-// applyAndCheck applies the batch, then verifies the patch contract
-// and equivalence with a cold rebuild of the mutated tree.
+// applyAndCheck applies the batch, then verifies the warm-layer
+// contract and equivalence with a cold rebuild of the mutated tree.
 func applyAndCheck(t *testing.T, h *Hierarchy, tr *datatree.Tree, opts Options, ops []Update) *Changeset {
 	t.Helper()
 	before := snapshotCols(h)
@@ -134,7 +123,7 @@ func applyAndCheck(t *testing.T, h *Hierarchy, tr *datatree.Tree, opts Options, 
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	requirePatchContract(t, h, before, cs)
+	requireWarmContract(t, h, before, cs)
 	cold, err := Build(tr, h.Schema, opts)
 	if err != nil {
 		t.Fatalf("cold rebuild: %v", err)
@@ -424,8 +413,8 @@ func TestApplyNotUpdatable(t *testing.T) {
 
 // TestApplyRandomized drives random batches of updates against the
 // warehouse document (ordered and unordered set codes) and checks,
-// after every batch, both the partition-patch contract and
-// equivalence with a cold rebuild of the mutated tree.
+// after every batch, both the warm-layer contract and equivalence
+// with a cold rebuild of the mutated tree.
 func TestApplyRandomized(t *testing.T) {
 	for _, ordered := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 // hierarchy (and a dedicated engine with its warm partition layer)
 // resident; PATCH /v1/documents/{id} applies an update script to it
 // in place; POST /v1/documents/{id}/discover then runs incrementally,
-// patching warm partitions instead of rebuilding them. This is the
+// from warm partitions that the update kept or rebuilt column by
+// column instead of discarding. This is the
 // serving-layer shape of the update path — parse once, mutate and
 // re-discover many times.
 
@@ -239,11 +240,11 @@ type updateResult struct {
 
 // handleUpdateDocument is PATCH /v1/documents/{id}: decode a JSON
 // update script (see discoverxfd.ParseUpdates) and apply it to the
-// resident hierarchy. On success the engine has already patched its
-// warm partitions, so the next discover on the document runs
-// incrementally; a rejected script (unknown key, schema violation)
-// returns 422 with the failing op's error — earlier ops in the batch
-// remain applied, exactly the library contract.
+// resident hierarchy. On success the engine has already rebuilt the
+// warm partitions of the dirty columns, so the next discover on the
+// document runs incrementally; a rejected script (unknown key, schema
+// violation) returns 422 with the failing op's error — earlier ops in
+// the batch remain applied, exactly the library contract.
 func (s *Server) handleUpdateDocument(w http.ResponseWriter, r *http.Request) {
 	d := s.docs.get(r.PathValue("id"))
 	if d == nil {
@@ -328,22 +329,7 @@ func (s *Server) handleDiscoverDocument(w http.ResponseWriter, r *http.Request) 
 	d.mu.Lock()
 	d.runs++
 	d.mu.Unlock()
-	s.fault("result", r)
-	s.finishRun(res)
-	if status, ok := s.degradeStatus(res, req.degrade); !ok {
-		writeJSONStatus(w, status, map[string]string{
-			"error":  "deadline exceeded: " + res.Stats.TruncatedReason,
-			"detail": "re-request with ?degrade=truncate to accept the partial result",
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if res.Stats.Truncated {
-		w.Header().Set("X-Truncated", "true")
-	}
-	if err := discoverxfd.WriteJSON(w, res); err != nil {
-		s.cfg.Log.Error("writing result", "err", err)
-	}
+	s.writeResult(w, r, res, req.degrade)
 }
 
 func docNotFound(id string) error {

@@ -105,7 +105,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func(em *discoverxfd.Metrics) int64 { return em.UpdateOps }},
 		{"xfd_engine_updates_failed_total", "Rejected document update batches.",
 			func(em *discoverxfd.Metrics) int64 { return em.UpdatesFailed }},
-		{"xfd_engine_partitions_patched_total", "Warm partitions spliced in place after updates.",
+		{"xfd_engine_partitions_patched_total", "Warm column partitions rebuilt from the column's codes after updates.",
 			func(em *discoverxfd.Metrics) int64 { return em.PartitionsPatched }},
 		{"xfd_engine_partitions_kept_total", "Warm partitions shared untouched across updates.",
 			func(em *discoverxfd.Metrics) int64 { return em.PartitionsKept }},

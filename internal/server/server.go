@@ -316,9 +316,17 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
+	s.writeResult(w, r, res, req.degrade)
+}
+
+// writeResult serves a finished synchronous run: it counts the run,
+// answers 504 for a deadline truncation the client did not opt into
+// (see degradeStatus), and otherwise writes the Result JSON, flagging
+// a partial one with X-Truncated.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *discoverxfd.Result, degrade bool) {
 	s.fault("result", r)
 	s.finishRun(res)
-	if status, ok := s.degradeStatus(res, req.degrade); !ok {
+	if status, ok := s.degradeStatus(res, degrade); !ok {
 		writeJSONStatus(w, status, map[string]string{
 			"error":  "deadline exceeded: " + res.Stats.TruncatedReason,
 			"detail": "re-request with ?degrade=truncate to accept the partial result",

@@ -67,8 +67,9 @@ const (
 	// KindPartitionPatch reports the warm-layer patch of one touched
 	// relation after an update: relation, tuples (touched rows), attrs
 	// (dirty columns), and the fate of its retained partitions —
-	// kept (shared untouched), patched (spliced in place of a
-	// rebuild), dropped (stale multi-column sets).
+	// kept (shared untouched), patched (a dirty column's partition
+	// rebuilt from the column's codes, or Π_∅ after a resize),
+	// dropped (stale multi-column sets).
 	KindPartitionPatch Kind = "partition_patch"
 	// KindRequestStart/KindRequestEnd bracket one HTTP request served
 	// by xfdd (internal/server's instrumentation middleware): trace_id

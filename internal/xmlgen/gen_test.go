@@ -83,7 +83,7 @@ func TestDiscoveryFindsGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", ds.Name, err)
 		}
-		res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
+		res, err := core.NewEngine(core.Options{}).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			t.Fatalf("%s: discover: %v", ds.Name, err)
 		}

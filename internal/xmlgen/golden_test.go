@@ -30,7 +30,7 @@ func TestGoldenDiscoveryCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		res, err := core.NewEngine(core.Options{PropagatePartial: true}).Discover(context.Background(), h, time.Time{}, false)
+		res, err := core.NewEngine(core.Options{}).Discover(context.Background(), h, time.Time{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

@@ -11,10 +11,10 @@ import (
 // Incremental updates. A hierarchy Engine.BuildHierarchy built from
 // an in-memory document stays updatable: ApplyUpdate mutates it in
 // place — tuple value changes, inserts, deletes — and the engine
-// patches its warm partitions instead of recomputing them, so the
-// next DiscoverHierarchy call over the same *Hierarchy runs
-// incrementally. Streamed hierarchies are not updatable
-// (ErrNotUpdatable); rebuild those from the source.
+// keeps its warm partitions, rebuilding only those of the dirty
+// columns, so the next DiscoverHierarchy call over the same
+// *Hierarchy runs incrementally. Streamed hierarchies are not
+// updatable (ErrNotUpdatable); rebuild those from the source.
 
 type (
 	// Update is one document mutation: a tuple value change, insert,
@@ -44,8 +44,8 @@ var ErrNotUpdatable = relation.ErrNotUpdatable
 
 // ApplyUpdate applies a batch of updates to the hierarchy and patches
 // the engine's warm partition layer: untouched partitions are kept,
-// dirty single-column partitions spliced, and only stale multi-column
-// sets dropped. Updates serialize against running discoveries on the
+// dirty single-column partitions rebuilt from the column's codes, and
+// only stale multi-column sets dropped. Updates serialize against running discoveries on the
 // same hierarchy. The returned Changeset's Keys hold, per op, the
 // affected pivot key — for inserts, the new tuple's key, which later
 // batches use to address it.
