@@ -1,8 +1,7 @@
 package core
 
 import (
-	"strconv"
-	"strings"
+	"context"
 
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
@@ -21,7 +20,7 @@ type ConflictGroup struct {
 // companion of Evaluate, used by update-anomaly detection to point at
 // the exact pivot nodes that disagree.
 func EvaluateConflicts(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) ([]ConflictGroup, error) {
-	groups, rcol, err := lhsGroups(h, class, lhs, rhs)
+	groups, rcol, err := lhsGroupsContext(context.Background(), h, class, lhs, rhs)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +53,7 @@ func EvaluateConflicts(h *relation.Hierarchy, class schema.Path, lhs []schema.Re
 // that must be co-updated whenever the tuple's RHS changes, lest the
 // FD break. The tuple itself is not included.
 func Companions(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath, tuple int) ([]int, error) {
-	groups, _, err := lhsGroups(h, class, lhs, rhs)
+	groups, _, err := lhsGroupsContext(context.Background(), h, class, lhs, rhs)
 	if err != nil {
 		return nil, err
 	}
@@ -72,71 +71,4 @@ func Companions(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, 
 		}
 	}
 	return nil, nil // vacuous tuple (a null LHS value): no companions
-}
-
-// lhsGroups materializes the non-vacuous LHS-equal groups of the
-// class and the RHS column.
-func lhsGroups(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) ([][]int, []int64, error) {
-	origin := h.ByPivot(class)
-	if origin == nil {
-		return nil, nil, errUnknownClass(class)
-	}
-	refs := make([]ref, 0, len(lhs))
-	for _, rp := range lhs {
-		r, err := resolveRef(h, origin, rp)
-		if err != nil {
-			return nil, nil, err
-		}
-		refs = append(refs, r)
-	}
-	rref, err := resolveRef(h, origin, rhs)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	n := origin.NRows()
-	bySig := make(map[string][]int, n)
-	var order []string
-	var sig strings.Builder
-	for t := 0; t < n; t++ {
-		sig.Reset()
-		null := false
-		for _, r := range refs {
-			at, ok := ancestorTuple(origin, t, r.ups)
-			if !ok {
-				null = true
-				break
-			}
-			code := r.rel.Cols[r.attr][at]
-			if relation.IsNull(code) {
-				null = true
-				break
-			}
-			sig.WriteString(strconv.FormatInt(code, 10))
-			sig.WriteByte('|')
-		}
-		if null {
-			continue
-		}
-		key := sig.String()
-		if _, ok := bySig[key]; !ok {
-			order = append(order, key)
-		}
-		bySig[key] = append(bySig[key], t)
-	}
-	groups := make([][]int, 0, len(order))
-	for _, key := range order {
-		groups = append(groups, bySig[key])
-	}
-	return groups, origin.Cols[rref.attr], nil
-}
-
-func errUnknownClass(class schema.Path) error {
-	return &unknownClassError{class}
-}
-
-type unknownClassError struct{ class schema.Path }
-
-func (e *unknownClassError) Error() string {
-	return "core: no tuple class with pivot " + string(e.class)
 }

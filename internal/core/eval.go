@@ -85,67 +85,18 @@ func Evaluate(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rh
 }
 
 // evalCheckInterval is how many tuples are processed between context
-// checks in EvaluateContext.
+// checks in lhsGroupsContext.
 const evalCheckInterval = 4096
 
 // EvaluateContext is Evaluate with cancellation, checked periodically
 // over the class's tuples.
 func EvaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
-	origin := h.ByPivot(class)
-	if origin == nil {
-		return Evaluation{}, fmt.Errorf("core: no tuple class with pivot %s", class)
-	}
-	refs := make([]ref, 0, len(lhs))
-	for _, rp := range lhs {
-		r, err := resolveRef(h, origin, rp)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		refs = append(refs, r)
-	}
-	rref, err := resolveRef(h, origin, rhs)
+	groups, rcol, err := lhsGroupsContext(ctx, h, class, lhs, rhs)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	if rref.ups != 0 {
-		return Evaluation{}, fmt.Errorf("core: RHS %s of an interesting FD must stay within the pivot's subtree", rhs)
-	}
-
-	n := origin.NRows()
-	groups := make(map[string][]int, n)
-	var sig strings.Builder
-	for t := 0; t < n; t++ {
-		if t%evalCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return Evaluation{}, fmt.Errorf("core: evaluation cancelled: %w", err)
-			}
-		}
-		sig.Reset()
-		null := false
-		for _, r := range refs {
-			at, ok := ancestorTuple(origin, t, r.ups)
-			if !ok {
-				null = true
-				break
-			}
-			code := r.rel.Cols[r.attr][at]
-			if relation.IsNull(code) {
-				null = true
-				break
-			}
-			sig.WriteString(strconv.FormatInt(code, 10))
-			sig.WriteByte('|')
-		}
-		if null {
-			continue // vacuous under strong satisfaction
-		}
-		groups[sig.String()] = append(groups[sig.String()], t)
-	}
-
 	ev := Evaluation{Holds: true, LHSIsKey: true}
 	removals := 0
-	rcol := origin.Cols[rref.attr]
-	//lint:detorder per-group tallies only += ints and latch booleans, so group order cannot reach the Evaluation output
 	for _, g := range groups {
 		if len(g) < 2 {
 			continue
@@ -182,10 +133,80 @@ func EvaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Pa
 			ev.Violations += len(g) - 1
 		}
 	}
-	if n > 0 {
+	if n := len(rcol); n > 0 {
 		ev.Error = float64(removals) / float64(n)
 	}
 	return ev, nil
+}
+
+// lhsGroupsContext resolves the FD ⟨class, lhs, rhs⟩ against the
+// hierarchy and materializes the class's LHS-equal groups, in order of
+// their first tuple, with the RHS column. Each tuple's LHS signature is
+// read by walking parent links for ancestor paths; a tuple with a
+// missing or null LHS value is vacuous under strong satisfaction and
+// joins no group. The RHS must stay within the pivot's subtree. ctx is
+// checked every evalCheckInterval tuples. It is the one LHS-group
+// builder behind Evaluate, EvaluateConflicts and Companions.
+func lhsGroupsContext(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) ([][]int, []int64, error) {
+	origin := h.ByPivot(class)
+	if origin == nil {
+		return nil, nil, fmt.Errorf("core: no tuple class with pivot %s", class)
+	}
+	refs := make([]ref, 0, len(lhs))
+	for _, rp := range lhs {
+		r, err := resolveRef(h, origin, rp)
+		if err != nil {
+			return nil, nil, err
+		}
+		refs = append(refs, r)
+	}
+	rref, err := resolveRef(h, origin, rhs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rref.ups != 0 {
+		return nil, nil, fmt.Errorf("core: RHS %s of an interesting FD must stay within the pivot's subtree", rhs)
+	}
+
+	n := origin.NRows()
+	bySig := make(map[string]int, n)
+	var groups [][]int
+	var sig strings.Builder
+	for t := 0; t < n; t++ {
+		if t%evalCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, fmt.Errorf("core: evaluation cancelled: %w", err)
+			}
+		}
+		sig.Reset()
+		null := false
+		for _, r := range refs {
+			at, ok := ancestorTuple(origin, t, r.ups)
+			if !ok {
+				null = true
+				break
+			}
+			code := r.rel.Cols[r.attr][at]
+			if relation.IsNull(code) {
+				null = true
+				break
+			}
+			sig.WriteString(strconv.FormatInt(code, 10))
+			sig.WriteByte('|')
+		}
+		if null {
+			continue
+		}
+		key := sig.String()
+		gi, ok := bySig[key]
+		if !ok {
+			gi = len(groups)
+			bySig[key] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], t)
+	}
+	return groups, origin.Cols[rref.attr], nil
 }
 
 // verifier derives the Evaluation of each candidate FD of the verify

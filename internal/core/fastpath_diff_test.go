@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,45 @@ func TestFastPathMatchesNaive(t *testing.T) {
 		}
 		if naive.Stats.ParallelProducts != 0 {
 			t.Errorf("%s: naive engine reported %d parallel products", ds.Name, naive.Stats.ParallelProducts)
+		}
+	}
+}
+
+// TestNaiveColumnsOrderGroupsDifferently keeps TestFastPathMatchesNaive
+// an oracle for group-order independence. The naive engine builds
+// column partitions with FromCodes (groups in order of their second
+// row), the fast engine with Relation.ColumnPartition (FromDense,
+// groups in order of their smallest row). Both must hold the same
+// groups, and on every corpus but random-nulls some column must store
+// them in another order, so the two engines multiply differently
+// ordered partitions. A re-sort in either builder would make the
+// differential test blind to group order; this test fails first.
+func TestNaiveColumnsOrderGroupsDifferently(t *testing.T) {
+	for _, ds := range diffDatasets() {
+		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", ds.Name, err)
+		}
+		cols, reordered := 0, 0
+		for _, r := range h.Relations {
+			for i := range r.Attrs {
+				naive, fast := partition.FromCodes(r.Cols[i]), r.ColumnPartition(i)
+				if !naive.Equal(fast) {
+					t.Errorf("%s: relation %s column %s: FromCodes and FromDense group differently", ds.Name, r.Pivot, r.Attrs[i].Rel)
+					continue
+				}
+				cols++
+				for g := range naive.Size() {
+					if naive.Group(g)[0] != fast.Group(g)[0] {
+						reordered++
+						break
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d of %d columns order their groups differently", ds.Name, reordered, cols)
+		if reordered == 0 && !strings.HasPrefix(ds.Name, "random-nulls") {
+			t.Errorf("%s: all %d columns store their groups in the same order under both builders", ds.Name, cols)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patc
 			parts[rel] = m // untouched relation: share wholesale
 			continue
 		}
-		rep := patchReport{rel: rel, rows: len(rc.Rows)}
+		rep := patchReport{rel: rel, rows: rc.Tuples}
 		for ai := range rel.Attrs {
 			if rc.DirtyAttr(ai) {
 				rep.attrs++
@@ -195,7 +195,7 @@ func (e *Engine) traceUpdate(start time.Time, cs *relation.Changeset, err error,
 		for _, rc := range cs.Rels {
 			if rc != nil {
 				ev.Relations++
-				ev.Tuples += len(rc.Rows)
+				ev.Tuples += rc.Tuples
 			}
 		}
 	}

@@ -155,14 +155,6 @@ func (t *Tree) Graft(parent *Node, label string) *Node {
 	return c
 }
 
-// GraftLeaf is Graft with a value assignment.
-func (t *Tree) GraftLeaf(parent *Node, label, value string) *Node {
-	c := t.Graft(parent, label)
-	c.Value = value
-	c.HasValue = true
-	return c
-}
-
 // Prune detaches the subtree rooted at n from its parent and adjusts
 // the node count. Pruning the root is not supported.
 func (t *Tree) Prune(n *Node) {

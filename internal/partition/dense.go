@@ -30,8 +30,7 @@ func FromDense(codes []int64, bound int64) *Partition {
 	// Lay every non-singleton group out in one flat array. next[c] is
 	// one past the slot the code's next row goes to (offset by one so 0
 	// keeps meaning "unclaimed"); ranges are claimed at each group's
-	// first row, so groups come out already sorted by smallest row and
-	// no sort pass is needed.
+	// first row, so groups come out in order of their smallest row.
 	total, nGroups := 0, 0
 	for _, n := range counts {
 		if n >= 2 {

@@ -40,19 +40,10 @@ func TestFromDenseMatchesFromCodes(t *testing.T) {
 				t.Fatalf("n=%d bound=%d: FromDense != FromCodes\n got: %v\nwant: %v",
 					tc.n, tc.bound, groupsOf(got), groupsOf(want))
 			}
-			// Determinism guarantees beyond set equality: groups ordered
-			// by smallest row, rows ascending.
-			for gi := range got.Size() {
-				g := got.Group(gi)
-				if wg := want.Group(gi); g[0] != wg[0] || len(g) != len(wg) {
-					t.Fatalf("group %d ordering differs: got %v want %v", gi, g, wg)
-				}
-				for i := 1; i < len(g); i++ {
-					if g[i-1] >= g[i] {
-						t.Fatalf("group %d rows not ascending: %v", gi, g)
-					}
-				}
-			}
+			// Beyond set equality: rows ascend within every group of
+			// both builders. Group order is unspecified.
+			canonical(t, got)
+			canonical(t, want)
 		}
 	}
 }

@@ -11,10 +11,7 @@
 // in non-singleton groups minus the number of such groups).
 package partition
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // Partition is a striped attribute partition: only groups with two or
 // more tuples are stored. Tuples are identified by their row index in
@@ -23,10 +20,11 @@ import (
 // The groups are stored flat: rows holds every stored group back to
 // back, and group i is rows[starts[i]:starts[i+1]] (starts carries a
 // closing entry len(rows); both are nil when no group is stored). Row
-// indices within a group are ascending; groups appear in order of
-// their smallest row. Neither array holds a pointer, so the garbage
-// collector never scans a partition's contents, and the counts below
-// are O(1).
+// indices within a group are ascending. The order of the groups is
+// unspecified: a partition is a set of equivalence classes, and no
+// consumer may rely on which group comes first. Neither array holds a
+// pointer, so the garbage collector never scans a partition's
+// contents, and the counts below are O(1).
 type Partition struct {
 	rows   []int32
 	starts []int32
@@ -39,7 +37,8 @@ type Partition struct {
 // codes form a group. Codes are arbitrary; in this system missing
 // values carry a unique negative code per row, which realizes the
 // strong-satisfaction null semantics (nulls differ from everything,
-// including each other) by making null rows singletons.
+// including each other) by making null rows singletons. Groups come
+// out in order of their second row.
 func FromCodes(codes []int64) *Partition {
 	first := make(map[int64]int32, len(codes))
 	groupOf := make(map[int64]int, len(codes))
@@ -62,9 +61,6 @@ func FromCodes(codes []int64) *Partition {
 	if len(groups) == 0 {
 		return &Partition{NRows: len(codes)}
 	}
-	// Groups were appended in order of their *second* occurrence;
-	// normalize to order of smallest row.
-	sortGroups(groups)
 	p := &Partition{rows: make([]int32, 0, total), starts: make([]int32, 0, len(groups)+1), NRows: len(codes)}
 	for _, g := range groups {
 		p.starts = append(p.starts, int32(len(p.rows)))
@@ -72,27 +68,6 @@ func FromCodes(codes []int64) *Partition {
 	}
 	p.starts = append(p.starts, int32(total))
 	return p
-}
-
-func sortGroups(groups [][]int32) {
-	// Insertion sort for small counts (usually nearly ordered);
-	// comparison sort beyond, to avoid quadratic behaviour on
-	// partitions with thousands of groups.
-	if len(groups) > 32 {
-		// Smallest rows are unique across groups, so the unstable sort
-		// is deterministic; SortFunc avoids sort.Slice's reflection.
-		slices.SortFunc(groups, func(a, b []int32) int { return int(a[0]) - int(b[0]) })
-		return
-	}
-	for i := 1; i < len(groups); i++ {
-		g := groups[i]
-		j := i - 1
-		for j >= 0 && groups[j][0] > g[0] {
-			groups[j+1] = groups[j]
-			j--
-		}
-		groups[j+1] = g
-	}
 }
 
 // Single returns the partition of the empty attribute set Π_∅: one
@@ -134,47 +109,31 @@ func (p *Partition) Error() int { return p.Card() - p.Size() }
 // attribute set uniquely identifies each tuple (Figure 8, line 11).
 func (p *Partition) IsKey() bool { return len(p.rows) == 0 }
 
-// MaxGroupSize returns the size of the largest group (0 if none).
-func (p *Partition) MaxGroupSize() int {
-	m := 0
-	for i := range p.Size() {
-		m = max(m, int(p.starts[i+1]-p.starts[i]))
-	}
-	return m
-}
-
 // Scratch is reusable working memory for Product. One Scratch may be
 // reused across many Product calls over the same relation; it is not
 // safe for concurrent use.
 type Scratch struct {
 	// t is indexed by the right operand's group id while a group is
-	// split (a count, then a negative write cursor) and by row while
-	// the output is reordered; it is all zero between calls.
+	// split (a count, then a negative write cursor); it is all zero
+	// between calls.
 	t       []int32
-	mark    []uint64 // one bit per row, set at each output group's smallest row; all zero between calls
-	touched []int32  // ids met in the group being split, in order of first occurrence
-	rows    []int32  // staged output rows
-	starts  []int32  // staged output group offsets
+	touched []int32 // ids met in the group being split, in order of first occurrence
+	rows    []int32 // staged output rows
+	starts  []int32 // staged output group offsets
 }
 
 // NewScratch allocates scratch space for relations with nRows tuples.
 func NewScratch(nRows int) *Scratch {
-	return &Scratch{t: make([]int32, nRows), mark: make([]uint64, (nRows+63)/64)}
+	return &Scratch{t: make([]int32, nRows)}
 }
 
 // Product computes the striped partition Π_{X∪Y} from Π_X (receiver)
 // and ids, the row→group lookup of Π_Y (see GroupIDs). Each group of
-// Π_X is split by the ids of its rows, so the cost is O(‖Π_X‖) plus
-// the reordering below, independent of ‖Π_Y‖.
-//
-// Split groups come out in order of smallest row within each group of
-// Π_X, but a later group's part can start below an earlier group's
-// part. The output is staged in sc; if it is out of order, a bit is
-// set at each staged group's smallest row and the bitmap is walked
-// from the lowest marked word, restoring the canonical order in
-// O(|Π_{X∪Y}| + span/64) for span the distance between the smallest
-// and the largest first row. The result is written once into arrays
-// of exact size.
+// Π_X is split by the ids of its rows, so the cost is O(‖Π_X‖),
+// independent of ‖Π_Y‖. The parts come out in Π_X's group order and,
+// within one group of Π_X, in order of first occurrence of their id.
+// The output is staged in sc and copied once into arrays of exact
+// size.
 func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 	if len(ids) != p.NRows {
 		panic("partition: product of partitions over different relations")
@@ -186,7 +145,6 @@ func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 	staged := slices.Grow(sc.rows[:0], p.Card())[:p.Card()]
 	starts := sc.starts[:0]
 	end := int32(0)
-	ordered := true
 	for i := range p.Size() {
 		g := p.Group(i)
 		touched := sc.touched[:0]
@@ -224,9 +182,6 @@ func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 		for _, id := range touched {
 			t[id] = 0
 		}
-		if first > 0 && staged[starts[first]] < staged[starts[first-1]] {
-			ordered = false
-		}
 	}
 	sc.rows, sc.starts = staged, starts
 	k := len(starts)
@@ -234,33 +189,9 @@ func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 		return &Partition{NRows: p.NRows}
 	}
 	out := &Partition{rows: make([]int32, end), starts: make([]int32, k+1), NRows: p.NRows}
+	copy(out.rows, staged[:end])
+	copy(out.starts, starts)
 	out.starts[k] = end
-	if ordered {
-		copy(out.rows, staged[:end])
-		copy(out.starts, starts)
-		return out
-	}
-	starts = append(starts, end)
-	sc.starts = starts
-	lo, hi := int32(p.NRows), int32(0)
-	for gi, s := range starts[:k] {
-		r := staged[s]
-		sc.mark[r>>6] |= 1 << (r & 63)
-		t[r] = int32(gi)
-		lo, hi = min(lo, r), max(hi, r)
-	}
-	j, at := 0, int32(0)
-	for w := lo >> 6; w <= hi>>6; w++ {
-		for m := sc.mark[w]; m != 0; m &= m - 1 {
-			r := w<<6 | int32(bits.TrailingZeros64(m))
-			gi := t[r]
-			t[r] = 0
-			out.starts[j] = at
-			at += int32(copy(out.rows[at:], staged[starts[gi]:starts[gi+1]]))
-			j++
-		}
-		sc.mark[w] = 0
-	}
 	return out
 }
 

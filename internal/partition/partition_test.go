@@ -17,8 +17,8 @@ func TestFromCodesBasic(t *testing.T) {
 	if got := groupsOf(p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("groups = %v, want %v", got, want)
 	}
-	if p.Card() != 5 || p.Error() != 3 || p.MaxGroupSize() != 3 || p.IsKey() {
-		t.Fatalf("Card=%d Error=%d Max=%d IsKey=%v", p.Card(), p.Error(), p.MaxGroupSize(), p.IsKey())
+	if p.Card() != 5 || p.Error() != 3 || p.IsKey() {
+		t.Fatalf("Card=%d Error=%d IsKey=%v", p.Card(), p.Error(), p.IsKey())
 	}
 }
 
@@ -34,7 +34,7 @@ func TestUniqueNegativesAreSingletons(t *testing.T) {
 
 func TestKeyPartition(t *testing.T) {
 	p := FromCodes([]int64{4, 2, 9, 7})
-	if !p.IsKey() || p.Error() != 0 || p.MaxGroupSize() != 0 {
+	if !p.IsKey() || p.Error() != 0 {
 		t.Fatalf("all-distinct column should be a key partition")
 	}
 }

@@ -101,11 +101,10 @@ type RelChange struct {
 	// identity changed, so every partition of the relation is stale
 	// and DirtyAttr reports every column.
 	Resized bool
-	// Rows lists, in ascending order, the row indices of the final
-	// relation whose codes may differ from the pre-update relation
-	// (update trace events report its length). Rows at or above the
-	// final row count never appear.
-	Rows []int32
+	// Tuples counts the distinct rows of the final relation whose codes
+	// may differ from the pre-update relation (update trace events
+	// report it). Rows at or above the final row count are not counted.
+	Tuples int
 
 	dirty uint64 // bitmask over attr indices with changed codes
 	wide  bool   // >64 attrs: bitmask insufficient, treat all dirty
@@ -201,21 +200,19 @@ func (h *Hierarchy) Apply(ops []Update) (*Changeset, error) {
 	// consistent with the mutated document — a cold rebuild of the
 	// tree and the patched columns must describe the same instance.
 	app.recompute()
+	if applyErr != nil {
+		return nil, applyErr
+	}
 	for _, rc := range app.cs.Rels {
 		if rc == nil {
 			continue
 		}
 		n := int32(rc.Rel.NRows())
-		rc.Rows = rc.Rows[:0]
 		for t := range rc.rows {
 			if t < n {
-				rc.Rows = append(rc.Rows, t)
+				rc.Tuples++
 			}
 		}
-		sort.Slice(rc.Rows, func(i, j int) bool { return rc.Rows[i] < rc.Rows[j] })
-	}
-	if applyErr != nil {
-		return nil, applyErr
 	}
 	return app.cs, nil
 }

@@ -174,8 +174,8 @@ func TestApplySet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		if rc := cs.Rels[books.Index]; rc != nil && len(rc.Rows) != 0 {
-			t.Fatalf("no-op set dirtied rows %v", rc.Rows)
+		if rc := cs.Rels[books.Index]; rc != nil && rc.Tuples != 0 {
+			t.Fatalf("no-op set dirtied %d rows", rc.Tuples)
 		}
 	})
 	t.Run("fill a missing value", func(t *testing.T) {

@@ -24,8 +24,8 @@ type (
 	// OpDelete).
 	UpdateOp = relation.UpdateOp
 	// Changeset reports what an ApplyUpdate batch changed: the
-	// affected pivot keys (newly assigned ones for inserts) and the
-	// per-relation dirty columns and rows.
+	// affected pivot keys (newly assigned ones for inserts) and, per
+	// relation, the dirty columns and the number of touched rows.
 	Changeset = relation.Changeset
 	// RelChange is one relation's entry in a Changeset.
 	RelChange = relation.RelChange
