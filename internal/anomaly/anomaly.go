@@ -69,14 +69,12 @@ func Detect(h *relation.Hierarchy, constraints []core.Constraint) ([]Violation, 
 		rhs := fd.RHS
 		if c.IsKey {
 			// A key is the FD LHS -> pivot identity; conflicts are
-			// LHS groups with more than one tuple. Reuse the
-			// machinery by asking for conflicts on any attribute and
-			// then re-filtering by group size via Companions below.
+			// LHS groups with more than one tuple.
 			rel := h.ByPivot(fd.Class)
 			if rel == nil || rel.NAttrs() == 0 {
 				return nil, fmt.Errorf("anomaly: unknown or empty tuple class %s", fd.Class)
 			}
-			groups, err := keyCollisions(h, fd.Class, fd.LHS)
+			groups, err := core.KeyCollisions(h, fd.Class, fd.LHS)
 			if err != nil {
 				return nil, err
 			}
@@ -103,33 +101,6 @@ func Detect(h *relation.Hierarchy, constraints []core.Constraint) ([]Violation, 
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// keyCollisions returns groups of tuples sharing the (non-null) key
-// LHS.
-func keyCollisions(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath) ([][]int, error) {
-	rel := h.ByPivot(class)
-	var out [][]int
-	for t := 0; t < rel.NRows(); t++ {
-		comp, err := core.Companions(h, class, lhs, rel.Attrs[0].Rel, t)
-		if err != nil {
-			return nil, err
-		}
-		if len(comp) > 0 && minOf(comp) > t {
-			out = append(out, append([]int{t}, comp...))
-		}
-	}
-	return out, nil
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Advise lists, for an intended update of the RHS under the given

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/xmlgen"
 )
 
 // cleanXML satisfies {./sku} -> ./name; dirtyXML is the same document
@@ -154,4 +156,151 @@ func contains(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// keyCollisionsOracle is the per-tuple loop core.KeyCollisions
+// replaced: each tuple asks Companions for the tuples sharing its key
+// LHS, and a group is emitted at its smallest tuple.
+func keyCollisionsOracle(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath) ([][]int, error) {
+	rel := h.ByPivot(class)
+	var out [][]int
+	for t := 0; t < rel.NRows(); t++ {
+		comp, err := core.Companions(h, class, lhs, rel.Attrs[0].Rel, t)
+		if err != nil {
+			return nil, err
+		}
+		if len(comp) > 0 && minOf(comp) > t {
+			out = append(out, append([]int{t}, comp...))
+		}
+	}
+	return out, nil
+}
+
+func minOf(xs []int) int {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// nestedXML has missing values at both levels, so some tuples are
+// vacuous for an LHS that reaches the parent.
+const nestedXML = `
+<shop>
+  <dept><name>A</name>
+    <item><sku>1</sku><color>red</color></item>
+    <item><sku>1</sku></item>
+    <item><sku>2</sku><color>red</color></item>
+    <item><sku>1</sku><color>red</color></item>
+  </dept>
+  <dept><name>A</name>
+    <item><sku>1</sku><color>red</color></item>
+  </dept>
+  <dept>
+    <item><sku>1</sku><color>blue</color></item>
+    <item><sku>1</sku><color>blue</color></item>
+  </dept>
+</shop>`
+
+// keyLHSs lists candidate key LHSs of rel: each attribute alone, each
+// pair, and each attribute with each attribute of the parent relation.
+func keyLHSs(rel *relation.Relation) [][]schema.RelPath {
+	var out [][]schema.RelPath
+	for i, a := range rel.Attrs {
+		out = append(out, []schema.RelPath{a.Rel})
+		for _, b := range rel.Attrs[i+1:] {
+			out = append(out, []schema.RelPath{a.Rel, b.Rel})
+		}
+		if rel.Parent == nil {
+			continue
+		}
+		for _, p := range rel.Parent.Attrs {
+			up := schema.RelPath("..")
+			if p.Rel != "." {
+				up = "." + p.Rel
+			}
+			out = append(out, []schema.RelPath{a.Rel, up})
+		}
+	}
+	return out
+}
+
+// TestKeyCollisionsMatchPerTupleOracle requires the one-pass collision
+// groups to be the per-tuple loop's, group for group and in order, over
+// every relation of three documents and the candidate LHSs of keyLHSs.
+func TestKeyCollisionsMatchPerTupleOracle(t *testing.T) {
+	wide := xmlgen.Wide(xmlgen.WideParams{Rows: 300, Attrs: 4, Domain: 4, Seed: 3})
+	wh := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
+	docs := []struct {
+		name string
+		h    *relation.Hierarchy
+	}{
+		{"nested", build(t, nestedXML)},
+		{"warehouse", buildDataset(t, wh)},
+		{"wide", buildDataset(t, wide)},
+	}
+	for _, d := range docs {
+		checked := 0
+		for _, rel := range d.h.Relations {
+			if rel.NAttrs() == 0 {
+				continue
+			}
+			for _, lhs := range keyLHSs(rel) {
+				got, err := core.KeyCollisions(d.h, rel.Pivot, lhs)
+				want, werr := keyCollisionsOracle(d.h, rel.Pivot, lhs)
+				if (err != nil) != (werr != nil) {
+					t.Fatalf("%s %s %v: error %v, oracle error %v", d.name, rel.Pivot, lhs, err, werr)
+				}
+				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s %v:\ngot  %v\nwant %v", d.name, rel.Pivot, lhs, got, want)
+				}
+				if len(want) > 0 {
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no candidate key had a collision; the comparison decided nothing", d.name)
+		}
+	}
+}
+
+func buildDataset(t *testing.T, ds xmlgen.Dataset) *relation.Hierarchy {
+	t.Helper()
+	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestDetectKeyAllocs bounds the allocations of checking one key over
+// 2,000 tuples with every tuple in a collision: one pass over the
+// class plus the rendering of each colliding tuple. Asking for each
+// tuple's companions in turn rebuilt every group per tuple, millions
+// of allocations here.
+func TestDetectKeyAllocs(t *testing.T) {
+	const rows = 2000
+	h := buildDataset(t, xmlgen.Wide(xmlgen.WideParams{Rows: rows, Attrs: 4, Domain: 6, Seed: 1}))
+	cs := constraints(t, `{./a1, ./a2} KEY of C(/table/row)`)
+	var vs []Violation
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if vs, err = Detect(h, cs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tuples := 0
+	for _, c := range vs[0].Conflicts {
+		tuples += len(c.Occurrences)
+	}
+	if tuples != rows {
+		t.Fatalf("%d of %d tuples in collisions; the bound assumes all", tuples, rows)
+	}
+	if limit := float64(10 * rows); allocs > limit {
+		t.Fatalf("Detect on one key allocated %.0f times for %d tuples, want at most %.0f", allocs, rows, limit)
+	}
 }

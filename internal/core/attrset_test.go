@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,13 +76,24 @@ func TestFDString(t *testing.T) {
 }
 
 func TestRelsHelpers(t *testing.T) {
-	a := []schema.RelPath{"./x"}
-	b := []schema.RelPath{"./x", "./y"}
-	if !relsSubset(a, b) || relsSubset(b, a) {
-		t.Fatal("relsSubset wrong")
+	in := newLHSInterner()
+	a := in.set([]schema.RelPath{"./x"})
+	b := in.set([]schema.RelPath{"./x", "./y"})
+	if !a.subsetOf(b) || b.subsetOf(a) {
+		t.Fatal("subsetOf wrong")
 	}
-	if relsEqual(a, b) || !relsEqual(b, []schema.RelPath{"./y", "./x"}) {
-		t.Fatal("relsEqual wrong")
+	yx := in.set([]schema.RelPath{"./y", "./x"})
+	if !yx.subsetOf(b) || !b.subsetOf(yx) || len(yx.ids) != len(b.ids) {
+		t.Fatal("path order changed an interned set")
+	}
+	// Past 64 paths, ids share signature bits: ./p62 and ./p63 get
+	// ids 64 and 65, the bits of ./x and ./y.
+	for i := range 70 {
+		in.set([]schema.RelPath{schema.RelPath(fmt.Sprintf("./p%d", i))})
+	}
+	hi := in.set([]schema.RelPath{"./p63", "./p62"})
+	if hi.sig != b.sig || hi.subsetOf(b) || b.subsetOf(hi) || !slices.Equal(hi.ids, []int32{64, 65}) {
+		t.Fatalf("wide class: ids %v, signature %x against %x", hi.ids, hi.sig, b.sig)
 	}
 }
 
@@ -92,7 +105,7 @@ func TestMinimizeFDs(t *testing.T) {
 		{Class: "/c", LHS: []schema.RelPath{"./b"}, RHS: "./y"},
 		{Class: "/d", LHS: []schema.RelPath{"./a", "./b"}, RHS: "./z"}, // other class: kept
 	}
-	out := minimizeFDs(fds)
+	out := newLHSInterner().minimizeFDs(fds)
 	if len(out) != 3 {
 		t.Fatalf("minimizeFDs kept %d, want 3: %v", len(out), out)
 	}
@@ -110,7 +123,7 @@ func TestMinimizeKeys(t *testing.T) {
 		{Class: "/c", LHS: []schema.RelPath{"./b", "./c"}},
 		{Class: "/c", LHS: []schema.RelPath{"./a"}}, // duplicate
 	}
-	out := minimizeKeys(keys)
+	out := newLHSInterner().minimizeKeys(keys)
 	if len(out) != 2 {
 		t.Fatalf("minimizeKeys kept %d, want 2: %v", len(out), out)
 	}
@@ -123,7 +136,7 @@ func TestDropSuperkeyLHS(t *testing.T) {
 		{Class: "/c", LHS: []schema.RelPath{"./x"}, RHS: "./z"},
 		{Class: "/d", LHS: []schema.RelPath{"./k"}, RHS: "./z"}, // other class
 	}
-	out := dropSuperkeyLHS(fds, keys)
+	out := newLHSInterner().dropSuperkeyLHS(fds, keys)
 	if len(out) != 2 {
 		t.Fatalf("dropSuperkeyLHS kept %d, want 2: %v", len(out), out)
 	}

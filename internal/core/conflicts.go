@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
@@ -71,4 +72,29 @@ func Companions(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, 
 		}
 	}
 	return nil, nil // vacuous tuple (a null LHS value): no companions
+}
+
+// KeyCollisions returns the groups of two or more tuples of the class
+// that agree (non-null) on lhs — the tuples a key over lhs fails to
+// tell apart — in order of their first tuple, ascending within each.
+// It is the key's counterpart of EvaluateConflicts, built in one pass
+// over the class.
+func KeyCollisions(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath) ([][]int, error) {
+	origin := h.ByPivot(class)
+	if origin == nil || origin.NAttrs() == 0 {
+		return nil, fmt.Errorf("core: no tuple class with pivot %s and attributes", class)
+	}
+	// Any attribute of the pivot serves as the RHS the builder
+	// resolves; only the LHS groups are read.
+	groups, _, err := lhsGroupsContext(context.Background(), h, class, lhs, origin.Attrs[0].Rel)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]int
+	for _, g := range groups {
+		if len(g) >= 2 {
+			out = append(out, g)
+		}
+	}
+	return out, nil
 }

@@ -169,8 +169,14 @@ type Stats struct {
 	// TargetsPropagated counts targets carried up a level (pure
 	// conversions plus partial-satisfaction propagations).
 	TargetsPropagated int
-	// TargetsDropped counts targets discarded because an inequality
-	// collapsed (NULL results) or a cap overflowed.
+	// TargetsDropped counts targets discarded: two buckets of a
+	// violating group meet at one parent row with no missing value to
+	// excuse them ("degenerate pair unsatisfiable", at creation or on
+	// conversion), or the relation reached MaxTargetsPerRelation. A
+	// relation whose parent has one row and no missing value at or
+	// above it counts its would-be targets here without building them,
+	// and only when it receives targets: without them it traverses as
+	// Figure 8 and seeds none.
 	TargetsDropped int
 	// TargetChecks counts (attribute set, target) satisfaction tests.
 	TargetChecks int
@@ -312,25 +318,4 @@ func joinRels(rs []schema.RelPath) string {
 
 func sortRels(rs []schema.RelPath) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-}
-
-// relsSubset reports whether a ⊆ b as path sets (both sorted or not).
-func relsSubset(a, b []schema.RelPath) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	set := make(map[schema.RelPath]bool, len(b))
-	for _, r := range b {
-		set[r] = true
-	}
-	for _, r := range a {
-		if !set[r] {
-			return false
-		}
-	}
-	return true
-}
-
-func relsEqual(a, b []schema.RelPath) bool {
-	return len(a) == len(b) && relsSubset(a, b)
 }

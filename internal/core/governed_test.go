@@ -26,45 +26,53 @@ func buildAuction(t *testing.T) *relation.Hierarchy {
 // TestDeadlineReturnsPartialResult is the headline acceptance test: a
 // discovery run whose deadline fires mid-traversal must return a
 // partial Result with Stats.Truncated set — no error, no hang, no
-// goroutine leak. The 16-attribute wide dataset takes on the order of
-// a second to traverse exhaustively, so a 50ms deadline reliably
-// fires mid-lattice.
+// goroutine leak. The 18-attribute low-domain table with no injected
+// FD takes well over a second to traverse exhaustively (thousands of
+// minimal keys, none pruned by an FD), so a 50ms deadline reliably
+// fires mid-lattice, and a 1s deadline fires late enough that the
+// stages after the traversal (minimizing thousands of keys among
+// them) must still return promptly.
 func TestDeadlineReturnsPartialResult(t *testing.T) {
-	ds := xmlgen.Wide(xmlgen.DefaultWide(16))
+	ds := xmlgen.Wide(xmlgen.WideParams{Rows: 1000, Attrs: 18, Domain: 6, FDEvery: 0, Seed: 5})
 	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
+	for _, c := range []struct {
+		suffix   string
+		deadline time.Duration
+	}{{"", 50 * time.Millisecond}, {"_1s", time.Second}} {
+		for _, parallel := range []bool{false, true} {
+			name := "serial"
+			if parallel {
+				name = "parallel"
+			}
+			t.Run(name+c.suffix, func(t *testing.T) {
+				defer faultinject.CheckGoroutines(t)()
+				start := time.Now()
+				eng := NewEngine(Options{Parallel: parallel})
+				res, err := eng.Discover(context.Background(), h, time.Now().Add(c.deadline), false)
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatalf("deadline must degrade gracefully, got error: %v", err)
+				}
+				if !res.Stats.Truncated {
+					t.Fatalf("%v deadline did not truncate a run that takes over 1s (finished in %v)", c.deadline, elapsed)
+				}
+				if res.Stats.TruncatedReason == "" {
+					t.Error("Truncated set but TruncatedReason empty")
+				}
+				// Graceful means prompt: the run must stop soon after the
+				// deadline, not finish the full traversal first.
+				if elapsed > 2*time.Second {
+					t.Errorf("truncated run still took %v", elapsed)
+				}
+				if res.Stats.NodesVisited == 0 {
+					t.Error("partial result examined no lattice nodes at all")
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			defer faultinject.CheckGoroutines(t)()
-			start := time.Now()
-			eng := NewEngine(Options{Parallel: parallel})
-			res, err := eng.Discover(context.Background(), h, time.Now().Add(50*time.Millisecond), false)
-			elapsed := time.Since(start)
-			if err != nil {
-				t.Fatalf("deadline must degrade gracefully, got error: %v", err)
-			}
-			if !res.Stats.Truncated {
-				t.Fatalf("50ms deadline did not truncate a run that takes ~1s (finished in %v)", elapsed)
-			}
-			if res.Stats.TruncatedReason == "" {
-				t.Error("Truncated set but TruncatedReason empty")
-			}
-			// Graceful means prompt: the run must stop soon after the
-			// deadline, not finish the full traversal first.
-			if elapsed > 2*time.Second {
-				t.Errorf("truncated run still took %v", elapsed)
-			}
-			if res.Stats.NodesVisited == 0 {
-				t.Error("partial result examined no lattice nodes at all")
-			}
-		})
 	}
 }
 

@@ -70,10 +70,17 @@ func (lr *latticeRun) close() {
 
 // run executes the traversal: DiscoverXFD behaviour (candidateLHS2,
 // target handling), or exactly DiscoverFD of Figure 8 under
-// Options.NoInterRelation.
+// Options.NoInterRelation and for a relation that can neither create
+// nor receive a partition target: one that is doomed (every target it
+// seeds would be dropped) with no incoming targets. Such a relation's
+// only outputs are its intra FDs and keys, for which Figure 8's rule 2
+// is sound, so it prunes with both rules and skips the target work.
 func (lr *latticeRun) run() {
-	xfd := !lr.opts.NoInterRelation
 	rel := lr.rel
+	xfd := !lr.opts.NoInterRelation
+	if rel.Parent != nil && len(lr.incoming) == 0 && lr.doomed() {
+		xfd = false
+	}
 	n := rel.NRows()
 	m := rel.NAttrs()
 	if lr.cache == nil {
@@ -314,7 +321,9 @@ func (lr *latticeRun) seedKeyTarget(a AttrSet, pa *partition.Partition) {
 // its parent relation has one row and no missing value at or above it,
 // so the buckets of any violating group meet at that row with nothing
 // to excuse them. The relation then counts each would-be target as
-// dropped without building it, or the Π group ids it would read.
+// dropped without building it, or the Π group ids it would read; with
+// no incoming targets either, run traverses it as Figure 8 and seeds
+// nothing at all.
 func (lr *latticeRun) doomed() bool {
 	return lr.rel.Parent.NRows() == 1 && !lr.ni.keep(0)
 }

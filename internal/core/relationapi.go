@@ -38,8 +38,9 @@ func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats,
 	for _, k := range lr.out.intraKeys {
 		keys = append(keys, intraKey(rel, k))
 	}
-	fds = minimizeFDs(fds)
-	keys = minimizeKeys(keys)
+	in := newLHSInterner()
+	fds = in.minimizeFDs(fds)
+	keys = in.minimizeKeys(keys)
 	sortFDs(fds)
 	sortKeys(keys)
 	return fds, keys, stats, nil

@@ -518,9 +518,10 @@ func (run *Run) memoSnapshot() *subtreeMemo {
 // are dropped (a superkey LHS indicates no redundancy). The surviving
 // candidates are returned for verification.
 func (run *Run) minimize(top *gathered) []FD {
-	fds := minimizeFDs(top.fds)
-	run.res.Keys = minimizeKeys(top.keys)
-	fds = dropSuperkeyLHS(fds, run.res.Keys)
+	in := newLHSInterner()
+	fds := in.minimizeFDs(top.fds)
+	run.res.Keys = in.minimizeKeys(top.keys)
+	fds = in.dropSuperkeyLHS(fds, run.res.Keys)
 	sortKeys(run.res.Keys)
 	return fds
 }
@@ -562,7 +563,7 @@ func (run *Run) assemble(rawApprox []FD) {
 	sortFDs(res.FDs)
 	sortRedundancies(res.Redundancies)
 	if len(rawApprox) > 0 {
-		res.ApproxFDs = minimizeApprox(rawApprox, res.FDs)
+		res.ApproxFDs = newLHSInterner().minimizeApprox(rawApprox, res.FDs)
 		sortFDs(res.ApproxFDs)
 	}
 	res.Stats.Truncated, res.Stats.TruncatedReason = run.gov.status()

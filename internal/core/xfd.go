@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
@@ -65,145 +67,205 @@ func (v *verifier) verifyFD(fd FD) (Evaluation, error) {
 	return v.evaluation(p, origin.Cols[rhs.attr], origin.ColBound[rhs.attr]), nil
 }
 
-// lhsInterner assigns each distinct LHS path of one class a bit
-// position, so a (sorted, duplicate-free) LHS list becomes a uint64
-// set and subset/equality tests become single mask operations. ok is
-// false when a class accumulates more than 64 distinct paths — the
-// caller falls back to the string-slice comparisons for that FD's
-// goal.
+// lhsSet is one LHS path set interned by an lhsInterner: the ids of
+// its paths (an LHS lists distinct paths), ascending, and a signature
+// with bit id%64 set for each. A subset test rejects on the signatures
+// first and merges the ids only when they pass, so sets of any width
+// compare without building a map.
+type lhsSet struct {
+	ids []int32
+	sig uint64
+}
+
+// subsetOf reports whether s ⊆ t.
+func (s lhsSet) subsetOf(t lhsSet) bool {
+	if s.sig&^t.sig != 0 || len(s.ids) > len(t.ids) {
+		return false
+	}
+	j := 0
+	for _, id := range s.ids {
+		for j < len(t.ids) && t.ids[j] < id {
+			j++
+		}
+		if j == len(t.ids) || t.ids[j] != id {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// lhsInterner numbers LHS paths in first-seen order. One interner
+// serves a whole minimize stage, so its FDs and keys share ids. Sets
+// are compared only within one class, so one numbering serves every
+// class.
 type lhsInterner struct {
-	bits map[schema.Path]map[schema.RelPath]int
+	ids map[schema.RelPath]int32
+	buf []int32 // backing store the sets' ids are cut from
 }
 
-func (in *lhsInterner) mask(f FD) (uint64, bool) {
-	m := in.bits[f.Class]
-	if m == nil {
-		m = make(map[schema.RelPath]int)
-		in.bits[f.Class] = m
-	}
-	var mask uint64
-	for _, p := range f.LHS {
-		b, seen := m[p]
-		if !seen {
-			b = len(m)
-			m[p] = b
-		}
-		if b >= 64 {
-			return 0, false
-		}
-		mask |= 1 << uint(b)
-	}
-	return mask, true
+func newLHSInterner() *lhsInterner {
+	return &lhsInterner{ids: make(map[schema.RelPath]int32)}
 }
 
-// minimizeApprox removes approximate FDs implied by an exact FD or by
-// another approximate FD with a subset LHS for the same class and
-// RHS, and deduplicates. Candidates are bucketed by (class, RHS) —
-// only same-goal FDs can imply each other — and LHS sets are interned
-// to bitmasks, so the pairwise scan is mask arithmetic. Low-domain
-// corpora produce thousands of approximate FDs, where the original
-// all-pairs string-slice scan dominated whole runs.
-func minimizeApprox(approx, exact []FD) []FD {
-	keyOf := func(f FD) string { return string(f.Class) + "\x00" + string(f.RHS) }
-	in := &lhsInterner{bits: make(map[schema.Path]map[schema.RelPath]int)}
-	wide := make(map[string]bool) // goals with an FD past the 64-path intern limit
-	exactByGoal := make(map[string][]int)
-	exactMask := make([]uint64, len(exact))
-	for i, e := range exact {
-		goal := keyOf(e)
-		exactByGoal[goal] = append(exactByGoal[goal], i)
-		m, ok := in.mask(e)
+// set interns one LHS.
+func (in *lhsInterner) set(lhs []schema.RelPath) lhsSet {
+	start := len(in.buf)
+	var sig uint64
+	for _, p := range lhs {
+		id, ok := in.ids[p]
 		if !ok {
-			wide[goal] = true
+			id = int32(len(in.ids))
+			in.ids[p] = id
 		}
-		exactMask[i] = m
+		in.buf = append(in.buf, id)
+		sig |= 1 << uint(id%64)
 	}
-	approxByGoal := make(map[string][]int)
-	approxMask := make([]uint64, len(approx))
-	for i, a := range approx {
-		goal := keyOf(a)
-		approxByGoal[goal] = append(approxByGoal[goal], i)
-		m, ok := in.mask(a)
-		if !ok {
-			wide[goal] = true
+	ids := in.buf[start:len(in.buf):len(in.buf)]
+	slices.Sort(ids)
+	return lhsSet{ids: ids, sig: sig}
+}
+
+// minimal reports, for each set, that no other set of its group (the
+// sets cmp finds equal) is a strict subset of it, or an equal set at
+// an earlier index: among duplicates the first occurrence wins. The
+// indices are sorted by group, then by size, ties in index order, so
+// only a set sorted before sets[i] in its group can be either; each
+// set scans those on a dense copy of their signatures.
+func minimal(sets []lhsSet, cmp func(i, j int) int) []bool {
+	n := len(sets)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		if c := cmp(i, j); c != 0 {
+			return c
 		}
-		approxMask[i] = m
+		return len(sets[i].ids) - len(sets[j].ids)
+	})
+	sigs := make([]uint64, n)
+	for k, i := range order {
+		sigs[k] = sets[i].sig
 	}
-	// A fresh slice, not approx[:0]: the goal buckets index the input,
-	// which must stay intact while it is still being compared against.
-	var out []FD
-	for i, a := range approx {
-		goal := keyOf(a)
-		slow := wide[goal]
-		implied := false
-		for _, ei := range exactByGoal[goal] {
-			if slow {
-				implied = relsSubset(exact[ei].LHS, a.LHS)
-			} else {
-				implied = approxMask[i]&exactMask[ei] == exactMask[ei]
-			}
-			if implied {
+	keep := make([]bool, n)
+	first := 0 // order[first:k] is the part of i's group sorted before it
+	for k, i := range order {
+		if cmp(order[first], i) != 0 {
+			first = k
+		}
+		keep[i] = true
+		for l := first; l < k; l++ {
+			if sigs[l]&^sigs[k] == 0 && sets[order[l]].subsetOf(sets[i]) {
+				keep[i] = false
 				break
 			}
 		}
-		if !implied {
-			for _, j := range approxByGoal[goal] {
-				if i == j {
-					continue
-				}
-				if !slow {
-					if approxMask[j] == approxMask[i] {
-						if j < i {
-							implied = true
-							break
-						}
-						continue
-					}
-					if approxMask[i]&approxMask[j] == approxMask[j] {
-						implied = true
-						break
-					}
-					continue
-				}
-				b := approx[j]
-				if relsEqual(a.LHS, b.LHS) {
-					if j < i {
-						implied = true
-						break
-					}
-					continue
-				}
-				if relsSubset(b.LHS, a.LHS) {
-					implied = true
-					break
-				}
-			}
+	}
+	return keep
+}
+
+// kept returns the elements of xs whose keep entry is set, in order,
+// in a slice of exactly that size (nil when none is).
+func kept[T any](xs []T, keep []bool) []T {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
 		}
-		if !implied {
-			out = append(out, a)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i, x := range xs {
+		if keep[i] {
+			out = append(out, x)
 		}
 	}
 	return out
+}
+
+// goal identifies the FDs that can imply one another: those with the
+// same class and RHS.
+type goal struct {
+	class schema.Path
+	rhs   schema.RelPath
+}
+
+func goalOf(f FD) goal { return goal{f.Class, f.RHS} }
+
+// minimalByGoal interns the LHS of every FD and marks the FDs that no
+// other FD of the same goal makes non-minimal (see minimal).
+func (in *lhsInterner) minimalByGoal(fds []FD) (sets []lhsSet, keep []bool) {
+	sets = make([]lhsSet, len(fds))
+	for i, f := range fds {
+		sets[i] = in.set(f.LHS)
+	}
+	return sets, minimal(sets, func(i, j int) int {
+		if c := strings.Compare(string(fds[i].Class), string(fds[j].Class)); c != 0 {
+			return c
+		}
+		return strings.Compare(string(fds[i].RHS), string(fds[j].RHS))
+	})
+}
+
+// minimizeFDs removes duplicates and FDs whose LHS strictly contains
+// another FD's LHS for the same class and RHS. Partial-propagation
+// targets can produce such non-minimal variants when several
+// absorption orders reach the same conclusion.
+func (in *lhsInterner) minimizeFDs(fds []FD) []FD {
+	_, keep := in.minimalByGoal(fds)
+	return kept(fds, keep)
+}
+
+// minimizeKeys removes duplicates and keys whose LHS strictly
+// contains another key's LHS for the same class.
+func (in *lhsInterner) minimizeKeys(keys []Key) []Key {
+	sets := make([]lhsSet, len(keys))
+	for i, k := range keys {
+		sets[i] = in.set(k.LHS)
+	}
+	return kept(keys, minimal(sets, func(i, j int) int {
+		return strings.Compare(string(keys[i].Class), string(keys[j].Class))
+	}))
 }
 
 // dropSuperkeyLHS removes FDs whose LHS contains a discovered key of
 // the same class: a superkey LHS satisfies any FD trivially and
 // indicates no redundancy (Definition 11).
-func dropSuperkeyLHS(fds []FD, keys []Key) []FD {
+func (in *lhsInterner) dropSuperkeyLHS(fds []FD, keys []Key) []FD {
+	byClass := make(map[schema.Path][]lhsSet)
+	for _, k := range keys {
+		byClass[k.Class] = append(byClass[k.Class], in.set(k.LHS))
+	}
 	out := fds[:0]
 	for _, fd := range fds {
-		super := false
-		for _, k := range keys {
-			if k.Class == fd.Class && relsSubset(k.LHS, fd.LHS) {
-				super = true
-				break
-			}
-		}
-		if !super {
+		s := in.set(fd.LHS)
+		if !slices.ContainsFunc(byClass[fd.Class], func(k lhsSet) bool { return k.subsetOf(s) }) {
 			out = append(out, fd)
 		}
 	}
 	return out
+}
+
+// minimizeApprox removes approximate FDs implied by an exact FD or by
+// another approximate FD with a subset LHS for the same class and
+// RHS, and deduplicates. Low-domain corpora produce thousands of
+// approximate FDs, so only same-goal FDs are compared, on interned
+// sets.
+func (in *lhsInterner) minimizeApprox(approx, exact []FD) []FD {
+	exactByGoal := make(map[goal][]lhsSet)
+	for _, e := range exact {
+		exactByGoal[goalOf(e)] = append(exactByGoal[goalOf(e)], in.set(e.LHS))
+	}
+	sets, keep := in.minimalByGoal(approx)
+	for i, a := range approx {
+		if keep[i] && slices.ContainsFunc(exactByGoal[goalOf(a)], func(e lhsSet) bool { return e.subsetOf(sets[i]) }) {
+			keep[i] = false
+		}
+	}
+	return kept(approx, keep)
 }
 
 func sortRedundancies(rs []Redundancy) {
@@ -256,84 +318,6 @@ func intraKey(r *relation.Relation, k AttrSet) Key {
 	}
 	sortRels(lhs)
 	return Key{Class: r.Pivot, LHS: lhs}
-}
-
-// minimizeFDs removes duplicates and FDs whose LHS strictly contains
-// another FD's LHS for the same class and RHS. Partial-propagation
-// targets can produce such non-minimal variants when several
-// absorption orders reach the same conclusion.
-func minimizeFDs(fds []FD) []FD {
-	byGoal := make(map[string][]int)
-	keyOf := func(f FD) string { return string(f.Class) + "\x00" + string(f.RHS) }
-	for i, f := range fds {
-		byGoal[keyOf(f)] = append(byGoal[keyOf(f)], i)
-	}
-	keep := make([]bool, len(fds))
-	//lint:detorder groups write disjoint keep indices and out iterates fds in slice order, so group visit order cannot reach the output
-	for _, idxs := range byGoal {
-		for _, i := range idxs {
-			keep[i] = true
-			for _, j := range idxs {
-				if i == j || !keep[i] {
-					continue
-				}
-				if relsEqual(fds[j].LHS, fds[i].LHS) {
-					// Duplicate: keep the first occurrence only.
-					if j < i {
-						keep[i] = false
-					}
-					continue
-				}
-				if relsSubset(fds[j].LHS, fds[i].LHS) {
-					keep[i] = false
-				}
-			}
-		}
-	}
-	var out []FD
-	for i, f := range fds {
-		if keep[i] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// minimizeKeys removes duplicates and keys whose LHS strictly
-// contains another key's LHS for the same class.
-func minimizeKeys(keys []Key) []Key {
-	byClass := make(map[schema.Path][]int)
-	for i, k := range keys {
-		byClass[k.Class] = append(byClass[k.Class], i)
-	}
-	keep := make([]bool, len(keys))
-	//lint:detorder groups write disjoint keep indices and out iterates keys in slice order, so group visit order cannot reach the output
-	for _, idxs := range byClass {
-		for _, i := range idxs {
-			keep[i] = true
-			for _, j := range idxs {
-				if i == j || !keep[i] {
-					continue
-				}
-				if relsEqual(keys[j].LHS, keys[i].LHS) {
-					if j < i {
-						keep[i] = false
-					}
-					continue
-				}
-				if relsSubset(keys[j].LHS, keys[i].LHS) {
-					keep[i] = false
-				}
-			}
-		}
-	}
-	var out []Key
-	for i, k := range keys {
-		if keep[i] {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 func sortFDs(fds []FD) {

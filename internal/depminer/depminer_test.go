@@ -1,11 +1,13 @@
 package depminer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/datatree"
@@ -115,6 +117,88 @@ func TestDepMinerMatchesLattice(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildFlat builds a flat table like buildRelation, with missingPct
+// percent of its leaves missing and, on every third attribute, a value
+// determined by the attribute before it where that one is present: the
+// FD a_{i-1} -> a_i holds wherever a_i is present, so the lattice has
+// satisfied FDs for Figure 8's rule 2 to prune with.
+func buildFlat(t testing.TB, seed int64, rows, attrs, domain, missingPct int) *relation.Hierarchy {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	text := "db: Rcd\n  row: SetOf Rcd\n"
+	for a := range attrs {
+		text += fmt.Sprintf("    a%d: str\n", a)
+	}
+	root := &datatree.Node{Label: "db"}
+	vals := make([]int, attrs)
+	for range rows {
+		row := root.AddChild("row")
+		for a := range attrs {
+			vals[a] = r.Intn(domain)
+			if a%3 == 2 && vals[a-1] >= 0 {
+				vals[a] = (vals[a-1]*7 + 3) % domain
+			}
+			if r.Intn(100) < missingPct {
+				vals[a] = -1
+				continue
+			}
+			row.AddLeaf(fmt.Sprintf("a%d", a), fmt.Sprintf("v%d", vals[a]))
+		}
+	}
+	h, err := relation.Build(datatree.NewTree(root), schema.MustParse(text), relation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// checkDiscoverMatchesDepMiner compares the XFD entry point's FDs and
+// keys on a flat table with DepMiner's agree-set cover of its one
+// relation. The table's parent is the single root tuple and no target
+// can reach it, so the lattice prunes with Figure 8's rules 1 and 2
+// there (see latticeRun.run), and a rule that over-prunes loses a
+// minimal FD that DepMiner still finds.
+func checkDiscoverMatchesDepMiner(t testing.TB, seed int64, rows, attrs, domain, missingPct int) {
+	t.Helper()
+	h := buildFlat(t, seed, rows, attrs, domain, missingPct)
+	res, err := core.NewEngine(core.Options{KeepConstantFDs: true}).Discover(context.Background(), h, time.Time{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := Discover(h.ByPivot("/db/row"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := fmt.Sprintf("seed %d, %d rows, %d attrs, domain %d, %d%% missing", seed, rows, attrs, domain, missingPct)
+	if got, want := keySet(dm.Keys), keySet(res.Keys); !sameSet(got, want) {
+		t.Errorf("%s: key covers differ\ndepminer: %v\nlattice:  %v", shape, keysOf(got), keysOf(want))
+	}
+	if got, want := fdSet(dropSuperkey(dm.FDs, dm.Keys)), fdSet(res.FDs); !sameSet(got, want) {
+		t.Errorf("%s: FD covers differ\ndepminer: %v\nlattice:  %v", shape, keysOf(got), keysOf(want))
+	}
+}
+
+// TestDiscoverMatchesDepMiner is TestDepMinerMatchesLattice for the
+// XFD entry point, Engine.Discover, over random flat tables of up to
+// 60 rows, 3–8 attributes, domains 2–4 and 0–15% missing leaves.
+func TestDiscoverMatchesDepMiner(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		checkDiscoverMatchesDepMiner(t, seed, 4+r.Intn(57), 3+r.Intn(6), 2+r.Intn(3), r.Intn(16))
+	}
+}
+
+// FuzzLatticeMatchesDepMiner explores the shapes of
+// TestDiscoverMatchesDepMiner beyond its fixed seeds.
+func FuzzLatticeMatchesDepMiner(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(5), uint8(3), uint8(10))
+	f.Add(int64(7), uint8(60), uint8(8), uint8(2), uint8(0))
+	f.Add(int64(42), uint8(4), uint8(3), uint8(4), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, rows, attrs, domain, missing uint8) {
+		checkDiscoverMatchesDepMiner(t, seed, 4+int(rows)%57, 3+int(attrs)%6, 2+int(domain)%3, int(missing)%16)
+	})
 }
 
 func sameSet(a, b map[string]bool) bool {
