@@ -61,7 +61,7 @@ func E15UpdateIncremental(quick bool) *Table {
 		// shape (eight unrelated wide tables) is the document profile the
 		// incremental path serves: mutations land in one table, the
 		// engine re-traverses its dirty lattice and replays the clean
-		// sibling subtrees from the memo.
+		// sibling subtrees from the warm layer.
 		ds := xmlgen.WideForest(xmlgen.WideForestParams{
 			Tables: 8,
 			Table:  xmlgen.WideParams{Rows: rows / 8, Attrs: 10, Domain: 6, FDEvery: 3, Seed: 5},

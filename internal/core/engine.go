@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,22 +16,23 @@ import (
 // as you like. Each call builds its own Run (governor, partition
 // cache, stats — see run.go), so concurrent calls are fully
 // isolated; the only state an Engine shares across runs is a warm
-// layer of immutable partitions, keyed by hierarchy, that repeated
-// runs over the same document reuse instead of recomputing (the E14
-// engine-reuse benchmark measures the effect).
+// layer, keyed by hierarchy, that repeated runs over the same
+// document reuse instead of recomputing (the E14 engine-reuse
+// benchmark measures the effect).
 //
 // Sharing contract: partitions are immutable after construction (the
-// partimmut analyzer enforces this), so handing the same *Partition to
-// several runs is safe. The warm layer is invalidated at run scope —
-// a finishing run replaces its hierarchy's entry wholesale with the
-// partitions its own cache retained (already trimmed to the run's
-// MaxPartitionBytes budget), and the oldest hierarchies are evicted
-// beyond a small cap. Runs under Options.NaivePartitions never seed
-// from nor publish to the warm layer: the naive engine is the
-// differential baseline and must stay bit-for-bit cold. Neither do
-// Discover calls with warm false: their hierarchy was built inside
-// the caller's call, so no later run can hit its entry, which would
-// only pin the hierarchy until evicted.
+// partimmut analyzer enforces this), and a warm entry's maps and
+// outputs are written only by ApplyUpdate under the hierarchy's
+// writer lock, so runs holding the reader lock may share them. The
+// warm layer is invalidated at run scope — a finishing run replaces
+// its hierarchy's entry wholesale with its own (partitions already
+// trimmed to the run's MaxPartitionBytes budget), and the oldest
+// hierarchies are evicted beyond a small cap. Runs under
+// Options.NaivePartitions never seed from nor publish to the warm
+// layer: the naive engine is the differential baseline and must stay
+// bit-for-bit cold. Neither do Discover calls with warm false: their
+// hierarchy was built inside the caller's call, so no later run can
+// hit its entry, which would only pin the hierarchy until evicted.
 type Engine struct {
 	opts Options
 
@@ -42,72 +44,25 @@ type Engine struct {
 	met engineMetrics
 }
 
-// warmHierarchy is the retained partition set of one hierarchy. The
-// parts maps are built fresh by snapshot and never mutated afterwards,
-// so concurrent seeding runs may read them without the Engine lock.
+// warmHierarchy is what the last run over a hierarchy left behind,
+// by Relation.Index: each relation store's partition map, and each
+// essential relation's output slot. A later run reads the maps in
+// place (see partitionCache.seed) and replays the output of every
+// subtree it proves unchanged (see Run.planReuse); so the entry also
+// keeps the null tables its outputs were computed under, and the
+// hierarchy's batch count it reflects. Nothing writes an entry but
+// ApplyUpdate, under the hierarchy's writer lock: it patches the maps
+// in place and empties the output slots of the relations it touched.
 type warmHierarchy struct {
-	h     *relation.Hierarchy
-	parts map[*relation.Relation]map[AttrSet]*partition.Partition
-	memo  *subtreeMemo
-}
+	h       *relation.Hierarchy
+	batches uint64 // h.Batches() the entry reflects
 
-// subtreeMemo is the second half of the warm layer: the lattice
-// outputs of every essential relation of the last successful,
-// non-truncated run over a hierarchy. A later run skips the traversal
-// of a whole subtree — no lattice nodes, no partition products, no
-// target creation — when ApplyUpdate has touched nothing inside the
-// subtree AND the subtree's two ancestor dependencies are intact: the
-// null profiles its lattice consulted (nullInfo reaches the parent's
-// null rows and every ancestor above) and the parent-row indices its
-// outgoing target rows are expressed in. The memo therefore keeps the
-// builder run's null tables for comparison, and a resize — the one
-// update that renumbers rows — dirties the resized relation's whole
-// descendant subtree (see Run.planReuse).
-//
-// outs and the null tables are immutable after publish. dirty is
-// written only by ApplyUpdate under the hierarchy's writer lock and
-// read by runs under the reader lock, so the two never race.
-type subtreeMemo struct {
-	outs  []*memoOutput // by Relation.Index; nil for non-essential or skipped
-	dirty []bool        // by Relation.Index; set when an update touches the relation
+	parts []map[AttrSet]*partition.Partition // nil when no store retained a partition
+	outs  []*relOutput                       // nil when the run was truncated
 
-	// Null tables of the run that built the memo (see Run.plan):
-	// cached outputs assumed these, so reuse requires today's to match.
+	// Null tables of the run that built outs (see Run.plan).
 	anyNull        [][]bool
 	nullsAtOrAbove []bool
-}
-
-// markDirty records that an update touched r. A resize additionally
-// dirties r's entire descendant subtree: row deletion swap-moves rows
-// and rewrites the children's ParentIdx without a RelChange of their
-// own, which invalidates their cached outgoing targets (rows live in
-// parent-row space) even though the descendants' columns are
-// unchanged.
-func (m *subtreeMemo) markDirty(r *relation.Relation, resized bool) {
-	if r.Index >= len(m.dirty) {
-		return
-	}
-	m.dirty[r.Index] = true
-	if !resized {
-		return
-	}
-	for _, c := range r.Children {
-		m.markDirty(c, true)
-	}
-}
-
-// memoOutput is one essential relation's contribution to a run: its
-// intra/inter FDs, keys and approximate FDs (already converted to
-// public form) plus the outgoing targets it handed to its parent.
-// Outgoing targets are replayed as clones — the consuming parent
-// appends to a target's satisfied list, which must not leak across
-// runs — while the FD/key slices are append-only shared.
-type memoOutput struct {
-	fds    []FD
-	keys   []Key
-	approx []FD
-	out    []*target
-	tuples int
 }
 
 // engineWarmHierarchies caps how many hierarchies' partitions an
@@ -149,58 +104,61 @@ func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy, deadline t
 	run := newRun(ctx, h, e.opts, deadline)
 	// Hold the hierarchy's reader lock across seed, execute, AND
 	// publish: publishing inside the critical section is what keeps a
-	// finishing run from installing pre-update partitions over a warm
-	// entry ApplyUpdate just patched.
+	// finishing run from installing pre-update state over a warm entry
+	// ApplyUpdate just patched.
 	h.RLock()
 	defer h.RUnlock()
 	share := warm && !e.opts.NaivePartitions
 	if share {
-		if parts, memo := e.warmFor(h); parts != nil {
-			run.cache.seed(parts)
-			run.memo = memo
+		if w := e.warmFor(h); w != nil {
+			run.seed(w)
 			e.warmSeededRun()
 		}
 	}
 	res, err := run.execute()
 	if share && err == nil {
-		e.publish(h, run.cache.snapshot(), run.memoSnapshot())
+		e.publish(run.warmEntry())
 	}
 	e.runDone(res, err)
 	return res, err
 }
 
-// warmFor returns the retained partition maps and subtree memo for h,
-// or nils. The returned maps and memo outputs are immutable (see
-// warmHierarchy); only the slice bookkeeping needs the lock.
-func (e *Engine) warmFor(h *relation.Hierarchy) (map[*relation.Relation]map[AttrSet]*partition.Partition, *subtreeMemo) {
+// warmFor returns h's warm entry, or nil if there is none or it
+// predates an update made other than through this engine's
+// ApplyUpdate. Caller holds h's lock (either side), which keeps the
+// entry's contents fixed; only the slice bookkeeping needs e.mu.
+func (e *Engine) warmFor(h *relation.Hierarchy) *warmHierarchy {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, w := range e.warm {
-		if w.h == h {
-			return w.parts, w.memo
+		if w.h == h && w.batches == h.Batches() {
+			return w
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// publish installs a finished run's partition snapshot and subtree
-// memo as the warm entry for h, replacing any previous entry
-// (run-scoped invalidation) and evicting the oldest hierarchy beyond
-// the cap. memo may be nil (truncated runs publish partitions only).
-func (e *Engine) publish(h *relation.Hierarchy, parts map[*relation.Relation]map[AttrSet]*partition.Partition, memo *subtreeMemo) {
-	if len(parts) == 0 && memo == nil {
+// publish installs a finished run's entry as the warm entry for its
+// hierarchy, replacing any previous entry (run-scoped invalidation)
+// and evicting the oldest hierarchy beyond the cap. An entry with
+// neither partitions nor outputs leaves the previous one in place.
+func (e *Engine) publish(w *warmHierarchy) {
+	if w.parts == nil && w.outs == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	kept := e.warm[:0]
-	for _, w := range e.warm {
-		if w.h != h {
-			kept = append(kept, w)
-		}
+	if i := e.warmIndex(w.h); i >= 0 {
+		e.warm = slices.Delete(e.warm, i, i+1)
 	}
-	e.warm = append(kept, &warmHierarchy{h: h, parts: parts, memo: memo})
+	e.warm = append(e.warm, w)
 	if len(e.warm) > engineWarmHierarchies {
-		e.warm = append(e.warm[:0], e.warm[len(e.warm)-engineWarmHierarchies:]...)
+		e.warm = slices.Delete(e.warm, 0, len(e.warm)-engineWarmHierarchies)
 	}
+}
+
+// warmIndex returns the position of h's entry in e.warm, or -1.
+// Caller holds e.mu.
+func (e *Engine) warmIndex(h *relation.Hierarchy) int {
+	return slices.IndexFunc(e.warm, func(w *warmHierarchy) bool { return w.h == h })
 }

@@ -64,8 +64,7 @@ func TestEngineWarmEviction(t *testing.T) {
 		t.Fatalf("warm layer holds %d hierarchies, cap is %d", n, engineWarmHierarchies)
 	}
 	for i, h := range hs {
-		warmParts, _ := eng.warmFor(h)
-		warm := warmParts != nil
+		warm := eng.warmFor(h) != nil
 		wantWarm := i >= len(hs)-engineWarmHierarchies
 		if warm != wantWarm {
 			t.Errorf("hierarchy %d: warm=%v, want %v", i, warm, wantWarm)
@@ -83,7 +82,7 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := eng.warmFor(h); w != nil {
+	if eng.warmFor(h) != nil {
 		t.Fatal("naive run published to the warm layer")
 	}
 	second, err := eng.Discover(context.Background(), h, time.Time{}, true)

@@ -54,12 +54,13 @@ func TestVerifyMatchesEvaluate(t *testing.T) {
 		if err := run.plan(); err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		top := run.traverse(run.gov.ctx, h.Root)
-		if top.err != nil {
-			t.Fatalf("%s: %v", ds.Name, top.err)
+		if err := run.traverse(run.gov.ctx, h.Root); err != nil {
+			t.Fatalf("%s: %v", ds.Name, err)
 		}
+		var all relOutput
+		run.collect(h.Root, &all)
 		v := newVerifier(h, run.cache, false)
-		for _, fd := range run.minimize(&top) {
+		for _, fd := range run.minimize(all.fds, all.keys) {
 			got, err := v.verifyFD(fd)
 			if err != nil {
 				t.Fatalf("%s: verify %s: %v", ds.Name, fd, err)
@@ -187,8 +188,8 @@ func TestFastPartitionsMatchNaive(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, r := range h.Relations {
-		fastCache := newPartitionCache(0)
-		naiveCache := newPartitionCache(0)
+		fastCache := newPartitionCache(len(h.Relations), 0)
+		naiveCache := newPartitionCache(len(h.Relations), 0)
 		frp, nrp := fastCache.store(r), naiveCache.store(r)
 		sc := partition.NewScratch(r.NRows())
 		m := r.NAttrs()
@@ -245,7 +246,7 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := h.Relations[len(h.Relations)-1]
-	cache := newPartitionCache(1) // evict everything trimmable at retire
+	cache := newPartitionCache(len(h.Relations), 1) // evict everything trimmable at retire
 	rp := cache.store(r)
 	sc := partition.NewScratch(r.NRows())
 	a := AttrSet(0).Add(0).Add(1).Add(2)

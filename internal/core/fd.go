@@ -141,7 +141,7 @@ type Stats struct {
 	// RelationsReused counts essential relations whose lattice
 	// traversal was skipped entirely because the engine's warm layer
 	// proved their subtree untouched since the last run and replayed
-	// its cached outputs (see subtreeMemo).
+	// its cached outputs (see Run.planReuse).
 	RelationsReused int
 	// Tuples is the total tuple count over essential relations.
 	Tuples int

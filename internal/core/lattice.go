@@ -16,13 +16,16 @@ type edge struct {
 	rhs int
 }
 
-// relOutput collects what one relation's lattice traversal produced.
+// relOutput is one essential relation's contribution to a run, in
+// public form: its intra- then inter-relation FDs and keys, its
+// approximate FDs, and the outgoing targets it hands to its parent.
+// It is immutable once the relation finishes, so the Engine's warm
+// layer replays it as is.
 type relOutput struct {
-	intraFDs  []edge    // satisfied minimal intra-relation FDs
-	intraKeys []AttrSet // minimal intra-relation keys
-	interFDs  []FD      // inter-relation FDs satisfied at this level
-	interKeys []Key
-	outgoing  []*target // targets for the parent relation
+	fds    []FD
+	keys   []Key
+	approx []FD
+	out    []*target
 }
 
 // latticeRun performs the level-wise attribute-set traversal of one
@@ -56,9 +59,37 @@ type latticeRun struct {
 	// ts is the scratch of target creation, conversion and checks.
 	ts targetScratch
 
-	fds  []edge
-	keys []AttrSet
-	out  relOutput
+	// fds and keys are the satisfied intra-relation FDs and the keys
+	// found, which also drive pruning; interFDs and interKeys are what
+	// incoming targets completed here; outgoing are the targets for
+	// the parent relation.
+	fds       []edge
+	keys      []AttrSet
+	interFDs  []FD
+	interKeys []Key
+	outgoing  []*target
+}
+
+// output converts the traversal's findings into the relation's
+// relOutput (without approximate FDs). Constant FDs (empty LHS) are
+// kept only under Options.KeepConstantFDs.
+func (lr *latticeRun) output() *relOutput {
+	o := &relOutput{
+		fds:  make([]FD, 0, len(lr.fds)+len(lr.interFDs)),
+		keys: make([]Key, 0, len(lr.keys)+len(lr.interKeys)),
+		out:  lr.outgoing,
+	}
+	for _, e := range lr.fds {
+		if e.lhs != 0 || lr.opts.KeepConstantFDs {
+			o.fds = append(o.fds, intraFD(lr.rel, e))
+		}
+	}
+	for _, k := range lr.keys {
+		o.keys = append(o.keys, intraKey(lr.rel, k))
+	}
+	o.fds = append(o.fds, lr.interFDs...)
+	o.keys = append(o.keys, lr.interKeys...)
+	return o
 }
 
 // close releases pooled resources; the latticeRun (and its partition
@@ -83,9 +114,6 @@ func (lr *latticeRun) run() {
 	}
 	n := rel.NRows()
 	m := rel.NAttrs()
-	if lr.cache == nil {
-		lr.cache = newPartitionCache(lr.opts.MaxPartitionBytes)
-	}
 	lr.pc = lr.cache.store(rel)
 	lr.sc = partition.GetScratch(n)
 
@@ -169,6 +197,12 @@ func (lr *latticeRun) run() {
 				break
 			}
 		}
+		if !xfd && lr.supersetOfKey(a) {
+			// A key found after a was queued: under Figure 8 a
+			// superkey node yields nothing. (In XFD mode it may still
+			// complete a target, excusing more rows by missing values.)
+			continue
+		}
 		lr.stats.NodesVisited++
 
 		ls := lr.candidateLHS(a, xfd)
@@ -179,7 +213,6 @@ func (lr *latticeRun) run() {
 
 		if pa.IsKey() && !lr.opts.DisableKeyPruning {
 			lr.keys = append(lr.keys, a)
-			lr.out.intraKeys = append(lr.out.intraKeys, a)
 			if xfd {
 				// Figure 9 lines 18–25: a key separates every two
 				// rows, so every target is satisfied at this node
@@ -200,7 +233,6 @@ func (lr *latticeRun) run() {
 			pal := lr.getPartition(al)
 			if pal.Error() == pa.Error() {
 				lr.fds = append(lr.fds, edge{lhs: al, rhs: r})
-				lr.out.intraFDs = append(lr.out.intraFDs, edge{lhs: al, rhs: r})
 			}
 		}
 		if xfd {
@@ -333,7 +365,7 @@ func (lr *latticeRun) doomed() bool {
 // marks the run truncated, since the target might have completed an
 // inter-relation FD or Key higher up.
 func (lr *latticeRun) admit() bool {
-	if len(lr.out.outgoing) < lr.opts.maxTargets() {
+	if len(lr.outgoing) < lr.opts.maxTargets() {
 		return true
 	}
 	targetDropped(lr.rel, lr.opts, lr.stats, "outgoing target cap reached")
@@ -345,7 +377,7 @@ func (lr *latticeRun) admit() bool {
 // outgoing targets.
 func (lr *latticeRun) emit(pt *target) {
 	if pt != nil {
-		lr.out.outgoing = append(lr.out.outgoing, pt)
+		lr.outgoing = append(lr.outgoing, pt)
 	}
 }
 
@@ -378,9 +410,9 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 		if pt.satisfiedBy(gids, nulls, &lr.ts) {
 			pt.satisfied = append(pt.satisfied, a)
 			if pt.keyOnly {
-				lr.out.interKeys = append(lr.out.interKeys, pt.keyAt(lr.rel, a, lr.depths))
+				lr.interKeys = append(lr.interKeys, pt.keyAt(lr.rel, a, lr.depths))
 			} else {
-				lr.out.interFDs = append(lr.out.interFDs, pt.fdAt(lr.rel, a, lr.depths))
+				lr.interFDs = append(lr.interFDs, pt.fdAt(lr.rel, a, lr.depths))
 			}
 			continue
 		}
@@ -444,10 +476,13 @@ const (
 // pending nodes in parallel, seeding the cache the serial traversal
 // then hits. pending is the queue suffix starting at the level's
 // first node. Only nodes the serial traversal would materialize are
-// computed — a node with no candidate LHS is skipped before its
-// partition is ever built — so the cache ends up with exactly the
-// entries the serial run produces and discovery output (including the
-// approximate pass, which scans the cache) is bit-identical.
+// computed — a node with no candidate LHS, or under Figure 8 one
+// containing a key, is skipped before its partition is ever built
+// (every key it could contain is smaller, so already found) — so the
+// cache ends up with exactly the entries the serial run produces and
+// discovery output (including the approximate pass, which scans the
+// cache) is bit-identical. Workers stop at the deadline, as the serial
+// loop does at its next node.
 func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 	if !lr.opts.Parallel || lr.opts.NaivePartitions {
 		return
@@ -460,6 +495,9 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 	work := make([]AttrSet, 0, end)
 	for _, a := range pending[:end] {
 		if _, ok := lr.pc.parts[a]; ok {
+			continue
+		}
+		if !xfd && lr.supersetOfKey(a) {
 			continue
 		}
 		if len(lr.candidateLHS(a, xfd)) == 0 && size > 1 {
@@ -508,6 +546,9 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 				}
 				if err := lr.gov.cancelled(); err != nil {
 					errs[i] = err
+					return
+				}
+				if lr.gov.expired() {
 					return
 				}
 				results[i] = jobs[i].rest.Product(jobs[i].ids, sc)

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/xmlgen"
 )
 
 // relsSubset reports whether a ⊆ b as path sets (both sorted or not).
@@ -176,6 +178,35 @@ func TestMinimizersMatchPairwiseOracle(t *testing.T) {
 		got := in.minimizeApprox(approx, fds[:len(fds)/2])
 		if want := minimizeApproxOracle(approx, fds[:len(fds)/2]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: minimizeApprox\ngot  %v\nwant %v", seed, got, want)
+		}
+	}
+}
+
+// TestFigure8ReportsOnlyMinimalKeys pins the visit-time key check of
+// Figure 8 traversals: a node queued before a key it contains was
+// found later on its level is skipped, not reported as a key that
+// minimize would drop, so no key the lattice reports over
+// DefaultWide(14) contains another.
+func TestFigure8ReportsOnlyMinimalKeys(t *testing.T) {
+	ds := xmlgen.Wide(xmlgen.DefaultWide(14))
+	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := h.Relations[len(h.Relations)-1]
+	opts := Options{NoInterRelation: true}
+	var st Stats
+	lr := &latticeRun{rel: r, opts: &opts, stats: &st, cache: newPartitionCache(len(h.Relations), 0)}
+	lr.run()
+	lr.close()
+	if len(lr.keys) == 0 {
+		t.Fatal("the traversal found no key")
+	}
+	for _, k := range lr.keys {
+		for _, sub := range lr.keys {
+			if k != sub && k.Contains(sub) {
+				t.Fatalf("reported key %v contains reported key %v (%d keys reported)", k.Attrs(), sub.Attrs(), len(lr.keys))
+			}
 		}
 	}
 }

@@ -10,13 +10,16 @@ import (
 
 // TestParallelMatchesSerial checks that parallel discovery produces
 // exactly the serial result (FDs, Keys, approximate FDs, redundancy
-// witnesses) on every generator dataset.
+// witnesses) on every generator dataset, and that the level
+// precompute, which a wide table's 400 rows turn on, performs exactly
+// the serial products.
 func TestParallelMatchesSerial(t *testing.T) {
 	sets := []xmlgen.Dataset{
 		xmlgen.Warehouse(xmlgen.DefaultWarehouse()),
 		xmlgen.Auction(xmlgen.DefaultAuction()),
 		xmlgen.Mondial(xmlgen.DefaultMondial()),
 		xmlgen.PSD(xmlgen.DefaultPSD()),
+		xmlgen.Wide(xmlgen.DefaultWide(10)),
 	}
 	for _, ds := range sets {
 		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
@@ -35,7 +38,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel result differs from serial\nserial:\n%s\nparallel:\n%s", ds.Name, want, got)
 		}
 		if parallel.Stats.Relations != serial.Stats.Relations ||
-			parallel.Stats.Tuples != serial.Stats.Tuples {
+			parallel.Stats.Tuples != serial.Stats.Tuples ||
+			parallel.Stats.NodesVisited != serial.Stats.NodesVisited ||
+			parallel.Stats.PartitionsComputed != serial.Stats.PartitionsComputed {
 			t.Errorf("%s: stats mismatch: %+v vs %+v", ds.Name, parallel.Stats, serial.Stats)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -9,19 +10,18 @@ import (
 )
 
 // partitionCache is the partition store shared by one discovery run.
-// It is keyed two ways: by relation, then by canonical attribute set
-// (the AttrSet bitset), and it outlives any single lattice traversal,
-// so partitions computed level by level are reused by the approximate
-// pass and by the post-traversal FD verification, across the whole
-// bottom-up relation-tree walk.
+// It is keyed two ways: by relation (Relation.Index), then by
+// canonical attribute set (the AttrSet bitset), and it outlives any
+// single lattice traversal, so partitions computed level by level are
+// reused by the approximate pass and by the post-traversal FD
+// verification, across the whole bottom-up relation-tree walk.
 //
 // Concurrency contract: each relation's lattice runs on a single
 // goroutine, and parallel subtree workers touch disjoint relations,
-// so a relation's store needs no internal locking — only the
-// relation→store map and the byte/hit counters are shared (mutex and
-// atomics respectively). The happens-before edge between a subtree
-// worker's writes and the parent's reads is the WaitGroup join in
-// discover.
+// so a relation's store and its slot in rels need no locking; only
+// the retired list (mutex) and the byte/hit counters (atomics) are
+// shared. The happens-before edge between a subtree worker's writes
+// and the parent's reads is the WaitGroup join in traverse.
 //
 // Memory contract: maxBytes (Options.MaxPartitionBytes) caps the
 // estimated bytes *retained* across relations: partitions and the
@@ -34,10 +34,10 @@ import (
 // from those, so eviction affects speed, never results.
 type partitionCache struct {
 	maxBytes int64
+	rels     []*relPartitions // by Relation.Index; see the concurrency contract
 
 	mu      sync.Mutex
-	rels    map[*relation.Relation]*relPartitions // guarded by mu
-	retired []*relPartitions                      // guarded by mu
+	retired []*relPartitions // guarded by mu
 	bytes   atomic.Int64
 	peak    atomic.Int64
 
@@ -54,6 +54,11 @@ type relPartitions struct {
 	nulls map[AttrSet][]bool
 	bytes int64
 
+	// shared marks parts as the warm map seed installed, which other
+	// runs may be reading: own copies it before the store's first
+	// write.
+	shared bool
+
 	// hits/misses mirror the cache-wide atomic counters for this store
 	// alone, so per-lattice-level trace events can report a hit rate
 	// without reading (and polluting) the shared atomics across
@@ -62,27 +67,39 @@ type relPartitions struct {
 	hits, misses int
 }
 
-func newPartitionCache(maxBytes int64) *partitionCache {
-	return &partitionCache{maxBytes: maxBytes, rels: make(map[*relation.Relation]*relPartitions)}
+// newPartitionCache returns an empty cache for a hierarchy of nrels
+// relations.
+func newPartitionCache(nrels int, maxBytes int64) *partitionCache {
+	return &partitionCache{maxBytes: maxBytes, rels: make([]*relPartitions, nrels)}
 }
 
 // store returns (creating on first use) the relation's partition
 // store.
 func (c *partitionCache) store(rel *relation.Relation) *relPartitions {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rp := c.rels[rel]
+	rp := c.rels[rel.Index]
 	if rp == nil {
-		m := rel.NAttrs()
-		rp = &relPartitions{
-			rel:   rel,
-			parts: make(map[AttrSet]*partition.Partition, 4*m),
-			gids:  make(map[AttrSet][]int32),
-			nulls: make(map[AttrSet][]bool),
-		}
-		c.rels[rel] = rp
+		rp = newStore(rel, make(map[AttrSet]*partition.Partition, 4*rel.NAttrs()))
+		c.rels[rel.Index] = rp
 	}
 	return rp
+}
+
+// newStore returns a store over parts with no derived lookups yet.
+func newStore(rel *relation.Relation, parts map[AttrSet]*partition.Partition) *relPartitions {
+	return &relPartitions{
+		rel:   rel,
+		parts: parts,
+		gids:  make(map[AttrSet][]int32),
+		nulls: make(map[AttrSet][]bool),
+	}
+}
+
+// own gives the store a private copy of a seeded warm map before its
+// first write.
+func (rp *relPartitions) own() {
+	if rp.shared {
+		rp.parts, rp.shared = maps.Clone(rp.parts), false
+	}
 }
 
 // add accounts n bytes of a newly cached partition or lookup to the
@@ -103,47 +120,48 @@ func (c *partitionCache) charge(n int64) {
 	}
 }
 
-// seed pre-populates the cache from an Engine's warm layer: immutable
-// partitions a previous run over the same hierarchy retained. Each
-// relation's store starts as a fresh copy of its warm map (the warm
-// maps are shared across concurrent runs and never written), and the
-// seeded bytes are charged to this run's budget so retire still trims
-// them under a tight MaxPartitionBytes. Seeded entries bump neither
-// hit nor miss counters; subsequent lookups count as plain hits.
-func (c *partitionCache) seed(warm map[*relation.Relation]map[AttrSet]*partition.Partition) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:detorder seeding only fills per-relation lookup maps; relation visit order cannot reach any output
-	for rel, parts := range warm {
-		rp := &relPartitions{
-			rel:   rel,
-			parts: make(map[AttrSet]*partition.Partition, len(parts)+rel.NAttrs()),
-			gids:  make(map[AttrSet][]int32),
-			nulls: make(map[AttrSet][]bool),
+// seed pre-populates the cache from an Engine's warm layer: the
+// immutable partition maps, by Relation.Index, that a previous run
+// over h retained. Each store reads its warm map in place and copies
+// it only before its first write (see own), so concurrent runs share
+// the maps and never write them, and a relation the run replays costs
+// only its byte charge: the seeded bytes are charged to this run's
+// budget so retire still trims them under a tight MaxPartitionBytes.
+// Seeded entries bump neither hit nor miss counters; subsequent
+// lookups count as plain hits.
+func (c *partitionCache) seed(h *relation.Hierarchy, warm []map[AttrSet]*partition.Partition) {
+	for i, parts := range warm {
+		if parts == nil {
+			continue
 		}
-		for a, p := range parts {
-			rp.parts[a] = p
+		rp := newStore(h.Relations[i], parts)
+		rp.shared = true
+		for _, p := range parts {
 			rp.bytes += p.MemBytes()
 		}
 		c.charge(rp.bytes)
-		c.rels[rel] = rp
+		c.rels[i] = rp
 	}
 }
 
-// snapshot returns every relation store's partition map for the
-// Engine's warm layer. The maps are handed over, not copied: store and
-// seed give each store a private map, and the Engine publishes only
-// after execute has returned, so this run never writes to them again.
-// Partitions are immutable after construction, so the Engine may hand
-// the snapshot to later runs unsynchronized.
-func (c *partitionCache) snapshot() map[*relation.Relation]map[AttrSet]*partition.Partition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[*relation.Relation]map[AttrSet]*partition.Partition, len(c.rels))
-	for rel, rp := range c.rels {
-		if len(rp.parts) > 0 {
-			out[rel] = rp.parts
+// snapshot returns every relation store's partition map, by
+// Relation.Index, for the Engine's warm layer, or nil if no store
+// holds any. The maps are handed over, not copied: a store's map is
+// private, or the very warm map it was seeded with and never wrote,
+// and the Engine publishes only after execute has returned, so this
+// run never writes to them again. Partitions are immutable after
+// construction, so the Engine may hand the snapshot to later runs
+// unsynchronized.
+func (c *partitionCache) snapshot() []map[AttrSet]*partition.Partition {
+	var out []map[AttrSet]*partition.Partition
+	for i, rp := range c.rels {
+		if rp == nil || len(rp.parts) == 0 {
+			continue
 		}
+		if out == nil {
+			out = make([]map[AttrSet]*partition.Partition, len(c.rels))
+		}
+		out[i] = rp.parts
 	}
 	return out
 }
@@ -169,6 +187,7 @@ func (c *partitionCache) retire(rp *relPartitions) {
 // lookups, keeping the column partitions (cheap, always reusable).
 // Caller holds c.mu.
 func (c *partitionCache) trim(rp *relPartitions) {
+	rp.own()
 	freed := int64(0)
 	evicted := int64(0)
 	for a, p := range rp.parts {
@@ -199,6 +218,7 @@ func (c *partitionCache) trim(rp *relPartitions) {
 // goroutine; the xfdlint partimmut analyzer keeps cache writes
 // confined to this file.
 func (c *partitionCache) install(rp *relPartitions, a AttrSet, p *partition.Partition) {
+	rp.own()
 	rp.parts[a] = p
 	c.add(rp, p.MemBytes())
 	c.misses.Add(1)
@@ -278,6 +298,7 @@ func (c *partitionCache) partitionOf(rp *relPartitions, a AttrSet, sc *partition
 			st.PartitionsComputed++
 		}
 	}
+	rp.own()
 	rp.parts[a] = p
 	c.add(rp, p.MemBytes())
 	return p

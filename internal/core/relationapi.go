@@ -20,27 +20,17 @@ func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats,
 	stats.Relations = 1
 	stats.Tuples = rel.NRows()
 	opts.NoInterRelation = true // DiscoverFD: no partition targets
-	cache := newPartitionCache(opts.MaxPartitionBytes)
+	cache := newPartitionCache(rel.Index+1, opts.MaxPartitionBytes)
 	lr := &latticeRun{rel: rel, opts: &opts, stats: &stats, cache: cache}
 	lr.run()
 	cache.retire(lr.pc)
 	lr.close()
 	cache.flushStats(&stats)
 
-	var fds []FD
-	for _, e := range lr.out.intraFDs {
-		if e.lhs == 0 && !opts.KeepConstantFDs {
-			continue
-		}
-		fds = append(fds, intraFD(rel, e))
-	}
-	var keys []Key
-	for _, k := range lr.out.intraKeys {
-		keys = append(keys, intraKey(rel, k))
-	}
+	out := lr.output()
 	in := newLHSInterner()
-	fds = in.minimizeFDs(fds)
-	keys = in.minimizeKeys(keys)
+	fds := in.minimizeFDs(out.fds)
+	keys := in.minimizeKeys(out.keys)
 	sortFDs(fds)
 	sortKeys(keys)
 	return fds, keys, stats, nil

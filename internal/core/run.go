@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,8 @@ import (
 // and the partition targets consult. One Run is created per
 // Engine.Discover call, used on however many goroutines the governed
 // traversal spawns, and discarded; nothing in it is shared across
-// runs except the immutable partitions the owning Engine chooses to
-// carry over.
+// runs except the partitions and per-relation outputs the owning
+// Engine carries over in its warm layer.
 //
 // A run executes as a fixed pipeline of named stages (see execute):
 //
@@ -44,16 +45,17 @@ type Run struct {
 	anyNull        [][]bool // per relation, per row: any column missing
 	nullsAtOrAbove []bool   // per relation: missing values here or in any ancestor
 
-	// memo is the engine's cached subtree outputs for this hierarchy
-	// (nil on cold runs); reusable marks relations whose whole subtree
-	// traversal this run replays from the memo instead of running (see
-	// planReuse); memoOuts collects the per-relation outputs — replayed
-	// or freshly computed — that become the next memo. Parallel subtree
-	// workers write disjoint memoOuts slots, so no synchronization is
-	// needed.
-	memo     *subtreeMemo
+	// Per-relation slots: each essential relation writes its output
+	// and its Stats once, when it finishes (a replayed one copies the
+	// warm entry's output). Parallel subtree workers write disjoint
+	// slots, so no synchronization is needed. warm is the engine's
+	// entry this run was seeded from (nil on cold runs); reusable
+	// marks relations whose whole subtree this run replays from it
+	// instead of traversing (see planReuse).
+	outs     []*relOutput
+	stats    []Stats
+	warm     *warmHierarchy
 	reusable []bool
-	memoOuts []*memoOutput
 
 	// id is the process-unique run identifier ("run-N") stamped on
 	// every trace event and pprof label; tr is the run-stamped tracer
@@ -84,7 +86,7 @@ func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, deadline t
 		id:    id,
 		tr:    opts.Tracer,
 		gov:   &governor{ctx: ctx, deadline: deadline, tr: opts.Tracer},
-		cache: newPartitionCache(opts.MaxPartitionBytes),
+		cache: newPartitionCache(len(h.Relations), opts.MaxPartitionBytes),
 		res:   &Result{},
 	}
 }
@@ -137,24 +139,26 @@ func (run *Run) pipeline() (res *Result, err error) {
 			trace.Emit(run.tr, ev)
 		}
 	}()
-	var top gathered
 	if err := run.stage("plan", func(context.Context) error { return run.plan() }); err != nil {
 		return nil, err
 	}
+	var all relOutput
 	err = run.stage("traverse", func(ctx context.Context) error {
-		top = run.traverse(ctx, run.h.Root)
-		return top.err
+		if err := run.traverse(ctx, run.h.Root); err != nil {
+			return err
+		}
+		run.collect(run.h.Root, &all)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	run.res.Stats = top.stats
 	var fds []FD
-	_ = run.stage("minimize", func(context.Context) error { fds = run.minimize(&top); return nil })
+	_ = run.stage("minimize", func(context.Context) error { fds = run.minimize(all.fds, all.keys); return nil })
 	if err := run.stage("verify", func(context.Context) error { return run.verify(fds) }); err != nil {
 		return nil, err
 	}
-	_ = run.stage("assemble", func(context.Context) error { run.assemble(top.approx); return nil })
+	_ = run.stage("assemble", func(context.Context) error { run.assemble(all.approx); return nil })
 	run.res.Stats.WallTime = time.Since(start)
 	return run.res, nil
 }
@@ -217,78 +221,75 @@ func (run *Run) plan() error {
 		run.nullsAtOrAbove[r.Index] = up || here
 	}
 
-	run.memoOuts = make([]*memoOutput, len(h.Relations))
+	run.outs = make([]*relOutput, len(h.Relations))
+	run.stats = make([]Stats, len(h.Relations))
 	run.planReuse()
 	return nil
 }
 
+// seed starts the run from the engine's warm entry for its hierarchy:
+// the cache reads the entry's partition maps, and planReuse its
+// outputs.
+func (run *Run) seed(w *warmHierarchy) {
+	run.cache.seed(run.h, w.parts)
+	run.warm = w
+}
+
 // planReuse decides, per relation, whether traverse may replay the
-// subtree rooted there from the engine's memo. The sound condition has
-// two halves. Inside the subtree: every relation is untouched since
-// the memo was built (resizes dirty their whole descendant cone, see
-// subtreeMemo.markDirty) and has cached outputs if essential. At the
-// boundary: the null profiles the subtree's lattices consulted —
-// the parent's per-row null mask and every ancestor's nulls-at-or-
-// above flag (nullInfo) — are unchanged, since an update elsewhere in
-// the document can flip them (e.g. a graft filling a missing optional
-// subtree) without any RelChange inside the subtree. Interior
-// relations' null inputs come from clean in-subtree relations and so
-// match automatically; only the boundary needs checking.
+// subtree rooted there from the warm entry, in one post-order walk: a
+// subtree is reusable when every essential relation in it still has
+// its output slot (ApplyUpdate empties the slots of the relations it
+// touches, and of a resized relation's descendants) and every null
+// boundary inside it is intact. A boundary is the null profile its
+// relation's lattice consulted — the parent's per-row null mask and
+// every ancestor's nulls-at-or-above flag (nullInfo) — which an update
+// elsewhere in the document can flip (e.g. a graft filling a missing
+// optional subtree) without touching the subtree. The boundaries of
+// the relations inside the subtree count too, so a relation without a
+// slot of its own, such as the synthetic root, is never replayed
+// across one that changed.
 //
-// Note what is deliberately NOT required: a clean ancestor. A value
-// update to the parent leaves the subtree's outputs valid — its own
-// columns are untouched and its target rows still index the same
+// Note what is deliberately NOT required: an intact ancestor slot. A
+// value update to the parent leaves the subtree's outputs valid — its
+// own columns are untouched and its target rows still index the same
 // parent rows — which is what makes sibling subtrees of the mutated
 // region reusable even though every update re-encodes the ancestor
 // chain's complex columns.
 func (run *Run) planReuse() {
-	m := run.memo
-	n := len(run.h.Relations)
-	if m == nil || len(m.outs) != n || len(m.dirty) != n || len(m.anyNull) != n || len(m.nullsAtOrAbove) != n {
-		run.memo = nil
+	w := run.warm
+	if w == nil || w.outs == nil {
 		return
 	}
-	run.reusable = make([]bool, n)
-	var subClean func(r *relation.Relation) bool
-	subClean = func(r *relation.Relation) bool {
-		ok := !m.dirty[r.Index] && (!r.Essential || m.outs[r.Index] != nil)
+	run.reusable = make([]bool, len(run.h.Relations))
+	var walk func(r *relation.Relation) bool
+	walk = func(r *relation.Relation) bool {
+		ok := (!r.Essential || w.outs[r.Index] != nil) && run.nullBoundaryOK(w, r)
 		for _, c := range r.Children {
-			// No short-circuit: a clean child subtree under a dirty
-			// relation is reusable on its own and needs its flag set.
-			if !subClean(c) {
+			// No short-circuit: a reusable child subtree under a
+			// changed relation is replayed on its own.
+			if !walk(c) {
 				ok = false
 			}
 		}
 		run.reusable[r.Index] = ok
 		return ok
 	}
-	subClean(run.h.Root)
-	for _, r := range run.h.Relations {
-		if run.reusable[r.Index] && !run.nullBoundaryOK(m, r) {
-			run.reusable[r.Index] = false
-		}
-	}
+	walk(run.h.Root)
 }
 
-// nullBoundaryOK reports whether the null profiles crossing into r's
-// subtree match those the memo was built under: the parent's per-row
-// null mask and the nulls-at-or-above flag of every ancestor.
-func (run *Run) nullBoundaryOK(m *subtreeMemo, r *relation.Relation) bool {
+// nullBoundaryOK reports whether the null profiles crossing into r
+// match those the warm outputs were computed under: the parent's
+// per-row null mask and the nulls-at-or-above flag of every ancestor.
+func (run *Run) nullBoundaryOK(w *warmHierarchy, r *relation.Relation) bool {
 	p := r.Parent
 	if p == nil {
 		return true
 	}
-	now, then := run.anyNull[p.Index], m.anyNull[p.Index]
-	if len(now) != len(then) {
+	if !slices.Equal(run.anyNull[p.Index], w.anyNull[p.Index]) {
 		return false
 	}
-	for i := range now {
-		if now[i] != then[i] {
-			return false
-		}
-	}
 	for a := p; a != nil; a = a.Parent {
-		if run.nullsAtOrAbove[a.Index] != m.nullsAtOrAbove[a.Index] {
+		if run.nullsAtOrAbove[a.Index] != w.nullsAtOrAbove[a.Index] {
 			return false
 		}
 	}
@@ -310,109 +311,85 @@ func relationDepths(h *relation.Hierarchy) []int {
 	return depths
 }
 
-// gathered collects what one subtree's traversal produced.
-type gathered struct {
-	fds    []FD
-	keys   []Key
-	approx []FD
-	stats  Stats
-	out    []*target
-	err    error // first error in deterministic child order
-}
-
-func (g *gathered) merge(o *gathered) {
-	g.fds = append(g.fds, o.fds...)
-	g.keys = append(g.keys, o.keys...)
-	g.approx = append(g.approx, o.approx...)
-	g.out = append(g.out, o.out...)
-	mergeStats(&g.stats, &o.stats)
-	if g.err == nil {
-		g.err = o.err
-	}
-}
-
 // traverse is the post-order traversal stage: children before
-// parents, so targets flow upward (Figure 9 lines 5–6). Each call
-// gathers its subtree's results locally, which makes the parallel
-// mode a pure fan-out: sibling subtrees share nothing until their
-// parent merges them, in child order, so output is independent of
-// scheduling. ctx carries the stage's pprof labels; each essential
-// relation's lattice section adds its own relation label on top.
-func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
-	var g gathered
+// parents, so targets flow upward (Figure 9 lines 5–6). Each
+// essential relation writes its output and Stats to its own slots,
+// which makes the parallel mode a pure fan-out: sibling subtrees
+// share nothing, and a parent reads its children's slots in child
+// order after joining them, so output is independent of scheduling.
+// ctx carries the stage's pprof labels; each essential relation's
+// lattice section adds its own relation label on top.
+func (run *Run) traverse(ctx context.Context, r *relation.Relation) error {
 	if err := run.gov.cancelled(); err != nil {
-		g.err = err
-		return g
+		return err
 	}
 	if run.reusable != nil && run.reusable[r.Index] {
-		// The whole subtree is cone-clean: replay the memoized outputs
-		// and skip the lattice entirely. Only r's own outgoing targets
-		// surface — interior relations' targets were consumed inside
-		// the memoized traversal, exactly as they would be live.
-		run.replayOutputs(r, &g)
-		if out := run.memo.outs[r.Index]; out != nil {
-			g.out = make([]*target, 0, len(out.out))
-			for _, t := range out.out {
-				g.out = append(g.out, t.clone())
-			}
-		}
-		return g
+		// The whole subtree is unchanged: replay the warm outputs and
+		// skip the lattice entirely. The parent reads r's outgoing
+		// targets from its slot, exactly as it would after a live run.
+		run.replay(r)
+		return nil
 	}
 	if run.opts.Parallel && len(r.Children) > 1 {
-		results := make([]gathered, len(r.Children))
+		errs := make([]error, len(r.Children))
 		if run.tr != nil {
 			trace.Emit(run.tr, &trace.Event{Kind: trace.KindGovernor, Action: "worker_spawn",
 				Workers: len(r.Children), Detail: "subtree workers under " + string(r.Pivot)})
 		}
 		// A worker panic must not unwind past its goroutine's stack
 		// (that would kill the process); workerGroup turns it into
-		// this subtree's error, joining the others in child order.
+		// this subtree's error, reported in child order.
 		var grp workerGroup
 		for i, c := range r.Children {
 			grp.Go(fmt.Sprintf("parallel discovery worker for subtree %s", c.Pivot),
-				func(err error) { results[i] = gathered{err: err} },
-				func() { results[i] = run.traverse(ctx, c) })
+				func(err error) { errs[i] = err },
+				func() { errs[i] = run.traverse(ctx, c) })
 		}
 		grp.Wait()
-		for i := range results {
-			g.merge(&results[i])
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
 		}
 	} else {
 		for _, c := range r.Children {
-			cg := run.traverse(ctx, c)
-			g.merge(&cg)
-			if g.err != nil {
-				break
+			if err := run.traverse(ctx, c); err != nil {
+				return err
 			}
 		}
 	}
-	if g.err != nil {
-		return g
-	}
-	incoming := g.out
-	g.out = nil
 	if !r.Essential {
 		// The synthetic root relation has a single tuple; no FD
 		// over it is meaningful and no target can reach it.
-		return g
+		return nil
 	}
 	if run.gov.expired() {
 		// Out of wall-clock budget: keep what the subtree found,
 		// skip this relation's lattice (graceful degradation).
-		return g
+		return nil
+	}
+	// The parent appends to its incoming targets' satisfied lists, so
+	// it gets clones and the children's slots stay as written.
+	var incoming []*target
+	for _, c := range r.Children {
+		if o := run.outs[c.Index]; o != nil {
+			for _, t := range o.out {
+				incoming = append(incoming, t.clone())
+			}
+		}
 	}
 	if run.opts.RelationHook != nil {
 		run.opts.RelationHook(r.Pivot)
 	}
-	g.stats.Relations++
-	g.stats.Tuples += r.NRows()
+	st := &run.stats[r.Index]
+	st.Relations = 1
+	st.Tuples = r.NRows()
 	relStart := time.Now()
-	nodesBefore := g.stats.NodesVisited
 	if run.tr != nil {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationStart,
 			Relation: string(r.Pivot), Tuples: r.NRows(), Attrs: r.NAttrs()})
 	}
-	lr := &latticeRun{rel: r, opts: &run.opts, stats: &g.stats, depths: run.depths, incoming: incoming, gov: run.gov, cache: run.cache}
+	lr := &latticeRun{rel: r, opts: &run.opts, stats: st, depths: run.depths, incoming: incoming, gov: run.gov, cache: run.cache}
 	if p := r.Parent; p != nil {
 		lr.ni = nullInfo{parentAnyNull: run.anyNull[p.Index], aboveParent: p.Parent != nil && run.nullsAtOrAbove[p.Parent.Index]}
 	}
@@ -422,94 +399,76 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 		lr.run()
 	})
 	if lr.err != nil {
-		g.err = lr.err
 		if run.tr != nil {
 			trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationEnd, Relation: string(r.Pivot),
-				Nodes: g.stats.NodesVisited - nodesBefore, DurationMS: msSince(relStart), Err: lr.err.Error()})
+				Nodes: st.NodesVisited, DurationMS: msSince(relStart), Err: lr.err.Error()})
 		}
-		return g
+		return lr.err
 	}
-
-	fdsBefore, keysBefore, approxBefore := len(g.fds), len(g.keys), len(g.approx)
-	for _, e := range lr.out.intraFDs {
-		if e.lhs == 0 && !run.opts.KeepConstantFDs {
-			continue
-		}
-		g.fds = append(g.fds, intraFD(r, e))
-	}
-	for _, k := range lr.out.intraKeys {
-		g.keys = append(g.keys, intraKey(r, k))
-	}
-	g.fds = append(g.fds, lr.out.interFDs...)
-	g.keys = append(g.keys, lr.out.interKeys...)
+	out := lr.output()
 	if run.opts.ApproxError > 0 {
-		g.approx = append(g.approx, lr.discoverApprox(run.opts.ApproxError)...)
+		out.approx = lr.discoverApprox(run.opts.ApproxError)
 	}
 	run.cache.retire(lr.pc)
 	lr.close()
-	g.out = lr.out.outgoing
-	// Capture this relation's own outputs for the next memo. The
-	// outgoing targets are stored as-is: this run's parent may append
-	// to their satisfied lists, which replay resets via clone.
-	run.memoOuts[r.Index] = &memoOutput{
-		fds:    append([]FD(nil), g.fds[fdsBefore:]...),
-		keys:   append([]Key(nil), g.keys[keysBefore:]...),
-		approx: append([]FD(nil), g.approx[approxBefore:]...),
-		out:    lr.out.outgoing,
-		tuples: r.NRows(),
-	}
+	run.outs[r.Index] = out
 	if run.tr != nil {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationEnd, Relation: string(r.Pivot),
-			Nodes: g.stats.NodesVisited - nodesBefore, DurationMS: msSince(relStart)})
+			Nodes: st.NodesVisited, DurationMS: msSince(relStart)})
 	}
-	return g
+	return nil
 }
 
-// replayOutputs walks a reused subtree post-order, appending each
-// essential relation's memoized FDs, keys and approximate FDs to g and
-// carrying the cached outputs forward into this run's memo slots. The
-// trace stream still shows the relation spans, flagged as reused, so
-// consumers see the same well-nested shape a live run emits.
-func (run *Run) replayOutputs(r *relation.Relation, g *gathered) {
+// replay fills the slots of a reused subtree post-order from the warm
+// entry. The trace stream still shows the relation spans, flagged as
+// reused, so consumers see the same well-nested shape a live run
+// emits.
+func (run *Run) replay(r *relation.Relation) {
 	for _, c := range r.Children {
-		run.replayOutputs(c, g)
+		run.replay(c)
 	}
-	out := run.memo.outs[r.Index]
-	run.memoOuts[r.Index] = out
+	out := run.warm.outs[r.Index]
 	if !r.Essential || out == nil {
 		return
 	}
 	if run.opts.RelationHook != nil {
 		run.opts.RelationHook(r.Pivot)
 	}
-	g.stats.Relations++
-	g.stats.RelationsReused++
-	g.stats.Tuples += out.tuples
-	g.fds = append(g.fds, out.fds...)
-	g.keys = append(g.keys, out.keys...)
-	g.approx = append(g.approx, out.approx...)
+	run.outs[r.Index] = out
+	run.stats[r.Index] = Stats{Relations: 1, RelationsReused: 1, Tuples: r.NRows()}
 	if run.tr != nil {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationStart,
-			Relation: string(r.Pivot), Tuples: out.tuples, Attrs: r.NAttrs()})
+			Relation: string(r.Pivot), Tuples: r.NRows(), Attrs: r.NAttrs()})
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationEnd,
 			Relation: string(r.Pivot), Detail: "subtree reused"})
 	}
 }
 
-// memoSnapshot packages the run's per-relation outputs as the next
-// subtree memo. Truncated runs publish nothing: a skipped relation has
-// no outputs to replay, and a partial memo would silently pin the
+// collect appends the relations' outputs to all in post-order —
+// children before parents, siblings in order — and sums their Stats
+// into the Result.
+func (run *Run) collect(r *relation.Relation, all *relOutput) {
+	for _, c := range r.Children {
+		run.collect(c, all)
+	}
+	mergeStats(&run.res.Stats, &run.stats[r.Index])
+	if o := run.outs[r.Index]; o != nil {
+		all.fds = append(all.fds, o.fds...)
+		all.keys = append(all.keys, o.keys...)
+		all.approx = append(all.approx, o.approx...)
+	}
+}
+
+// warmEntry packages what this run leaves for the next one over its
+// hierarchy. A truncated run leaves no outputs: a skipped relation
+// has none to replay, and a partial entry would silently pin the
 // truncation into every warm repeat.
-func (run *Run) memoSnapshot() *subtreeMemo {
-	if run.res == nil || run.res.Stats.Truncated || run.memoOuts == nil {
-		return nil
+func (run *Run) warmEntry() *warmHierarchy {
+	w := &warmHierarchy{h: run.h, batches: run.h.Batches(), parts: run.cache.snapshot()}
+	if !run.res.Stats.Truncated {
+		w.outs, w.anyNull, w.nullsAtOrAbove = run.outs, run.anyNull, run.nullsAtOrAbove
 	}
-	return &subtreeMemo{
-		outs:           run.memoOuts,
-		dirty:          make([]bool, len(run.memoOuts)),
-		anyNull:        run.anyNull,
-		nullsAtOrAbove: run.nullsAtOrAbove,
-	}
+	return w
 }
 
 // minimize reduces the traversal's raw FD and key streams to minimal
@@ -517,10 +476,10 @@ func (run *Run) memoSnapshot() *subtreeMemo {
 // sorted into the Result, and FDs whose LHS contains a discovered key
 // are dropped (a superkey LHS indicates no redundancy). The surviving
 // candidates are returned for verification.
-func (run *Run) minimize(top *gathered) []FD {
+func (run *Run) minimize(rawFDs []FD, rawKeys []Key) []FD {
 	in := newLHSInterner()
-	fds := in.minimizeFDs(top.fds)
-	run.res.Keys = in.minimizeKeys(top.keys)
+	fds := in.minimizeFDs(rawFDs)
+	run.res.Keys = in.minimizeKeys(rawKeys)
 	fds = in.dropSuperkeyLHS(fds, run.res.Keys)
 	sortKeys(run.res.Keys)
 	return fds

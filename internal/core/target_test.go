@@ -183,7 +183,7 @@ func newTargetWorld(t *testing.T, seed int64) *targetWorld {
 	if err := run.plan(); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	return &targetWorld{run: run, cache: newPartitionCache(0), sc: partition.GetScratch(h.TotalTuples())}
+	return &targetWorld{run: run, cache: newPartitionCache(len(h.Relations), 0), sc: partition.GetScratch(h.TotalTuples())}
 }
 
 // nullInfo returns what target work at r reads about missing values at

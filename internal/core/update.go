@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"discoverxfd/internal/partition"
@@ -10,34 +10,29 @@ import (
 )
 
 // ApplyUpdate applies a batch of document updates to h and patches the
-// engine's warm partition layer in place of invalidating it: retained
-// partitions of untouched relations (and of touched relations' clean
-// columns) are kept, dirty single-column partitions are rebuilt from
-// the column's codes by the same builder cold runs use
-// (Relation.ColumnPartition), and only multi-column sets intersecting
-// the dirty columns are dropped — those the next run recomputes by
-// products of the rebuilt columns. The next Discover over h therefore
-// starts warm almost everywhere, which is what the E-update benchmark
-// measures.
+// engine's warm layer in place of invalidating it: retained partitions
+// of untouched relations (and of touched relations' clean columns) are
+// kept, dirty single-column partitions are rebuilt from the column's
+// codes by the same builder cold runs use (Relation.ColumnPartition),
+// and only multi-column sets intersecting the dirty columns are
+// dropped — those the next run recomputes by products of the rebuilt
+// columns. Each touched relation loses its output slot, so the next
+// Discover over h traverses it again and replays every subtree the
+// batch left alone, which is what the E-update benchmark measures.
 //
 // ApplyUpdate serializes against running discoveries: it takes h's
 // writer lock while Discover holds the reader lock across seed,
 // execute, and publish, so a run never observes half-applied updates
-// and never publishes pre-update partitions over a patched warm entry.
+// and never publishes pre-update state over a patched warm entry.
 //
 // On error the hierarchy retains the updates applied before the
-// failing op; the warm layer is dropped for h so no stale partitions
-// can be served.
+// failing op; the warm entry for h is dropped so no stale state can
+// be served.
 func (e *Engine) ApplyUpdate(h *relation.Hierarchy, ops []relation.Update) (*relation.Changeset, error) {
 	start := time.Now()
 	h.Lock()
 	cs, err := h.Apply(ops)
-	var pr []patchReport
-	if err == nil {
-		pr = e.patchWarm(h, cs)
-	} else {
-		e.dropWarm(h)
-	}
+	pr := e.patchWarm(h, cs)
 	h.Unlock()
 	e.updateDone(cs, err, pr)
 	e.traceUpdate(start, cs, err, pr)
@@ -57,117 +52,91 @@ type patchReport struct {
 	dropped int // stale multi-column sets discarded
 }
 
-// patchWarm rewrites h's warm entry under the Changeset. It builds
-// fresh maps for touched relations (warm maps are shared with seeding
-// runs and never mutated) and shares the rest. Caller holds h's writer
-// lock, so no run is concurrently seeding from or publishing to the
-// entry.
+// patchWarm brings h's warm entry up to date with the Apply batch that
+// produced cs, in place, and reports the patch per relation in
+// relation order. It patches only an entry exactly one batch behind;
+// any other entry, and every entry after a failed batch (cs nil), it
+// drops. Caller holds h's writer lock, so no run is reading the entry.
 func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patchReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var w *warmHierarchy
-	for _, ww := range e.warm {
-		if ww.h == h {
-			w = ww
-			break
-		}
-	}
-	if w == nil {
+	i := e.warmIndex(h)
+	if i < 0 {
 		return nil
 	}
-	// Dirty the subtree memo before rewriting partitions: every touched
-	// relation loses its cached lattice outputs, and a resized relation
-	// additionally invalidates its children's outgoing targets (see
-	// subtreeMemo.markDirty). The memo itself survives — the next run
-	// still replays every clean cone.
-	if w.memo != nil {
-		for idx, rc := range cs.Rels {
-			if rc != nil && idx < len(h.Relations) {
-				w.memo.markDirty(h.Relations[idx], rc.Resized)
-			}
-		}
+	w := e.warm[i]
+	if cs == nil || w.batches+1 != h.Batches() {
+		e.warm = slices.Delete(e.warm, i, i+1)
+		return nil
 	}
+	w.batches = h.Batches()
 	var reports []patchReport
-	parts := make(map[*relation.Relation]map[AttrSet]*partition.Partition, len(w.parts))
-	for rel, m := range w.parts {
-		var rc *relation.RelChange
-		if rel.Index < len(cs.Rels) {
-			rc = cs.Rels[rel.Index]
-		}
+	for idx, rc := range cs.Rels {
 		if rc == nil {
-			parts[rel] = m // untouched relation: share wholesale
 			continue
 		}
-		rep := patchReport{rel: rel, rows: rc.Tuples}
-		for ai := range rel.Attrs {
+		w.dropOutputs(rc.Rel, rc.Resized)
+		if w.parts == nil || w.parts[idx] == nil {
+			continue
+		}
+		rep := patchReport{rel: rc.Rel, rows: rc.Tuples}
+		for ai := range rc.Rel.Attrs {
 			if rc.DirtyAttr(ai) {
 				rep.attrs++
 			}
 		}
-		nm := make(map[AttrSet]*partition.Partition, len(m))
-		for a, p := range m {
-			switch {
-			case a == 0:
-				// Π_∅ depends only on the row count: recompute on
-				// resize, keep otherwise.
-				if rc.Resized {
-					nm[a] = partition.Single(rel.NRows())
-					rep.patched++
-				} else {
-					nm[a] = p
-					rep.kept++
-				}
-			case a.Size() == 1:
-				if i := a.MaxBit(); rc.DirtyAttr(i) {
-					nm[a] = rel.ColumnPartition(i)
-					rep.patched++
-				} else {
-					nm[a] = p
-					rep.kept++
-				}
-			default:
-				dirty := rc.Resized
-				for _, i := range a.Attrs() {
-					if dirty {
-						break
-					}
-					dirty = rc.DirtyAttr(i)
-				}
-				if dirty {
-					rep.dropped++ // next run rebuilds by product
-				} else {
-					nm[a] = p
-					rep.kept++
-				}
+		m := w.parts[idx]
+		for a := range m {
+			if a == 0 && rc.Resized {
+				// Π_∅ depends only on the row count.
+				m[a] = partition.Single(rc.Rel.NRows())
+				rep.patched++
+			} else if a.Size() == 1 && rc.DirtyAttr(a.MaxBit()) {
+				m[a] = rc.Rel.ColumnPartition(a.MaxBit())
+				rep.patched++
+			} else if a.Size() > 1 && stale(rc, a) {
+				delete(m, a) // the next run rebuilds it by product
+				rep.dropped++
+			} else {
+				rep.kept++
 			}
 		}
-		if len(nm) > 0 {
-			parts[rel] = nm
+		if len(m) == 0 {
+			w.parts[idx] = nil
 		}
 		reports = append(reports, rep)
 	}
-	w.parts = parts
-	// Reports feed trace events and counters: order them by relation
-	// for deterministic emission.
-	sort.Slice(reports, func(i, j int) bool { return reports[i].rel.Index < reports[j].rel.Index })
 	return reports
 }
 
-// dropWarm removes h's warm entry (failed update batches leave the
-// hierarchy partially updated, so retained partitions may be stale).
-func (e *Engine) dropWarm(h *relation.Hierarchy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	kept := e.warm[:0]
-	for _, w := range e.warm {
-		if w.h != h {
-			kept = append(kept, w)
+// stale reports whether the batch changed a column of a, or the rows.
+func stale(rc *relation.RelChange, a AttrSet) bool {
+	if rc.Resized {
+		return true
+	}
+	for _, i := range a.Attrs() {
+		if rc.DirtyAttr(i) {
+			return true
 		}
 	}
-	for i := len(kept); i < len(e.warm); i++ {
-		e.warm[i] = nil
+	return false
+}
+
+// dropOutputs empties r's output slot. A resize empties the slots of
+// r's whole descendant subtree too: row deletion swap-moves rows and
+// rewrites the children's ParentIdx without a RelChange of their own,
+// which invalidates their outgoing targets (rows live in parent-row
+// space) even though the descendants' columns are unchanged.
+func (w *warmHierarchy) dropOutputs(r *relation.Relation, resized bool) {
+	if w.outs == nil {
+		return
 	}
-	e.warm = kept
+	w.outs[r.Index] = nil
+	if resized {
+		for _, c := range r.Children {
+			w.dropOutputs(c, true)
+		}
+	}
 }
 
 // traceUpdate emits the update span: one update_apply event, preceded

@@ -193,12 +193,16 @@ func TestApplyUpdateWarmPartitionsMatchFresh(t *testing.T) {
 // computes for the same attribute set over h as it stands now.
 func requireWarmMatchesFresh(t *testing.T, label string, eng *Engine, h *relation.Hierarchy) {
 	t.Helper()
-	warm, _ := eng.warmFor(h)
+	warm := eng.warmFor(h)
 	if warm == nil {
 		t.Fatalf("%s: no warm entry", label)
 	}
-	fresh := newPartitionCache(0)
-	for rel, parts := range warm {
+	fresh := newPartitionCache(len(h.Relations), 0)
+	for i, parts := range warm.parts {
+		if parts == nil {
+			continue
+		}
+		rel := h.Relations[i]
 		rp := fresh.store(rel)
 		sc := partition.NewScratch(rel.NRows())
 		for a, got := range parts {
@@ -362,7 +366,7 @@ func TestApplyUpdateFailedBatchDropsWarm(t *testing.T) {
 	if _, err := eng.Discover(context.Background(), h, time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := eng.warmFor(h); w == nil {
+	if eng.warmFor(h) == nil {
 		t.Fatal("no warm entry after discovery")
 	}
 	_, err := eng.ApplyUpdate(h, []relation.Update{
@@ -372,7 +376,7 @@ func TestApplyUpdateFailedBatchDropsWarm(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with a bad key succeeded")
 	}
-	if w, _ := eng.warmFor(h); w != nil {
+	if eng.warmFor(h) != nil {
 		t.Fatal("warm entry survived a failed batch")
 	}
 	if m := eng.Metrics(); m.UpdatesFailed != 1 {

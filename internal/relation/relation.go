@@ -215,6 +215,9 @@ type Hierarchy struct {
 	// interners, densifier remaps) that makes in-place updates
 	// possible; nil for streamed or hand-assembled hierarchies.
 	upd *patchState
+	// batches counts the Apply batches that may have mutated the
+	// hierarchy (see Batches); written under the write lock.
+	batches uint64
 }
 
 // RLock takes the hierarchy's read lock. Discovery runs and direct
@@ -231,6 +234,12 @@ func (h *Hierarchy) Lock() { h.mu.Lock() }
 
 // Unlock releases the write lock.
 func (h *Hierarchy) Unlock() { h.mu.Unlock() }
+
+// Batches returns how many Apply batches may have mutated the
+// hierarchy, failed ones included. State derived from the hierarchy is
+// current only while this count stays what it was when the state was
+// derived. Read it under either lock.
+func (h *Hierarchy) Batches() uint64 { return h.batches }
 
 // truncate records the first budget exhaustion; later ones keep the
 // original reason.

@@ -178,6 +178,7 @@ func (h *Hierarchy) Apply(ops []Update) (*Changeset, error) {
 	if h.Truncated {
 		return nil, fmt.Errorf("relation: truncated hierarchy (%s) is not updatable", h.TruncatedReason)
 	}
+	h.batches++
 	h.upd.ensureRowIndex(h)
 	app := &applier{
 		h:        h,

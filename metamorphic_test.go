@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"discoverxfd"
 	"discoverxfd/internal/datatree"
+	"discoverxfd/internal/relation"
 	"discoverxfd/internal/xmlgen"
 )
 
@@ -82,6 +84,107 @@ func TestShuffleSiblingsInvariant(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSetInverseRestoresResult is a metamorphic property of the warm
+// write path: a batch of leaf sets on present values, followed by the
+// batch that sets every leaf back, must leave warm discovery with the
+// Result JSON (Stats zeroed) the first discovery returned. Every
+// generator runs at default scale. The engine discovers warm after
+// each batch, so the inverse batch patches a freshly published entry,
+// and the run between the batches must match a cold engine's over
+// the mutated document.
+func TestSetInverseRestoresResult(t *testing.T) {
+	corpora := []func() xmlgen.Dataset{
+		func() xmlgen.Dataset { return xmlgen.Warehouse(xmlgen.DefaultWarehouse()) },
+		func() xmlgen.Dataset { return xmlgen.DBLP(xmlgen.DefaultDBLP()) },
+		func() xmlgen.Dataset { return xmlgen.Auction(xmlgen.DefaultAuction()) },
+		func() xmlgen.Dataset { return xmlgen.Mondial(xmlgen.DefaultMondial()) },
+		func() xmlgen.Dataset { return xmlgen.Catalog(xmlgen.DefaultCatalog()) },
+		func() xmlgen.Dataset { return xmlgen.PSD(xmlgen.DefaultPSD()) },
+		func() xmlgen.Dataset { return xmlgen.Wide(xmlgen.DefaultWide(8)) },
+		func() xmlgen.Dataset {
+			return xmlgen.WideForest(xmlgen.WideForestParams{Tables: 4, Table: xmlgen.DefaultWide(8)})
+		},
+	}
+	for ci, gen := range corpora {
+		ds := gen()
+		t.Run(ds.Name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			eng := discoverxfd.NewEngine(nil)
+			h, err := eng.BuildHierarchy(ctx, ds.Tree, ds.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := eng.DiscoverHierarchy(ctx, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, inverse := leafSets(rand.New(rand.NewSource(int64(ci))), h, ds.Tree, 8)
+			if len(set) == 0 {
+				t.Fatal("no present leaf to set")
+			}
+			var last *discoverxfd.Result
+			for i, ops := range [][]discoverxfd.Update{set, inverse} {
+				if _, err := eng.ApplyUpdate(h, ops); err != nil {
+					t.Fatal(err)
+				}
+				if last, err = eng.DiscoverHierarchy(ctx, h); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					break
+				}
+				cold, err := discoverxfd.NewEngine(nil).Discover(ctx, ds.Tree, ds.Schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, got := resultJSON(t, cold), resultJSON(t, last); !bytes.Equal(got, want) {
+					t.Fatalf("after sets %v: warm Result differs from cold\n%s", set, diffHint(want, got))
+				}
+			}
+			if want, got := resultJSON(t, first), resultJSON(t, last); !bytes.Equal(got, want) {
+				t.Errorf("sets %v and their inverse changed the Result\n%s", set, diffHint(want, got))
+			}
+		})
+	}
+}
+
+// leafSets picks up to n distinct leaves holding a value and returns
+// a batch setting each to a fresh value, and the batch setting each
+// back.
+func leafSets(rng *rand.Rand, h *discoverxfd.Hierarchy, tree *datatree.Tree, n int) (set, inverse []discoverxfd.Update) {
+	var essential []*relation.Relation
+	for _, r := range h.Relations {
+		if r.Essential && r.NRows() > 0 {
+			essential = append(essential, r)
+		}
+	}
+	used := make(map[[2]int]bool)
+	for tries := 0; len(set) < n && tries < 50*n; tries++ {
+		r := essential[rng.Intn(len(essential))]
+		key, ai := r.Keys[rng.Intn(r.NRows())], rng.Intn(r.NAttrs())
+		a := r.Attrs[ai]
+		if a.Kind != relation.Leaf || used[[2]int{key, ai}] {
+			continue
+		}
+		leaf := tree.NodeByKey(key)
+		if a.Rel != "." {
+			for _, label := range strings.Split(strings.TrimPrefix(string(a.Rel), "./"), "/") {
+				if leaf = leaf.Child(label); leaf == nil {
+					break
+				}
+			}
+		}
+		if leaf == nil || !leaf.HasValue {
+			continue
+		}
+		used[[2]int{key, ai}] = true
+		set = append(set, discoverxfd.Update{Op: discoverxfd.OpSet, Class: r.Pivot, Key: key, Attr: a.Rel, Value: scriptValue(rng, h, a)})
+		inverse = append(inverse, discoverxfd.Update{Op: discoverxfd.OpSet, Class: r.Pivot, Key: key, Attr: a.Rel, Value: leaf.Value})
+	}
+	return set, inverse
 }
 
 // discoverJSON discovers over ds with a fresh engine and returns the
