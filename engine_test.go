@@ -231,6 +231,9 @@ func TestEngineMetricsConcurrent(t *testing.T) {
 		want.TargetsDropped += st.TargetsDropped
 		want.TargetChecks += st.TargetChecks
 		want.WallTime += st.WallTime
+		for i, d := range st.Stages {
+			want.Stages[i] += d
+		}
 		if st.PartitionCachePeakBytes > peak {
 			peak = st.PartitionCachePeakBytes
 		}
@@ -251,6 +254,9 @@ func TestEngineMetricsConcurrent(t *testing.T) {
 	}
 	if got.WallTime != want.WallTime || got.WallTime <= 0 {
 		t.Errorf("Totals.WallTime = %v, want %v (> 0)", got.WallTime, want.WallTime)
+	}
+	if got.Stages != want.Stages {
+		t.Errorf("Totals.Stages = %v, want the per-run sum %v", got.Stages, want.Stages)
 	}
 	if m.CacheHighWaterBytes != peak || got.PartitionCachePeakBytes != peak {
 		t.Errorf("high-water = %d (totals %d), want max run peak %d",

@@ -190,13 +190,19 @@ type Stats struct {
 	// efficiency). In a serial run every accrual interval is a
 	// disjoint slice of the run, so IntraTime+InterTime ≤ WallTime —
 	// TestStatsTimeAccounting pins that bound as the double-counting
-	// regression check. Each relation's accounting is exclusive: time
-	// spent on target work inside a lattice traversal is subtracted
-	// from that relation's intra share, never counted twice.
+	// regression check. Each relation's accounting is exclusive: its
+	// intra share is measured once, as the lattice traversal's elapsed
+	// time less the target work inside it, never counted twice.
 	IntraTime, InterTime time.Duration
 	// WallTime is the wall-clock duration of the whole run, plan
 	// through assemble, regardless of parallelism.
 	WallTime time.Duration
+	// Stages is the wall-clock duration of each pipeline stage in
+	// execution order — plan, traverse, minimize, verify, assemble, as
+	// trace.Stages names them — so their sum is at most WallTime. Every
+	// run times each stage once, traced or not, and its stage_end and
+	// run_end trace events carry these very durations and WallTime.
+	Stages [numStages]time.Duration
 	// Truncated reports that a resource budget (deadline, tuple
 	// budget, or lattice-level cap) stopped the run early: the Result
 	// is a valid partial answer — every reported FD/Key holds on the

@@ -117,8 +117,11 @@ func (lr *latticeRun) run() {
 	lr.pc = lr.cache.store(rel)
 	lr.sc = partition.GetScratch(n)
 
-	intraStart := time.Now()
-	interBefore := lr.stats.InterTime
+	// Intra time is the traversal's elapsed time less its target work,
+	// measured once whichever way run returns; lr.stats is the
+	// relation's own slot, so its InterTime is this traversal's alone.
+	start := time.Now()
+	defer func() { lr.stats.IntraTime = time.Since(start) - lr.stats.InterTime }()
 	for i := 0; i < m; i++ {
 		lr.getPartition(AttrSet(0).Add(i))
 	}
@@ -139,7 +142,6 @@ func (lr *latticeRun) run() {
 	if n < 2 || m == 0 {
 		// Nothing can be violated or witnessed with fewer than two
 		// tuples; incoming targets were still offered upward above.
-		lr.stats.IntraTime += time.Since(intraStart) - (lr.stats.InterTime - interBefore)
 		return
 	}
 
@@ -261,13 +263,12 @@ func (lr *latticeRun) run() {
 	if tr != nil {
 		lr.emitLevel(tr, level, &snap)
 	}
-	lr.stats.IntraTime += time.Since(intraStart) - (lr.stats.InterTime - interBefore)
 }
 
 // levelSnapshot records the counters relevant to one lattice level at
 // its start, so emitLevel can report per-level deltas. The partition
-// counters come from this relation's store, not the run-wide atomics,
-// so concurrent relations cannot pollute each other's rates.
+// counters come from this relation's store, so concurrent relations
+// cannot pollute each other's rates.
 type levelSnapshot struct {
 	nodes, products, hits, misses int
 }

@@ -42,9 +42,9 @@ type Metrics struct {
 	// single run reached.
 	CacheHighWaterBytes int64
 	// Totals sums the Stats of every finished run; Totals.WallTime is
-	// the engine's cumulative discovery wall clock and
-	// Totals.PartitionCachePeakBytes mirrors CacheHighWaterBytes (a
-	// maximum, not a sum).
+	// the engine's cumulative discovery wall clock, Totals.Stages its
+	// per-stage breakdown, and Totals.PartitionCachePeakBytes mirrors
+	// CacheHighWaterBytes (a maximum, not a sum).
 	Totals Stats
 }
 
@@ -114,6 +114,9 @@ func (e *Engine) runDone(res *Result, err error) {
 	t := &m.Totals
 	mergeStats(t, st)
 	t.WallTime += st.WallTime
+	for i, d := range st.Stages {
+		t.Stages[i] += d
+	}
 	t.PartitionCacheHits += st.PartitionCacheHits
 	t.PartitionCacheMisses += st.PartitionCacheMisses
 	t.PartitionCacheEvictions += st.PartitionCacheEvictions

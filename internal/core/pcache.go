@@ -19,9 +19,10 @@ import (
 // Concurrency contract: each relation's lattice runs on a single
 // goroutine, and parallel subtree workers touch disjoint relations,
 // so a relation's store and its slot in rels need no locking; only
-// the retired list (mutex) and the byte/hit counters (atomics) are
-// shared. The happens-before edge between a subtree worker's writes
-// and the parent's reads is the WaitGroup join in traverse.
+// the retired list (mutex) and the byte and eviction counters
+// (atomics) are shared. The happens-before edge between a subtree
+// worker's writes and the parent's reads is the WaitGroup join in
+// traverse.
 //
 // Memory contract: maxBytes (Options.MaxPartitionBytes) caps the
 // estimated bytes *retained* across relations: partitions and the
@@ -41,7 +42,7 @@ type partitionCache struct {
 	bytes   atomic.Int64
 	peak    atomic.Int64
 
-	hits, misses, evictions atomic.Int64
+	evictions atomic.Int64
 }
 
 // relPartitions holds one relation's cached partitions and derived
@@ -59,11 +60,11 @@ type relPartitions struct {
 	// write.
 	shared bool
 
-	// hits/misses mirror the cache-wide atomic counters for this store
-	// alone, so per-lattice-level trace events can report a hit rate
-	// without reading (and polluting) the shared atomics across
-	// concurrent relations. Plain ints are safe under the single-
-	// goroutine-per-store contract.
+	// hits/misses count this store's lookups: per-lattice-level trace
+	// events read them for a hit rate, and flushStats sums them into
+	// the run's counters. Plain ints are safe under the single-
+	// goroutine-per-store contract (verify and assemble run after the
+	// traversal's join).
 	hits, misses int
 }
 
@@ -221,7 +222,6 @@ func (c *partitionCache) install(rp *relPartitions, a AttrSet, p *partition.Part
 	rp.own()
 	rp.parts[a] = p
 	c.add(rp, p.MemBytes())
-	c.misses.Add(1)
 	rp.misses++
 }
 
@@ -257,10 +257,16 @@ func (c *partitionCache) nullsOf(rp *relPartitions, a AttrSet, compute func() []
 	return nl
 }
 
-// flushStats copies the cache counters into a Stats record.
+// flushStats copies the cache counters into a Stats record, summing
+// the stores' lookup counts.
 func (c *partitionCache) flushStats(st *Stats) {
-	st.PartitionCacheHits = int(c.hits.Load())
-	st.PartitionCacheMisses = int(c.misses.Load())
+	st.PartitionCacheHits, st.PartitionCacheMisses = 0, 0
+	for _, rp := range c.rels {
+		if rp != nil {
+			st.PartitionCacheHits += rp.hits
+			st.PartitionCacheMisses += rp.misses
+		}
+	}
 	st.PartitionCacheEvictions = int(c.evictions.Load())
 	st.PartitionCachePeakBytes = c.peak.Load()
 }
@@ -274,11 +280,9 @@ func (c *partitionCache) flushStats(st *Stats) {
 // counter's pre-cache meaning.
 func (c *partitionCache) partitionOf(rp *relPartitions, a AttrSet, sc *partition.Scratch, naive bool, st *Stats) *partition.Partition {
 	if p, ok := rp.parts[a]; ok {
-		c.hits.Add(1)
 		rp.hits++
 		return p
 	}
-	c.misses.Add(1)
 	rp.misses++
 	var p *partition.Partition
 	switch {

@@ -104,10 +104,19 @@ func (run *Run) execute() (*Result, error) {
 	return res, err
 }
 
-// msSince renders a span duration for trace events.
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
-}
+// ms renders a span duration for trace events.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// The pipeline's stages in execution order: indexes into trace.Stages,
+// which names them, and into Stats.Stages, which times them.
+const (
+	stagePlan = iota
+	stageTraverse
+	stageMinimize
+	stageVerify
+	stageAssemble
+	numStages
+)
 
 // pipeline runs the staged pipeline. Any panic that escapes a stage —
 // from the serial traversal or from result assembly — surfaces as an
@@ -115,8 +124,8 @@ func msSince(start time.Time) float64 {
 // workers additionally recover per goroutine (workerGroup's panic
 // barrier), which is what keeps a worker panic from unwinding past
 // the group's join. The run span (run_start/run_end) brackets the
-// stage spans; run_end reports truncation, wall time, and the error
-// if the run failed.
+// stage spans; run_end reports truncation, the run's WallTime, and the
+// error if the run failed.
 func (run *Run) pipeline() (res *Result, err error) {
 	start := time.Now()
 	if run.tr != nil {
@@ -127,8 +136,9 @@ func (run *Run) pipeline() (res *Result, err error) {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("core: panic during discovery: %v\n%s", p, debug.Stack())
 		}
+		run.res.Stats.WallTime = time.Since(start)
 		if run.tr != nil {
-			ev := &trace.Event{Kind: trace.KindRunEnd, DurationMS: msSince(start)}
+			ev := &trace.Event{Kind: trace.KindRunEnd, DurationMS: ms(run.res.Stats.WallTime)}
 			if res != nil {
 				ev.Truncated = res.Stats.Truncated
 				ev.Detail = res.Stats.TruncatedReason
@@ -139,11 +149,11 @@ func (run *Run) pipeline() (res *Result, err error) {
 			trace.Emit(run.tr, ev)
 		}
 	}()
-	if err := run.stage("plan", func(context.Context) error { return run.plan() }); err != nil {
+	if err := run.stage(stagePlan, func(context.Context) error { return run.plan() }); err != nil {
 		return nil, err
 	}
 	var all relOutput
-	err = run.stage("traverse", func(ctx context.Context) error {
+	err = run.stage(stageTraverse, func(ctx context.Context) error {
 		if err := run.traverse(ctx, run.h.Root); err != nil {
 			return err
 		}
@@ -154,27 +164,32 @@ func (run *Run) pipeline() (res *Result, err error) {
 		return nil, err
 	}
 	var fds []FD
-	_ = run.stage("minimize", func(context.Context) error { fds = run.minimize(all.fds, all.keys); return nil })
-	if err := run.stage("verify", func(context.Context) error { return run.verify(fds) }); err != nil {
+	_ = run.stage(stageMinimize, func(context.Context) error { fds = run.minimize(all.fds, all.keys); return nil })
+	if err := run.stage(stageVerify, func(context.Context) error { return run.verify(fds) }); err != nil {
 		return nil, err
 	}
-	_ = run.stage("assemble", func(context.Context) error { run.assemble(all.approx); return nil })
-	run.res.Stats.WallTime = time.Since(start)
+	_ = run.stage(stageAssemble, func(context.Context) error { run.assemble(all.approx); return nil })
 	return run.res, nil
 }
 
-// stage brackets one pipeline stage with its trace span and pprof
-// label; goroutines the stage spawns inherit the (run, stage) label
-// pair. The deferred stage_end keeps trace spans well-nested even
-// when the stage panics (pipeline's recover then fails the run).
-func (run *Run) stage(name string, fn func(ctx context.Context) error) (err error) {
+// stage runs pipeline stage i, timing it into Stats.Stages[i] whether
+// or not the run is traced, under its trace span and pprof label;
+// goroutines the stage spawns inherit the (run, stage) label pair.
+// The deferred stage_end carries the recorded duration and keeps trace
+// spans well-nested even when the stage panics (pipeline's recover
+// then fails the run).
+func (run *Run) stage(i int, fn func(ctx context.Context) error) (err error) {
+	name := trace.Stages[i]
 	if run.tr != nil {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindStageStart, Stage: name})
-		start := time.Now()
-		defer func() {
-			trace.Emit(run.tr, &trace.Event{Kind: trace.KindStageEnd, Stage: name, DurationMS: msSince(start)})
-		}()
 	}
+	start := time.Now()
+	defer func() {
+		run.res.Stats.Stages[i] = time.Since(start)
+		if run.tr != nil {
+			trace.Emit(run.tr, &trace.Event{Kind: trace.KindStageEnd, Stage: name, DurationMS: ms(run.res.Stats.Stages[i])})
+		}
+	}()
 	pprof.Do(run.labels, pprof.Labels("xfd_stage", name), func(ctx context.Context) {
 		err = fn(ctx)
 	})
@@ -401,7 +416,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) error {
 	if lr.err != nil {
 		if run.tr != nil {
 			trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationEnd, Relation: string(r.Pivot),
-				Nodes: st.NodesVisited, DurationMS: msSince(relStart), Err: lr.err.Error()})
+				Nodes: st.NodesVisited, DurationMS: ms(time.Since(relStart)), Err: lr.err.Error()})
 		}
 		return lr.err
 	}
@@ -414,7 +429,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) error {
 	run.outs[r.Index] = out
 	if run.tr != nil {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationEnd, Relation: string(r.Pivot),
-			Nodes: st.NodesVisited, DurationMS: msSince(relStart)})
+			Nodes: st.NodesVisited, DurationMS: ms(time.Since(relStart))})
 	}
 	return nil
 }

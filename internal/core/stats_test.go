@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/trace"
 	"discoverxfd/internal/xmlgen"
 )
 
@@ -54,42 +58,75 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-// TestStatsTimeAccounting pins the documented IntraTime/InterTime
-// semantics (see Stats): the two buckets are exclusive, so in a
-// serial run their sum cannot exceed the run's wall clock — the
-// regression check for double-counting. Under Parallel they are
-// summed worker time and only individual non-negativity holds, which
-// TestStatsConsistency already covers.
+// TestStatsTimeAccounting pins the documented time semantics (see
+// Stats). IntraTime and InterTime are exclusive, so in a serial run
+// their sum cannot exceed the run's wall clock — the regression check
+// for double-counting; under Parallel they are summed worker time and
+// only non-negative. Stages is the run's one timing record, written
+// traced or not: every stage took time, and the stages, which run one
+// after another, sum to at most WallTime. In traced runs, serial and
+// parallel, each stage_end carries exactly its Stages entry and
+// run_end exactly WallTime.
 func TestStatsTimeAccounting(t *testing.T) {
+	if len(trace.Stages) != numStages {
+		t.Fatalf("trace.Stages names %d stages, Stats.Stages holds %d", len(trace.Stages), numStages)
+	}
 	ds := xmlgen.PSD(xmlgen.DefaultPSD())
 	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverCold(h, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st.WallTime <= 0 {
-		t.Fatalf("WallTime = %v, want > 0", st.WallTime)
-	}
-	if sum := st.IntraTime + st.InterTime; sum > st.WallTime {
-		t.Errorf("serial run double-counts time: intra %v + inter %v > wall %v",
-			st.IntraTime, st.InterTime, st.WallTime)
-	}
-
-	// Parallel: wall time still stamped, component times non-negative
-	// (they are summed worker time and may legitimately exceed wall).
-	pres, err := discoverCold(h, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pres.Stats.WallTime <= 0 {
-		t.Errorf("parallel WallTime = %v, want > 0", pres.Stats.WallTime)
-	}
-	if pres.Stats.IntraTime < 0 || pres.Stats.InterTime < 0 {
-		t.Errorf("negative component times: %+v", pres.Stats)
+	for _, parallel := range []bool{false, true} {
+		for _, traced := range []bool{false, true} {
+			name := fmt.Sprintf("parallel=%v traced=%v", parallel, traced)
+			tr := &captureTracer{}
+			opts := Options{Parallel: parallel}
+			if traced {
+				opts.Tracer = tr
+			}
+			res, err := discoverCold(h, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if st.WallTime <= 0 {
+				t.Fatalf("%s: WallTime = %v, want > 0", name, st.WallTime)
+			}
+			if st.IntraTime < 0 || st.InterTime < 0 {
+				t.Errorf("%s: negative component times: intra %v, inter %v", name, st.IntraTime, st.InterTime)
+			}
+			if sum := st.IntraTime + st.InterTime; !parallel && sum > st.WallTime {
+				t.Errorf("%s: serial run double-counts time: intra %v + inter %v > wall %v",
+					name, st.IntraTime, st.InterTime, st.WallTime)
+			}
+			var sum time.Duration
+			for i, d := range st.Stages {
+				if d <= 0 {
+					t.Errorf("%s: stage %s took %v, want > 0", name, trace.Stages[i], d)
+				}
+				sum += d
+			}
+			if sum > st.WallTime {
+				t.Errorf("%s: stages sum to %v > wall %v", name, sum, st.WallTime)
+			}
+			ends := 0
+			for _, ev := range tr.evs {
+				switch ev.Kind {
+				case trace.KindStageEnd:
+					ends++
+					if i := slices.Index(trace.Stages, ev.Stage); i < 0 || ev.DurationMS != ms(st.Stages[i]) {
+						t.Errorf("%s: stage_end %s ms = %v, want Stats.Stages %v", name, ev.Stage, ev.DurationMS, st.Stages)
+					}
+				case trace.KindRunEnd:
+					if ev.DurationMS != ms(st.WallTime) {
+						t.Errorf("%s: run_end ms = %v, want WallTime %v", name, ev.DurationMS, st.WallTime)
+					}
+				}
+			}
+			if traced && ends != numStages {
+				t.Errorf("%s: %d stage_end events, want %d", name, ends, numStages)
+			}
+		}
 	}
 }
 

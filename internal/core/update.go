@@ -156,7 +156,7 @@ func (e *Engine) traceUpdate(start time.Time, cs *relation.Changeset, err error,
 			Dropped:  rep.dropped,
 		})
 	}
-	ev := &trace.Event{Kind: trace.KindUpdateApply, DurationMS: msSince(start)}
+	ev := &trace.Event{Kind: trace.KindUpdateApply, DurationMS: ms(time.Since(start))}
 	if err != nil {
 		ev.Err = err.Error()
 	} else {

@@ -10,11 +10,12 @@ import (
 	"discoverxfd/internal/schema"
 )
 
-// mergeStats accumulates per-subtree instrumentation. WallTime is
-// deliberately not merged: it is a run-scoped wall-clock measurement
-// stamped once at the end of the pipeline, not a summable per-subtree
-// quantity (summing it across parallel subtrees would recreate the
-// double-counting the Stats docs rule out).
+// mergeStats accumulates per-subtree instrumentation. WallTime and
+// Stages are deliberately not merged: they are run-scoped wall-clock
+// measurements the pipeline stamps once per run and stage, not
+// summable per-subtree quantities (summing them across parallel
+// subtrees would recreate the double-counting the Stats docs rule
+// out).
 func mergeStats(dst, src *Stats) {
 	dst.Relations += src.Relations
 	dst.RelationsReused += src.RelationsReused

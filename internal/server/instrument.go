@@ -19,8 +19,8 @@ package server
 //   - records RED metrics (rate, errors, duration) per route × tenant
 //     × status class and the response byte count;
 //   - writes one structured access-log line, and a deeper slow-request
-//     report with per-stage timings when the request outlives
-//     Config.SlowRun.
+//     report with the served run's stage timings when the request
+//     outlives Config.SlowRun.
 //
 // The library path is untouched: all of this lives on the serving
 // side of the Options.Trace seam, and requests that never reach a run
@@ -30,10 +30,10 @@ import (
 	"context"
 	"net/http"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
+	"discoverxfd"
 	"discoverxfd/internal/trace"
 )
 
@@ -42,16 +42,19 @@ import (
 type ctxKey struct{}
 
 // instrRequest is the per-request observability state: the trace
-// correlation ids, the stage recorder feeding the slow-request report,
-// and the shed/decline reason writeError classifies for the access log
-// and the shed counters.
+// correlation ids, the shed/decline reason writeError classifies for
+// the access log and the shed counters, and the served Result whose
+// Stats feed the slow-request report.
 type instrRequest struct {
 	traceID   string
 	requestID string
 
 	mu     sync.Mutex
-	reason string        // guarded by mu
-	stages *stageTimings // nil unless SlowRun is configured
+	reason string // guarded by mu
+
+	// res is written by writeResult on the handler's goroutine, which
+	// returns before the middleware reads it.
+	res *discoverxfd.Result
 }
 
 // setReason records why a request was declined (queue_full,
@@ -89,65 +92,14 @@ func noteReason(r *http.Request, reason string) {
 
 // requestTracer returns the tracer runs admitted by this request hand
 // to Options.Trace: the durable backend stamped with the request's
-// correlation ids, plus the slow-run stage recorder when configured.
-// Requests outside the middleware fall back to the bare backend.
+// correlation ids, nil (tracing off) without one. Requests outside the
+// middleware fall back to the bare backend.
 func (s *Server) requestTracer(r *http.Request) trace.Tracer {
 	in := instrFrom(r.Context())
 	if in == nil {
 		return s.cfg.Trace
 	}
-	var stages trace.Tracer
-	if in.stages != nil {
-		stages = in.stages
-	}
-	return trace.Multi(trace.WithIDs(s.cfg.Trace, in.traceID, in.requestID), stages)
-}
-
-// stageTimings is a Tracer that retains stage_end durations — the
-// slow-request report's raw material. It keeps at most stageCap spans
-// so a pathological request cannot grow it unboundedly.
-type stageTimings struct {
-	mu    sync.Mutex
-	spans []stageSpan // guarded by mu
-}
-
-type stageSpan struct {
-	run   string
-	stage string
-	ms    float64
-}
-
-const stageCap = 64
-
-func (st *stageTimings) Emit(ev *trace.Event) {
-	if ev.Kind != trace.KindStageEnd {
-		return
-	}
-	st.mu.Lock()
-	if len(st.spans) < stageCap {
-		st.spans = append(st.spans, stageSpan{run: ev.Run, stage: ev.Stage, ms: ev.DurationMS})
-	}
-	st.mu.Unlock()
-}
-
-// report renders the retained spans as slog pairs ("run/stage" →
-// duration), sorted for a deterministic log line.
-func (st *stageTimings) report() []any {
-	st.mu.Lock()
-	spans := make([]stageSpan, len(st.spans))
-	copy(spans, st.spans)
-	st.mu.Unlock()
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].run != spans[j].run {
-			return spans[i].run < spans[j].run
-		}
-		return false // preserve emission order within a run
-	})
-	out := make([]any, 0, 2*len(spans))
-	for _, sp := range spans {
-		out = append(out, sp.run+"/"+sp.stage, time.Duration(sp.ms*float64(time.Millisecond)))
-	}
-	return out
+	return trace.WithIDs(s.cfg.Trace, in.traceID, in.requestID)
 }
 
 // statusRecorder captures the response status and body size for the
@@ -213,9 +165,6 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 		hdr.Set("X-Request-Id", requestID)
 
 		in := &instrRequest{traceID: traceID, requestID: requestID}
-		if s.cfg.SlowRun > 0 {
-			in.stages = &stageTimings{}
-		}
 		rec := &statusRecorder{ResponseWriter: w}
 		r = r.WithContext(context.WithValue(r.Context(), ctxKey{}, in))
 
@@ -257,9 +206,15 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 		}
 		s.cfg.Log.Info("request", attrs...)
 
-		if s.cfg.SlowRun > 0 && dur >= s.cfg.SlowRun && in.stages != nil {
+		if s.cfg.SlowRun > 0 && dur >= s.cfg.SlowRun {
 			slow := append(attrs, "slow_run_threshold", s.cfg.SlowRun)
-			slow = append(slow, in.stages.report()...)
+			if in.res != nil {
+				st := &in.res.Stats
+				for i, stage := range trace.Stages {
+					slow = append(slow, stage, st.Stages[i])
+				}
+				slow = append(slow, "wall", st.WallTime)
+			}
 			s.cfg.Log.Warn("slow request", slow...)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,8 +103,9 @@ func scrape(t *testing.T, s *Server) string {
 }
 
 // TestMetricsEndpoint pins the scrape surface: valid exposition
-// carrying RED series for served routes, bridged engine counters, and
-// runtime stats.
+// carrying RED series for served routes, bridged engine counters, one
+// observation per pipeline stage in the stage histogram, and runtime
+// stats.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if rec := do(s, "POST", "/v1/discover",
@@ -111,7 +113,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("discover = %d, body %s", rec.Code, rec.Body)
 	}
 	got := scrape(t, s)
-	for _, want := range []string{
+	wants := []string{
 		`xfd_http_requests_total{route="/v1/discover",tenant="acme",code="2xx"} 1`,
 		`xfd_http_request_duration_seconds_bucket{route="/v1/discover",le="+Inf"} 1`,
 		`xfd_engine_runs_started_total 1`,
@@ -120,7 +122,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xfd_draining 0",
 		"go_goroutines ",
 		"go_gc_cycles_total ",
-	} {
+	}
+	for _, stage := range trace.Stages {
+		wants = append(wants, `xfd_run_stage_duration_seconds_bucket{stage="`+stage+`",le="+Inf"} 1`)
+	}
+	for _, want := range wants {
 		if !strings.Contains(got, want) {
 			t.Errorf("scrape missing %q", want)
 		}
@@ -253,7 +259,9 @@ func TestDrainVisibleInStats(t *testing.T) {
 }
 
 // TestAccessAndSlowRunLog pins the structured access log and the
-// threshold-gated slow-request report with stage timings.
+// threshold-gated slow-request report, which carries the served run's
+// stage timings and wall time on the sync route and on a resident
+// document's discover route alike.
 func TestAccessAndSlowRunLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	var mu sync.Mutex
@@ -269,33 +277,59 @@ func TestAccessAndSlowRunLog(t *testing.T) {
 	if rec := do(s, "POST", "/v1/discover", nil, strings.NewReader(libraryXML(6))); rec.Code != http.StatusOK {
 		t.Fatalf("discover = %d", rec.Code)
 	}
+	rec := do(s, "POST", "/v1/documents", nil, strings.NewReader(libraryXML(6)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create document = %d", rec.Code)
+	}
+	if rec = do(s, "POST", "/v1/documents/"+decodeDoc(t, rec.Body.String()).ID+"/discover", nil, nil); rec.Code != http.StatusOK {
+		t.Fatalf("document discover = %d", rec.Code)
+	}
 	mu.Lock()
 	logged := logBuf.String()
 	mu.Unlock()
 	for _, want := range []string{
 		"msg=request", "route=/v1/discover", "status=200", "trace_id=", "request_id=",
-		`msg="slow request"`, "slow_run_threshold=", "/plan=", "/assemble=",
+		`msg="slow request"`, "slow_run_threshold=",
 	} {
 		if !strings.Contains(logged, want) {
 			t.Errorf("log missing %q:\n%s", want, logged)
 		}
 	}
+	for _, route := range []string{"/v1/discover", "/v1/documents/{id}/discover"} {
+		var line string
+		for _, l := range strings.Split(logged, "\n") {
+			if strings.Contains(l, `msg="slow request"`) && strings.Contains(l, " route="+route+" ") {
+				line = l
+			}
+		}
+		if line == "" {
+			t.Errorf("no slow request line for %s:\n%s", route, logged)
+			continue
+		}
+		for _, key := range append(slices.Clone(trace.Stages), "wall") {
+			if !strings.Contains(line, " "+key+"=") {
+				t.Errorf("%s slow request line missing %s=:\n%s", route, key, line)
+			}
+		}
+	}
 }
 
-// TestNoSlowRecorderWhenDisabled pins the zero-cost default: without
-// SlowRun the per-request state carries no stage recorder.
-func TestNoSlowRecorderWhenDisabled(t *testing.T) {
-	s := newTestServer(t, Config{})
-	var saw *instrRequest
+// TestSlowRunLeavesRunsUntraced pins that the slow-request report
+// costs a run nothing: with SlowRun set and no trace backend,
+// requestTracer hands the request's runs no tracer at all.
+func TestSlowRunLeavesRunsUntraced(t *testing.T) {
+	s := newTestServer(t, Config{SlowRun: time.Nanosecond})
+	ran := false
+	var tr trace.Tracer
 	probe := s.instrument("/probe", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		saw = instrFrom(r.Context())
+		ran, tr = true, s.requestTracer(r)
 	}))
 	probe.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/probe", nil))
-	if saw == nil {
-		t.Fatal("middleware did not install instrumentation state")
+	if !ran {
+		t.Fatal("middleware did not run the handler")
 	}
-	if saw.stages != nil {
-		t.Error("stage recorder allocated with SlowRun disabled")
+	if tr != nil {
+		t.Errorf("requestTracer = %T with no trace backend, want nil", tr)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 
 	"discoverxfd"
 	"discoverxfd/internal/telemetry"
+	"discoverxfd/internal/trace"
 )
 
 // serverMetrics owns the registry and the hot-path series handles.
@@ -35,6 +36,7 @@ type serverMetrics struct {
 	duration  *telemetry.HistogramVec // xfd_http_request_duration_seconds{route}
 	respBytes *telemetry.CounterVec   // xfd_http_response_bytes{route}
 	shed      *telemetry.CounterVec   // xfd_requests_shed_total{reason,tenant}
+	stages    []*telemetry.Histogram  // xfd_run_stage_duration_seconds{stage}, indexed like trace.Stages
 
 	tenantRunning *telemetry.GaugeVec // xfd_tenant_running{tenant}, refreshed per scrape
 	tenantQueued  *telemetry.GaugeVec // xfd_tenant_queued{tenant}
@@ -63,6 +65,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.shed = r.NewCounter("xfd_requests_shed_total",
 		"Requests shed by admission control or drain, by reason and tenant.",
 		"reason", "tenant")
+	stageDur := r.NewHistogram("xfd_run_stage_duration_seconds",
+		"Discovery run stage wall time, by pipeline stage.", telemetry.DurationBuckets, "stage")
+	for _, stage := range trace.Stages {
+		m.stages = append(m.stages, stageDur.With(stage))
+	}
 
 	r.NewGaugeFunc("xfd_queue_depth", "Requests waiting in the admission queue.",
 		func() float64 { _, q := s.adm.Load(); return float64(q) })

@@ -112,9 +112,9 @@ type Config struct {
 	// Log receives the server's operational log; nil discards it.
 	Log *slog.Logger
 	// SlowRun, when positive, is the latency threshold beyond which a
-	// request earns a slow-request log line carrying its per-stage
-	// timings (collected from the run's stage_end trace events). 0
-	// disables the report and its stage recorder entirely.
+	// request earns a slow-request log line. A request that served a
+	// Result adds its run's stage timings and wall time, read from
+	// Result.Stats; it needs no tracing. 0 disables the report.
 	SlowRun time.Duration
 	// Fault, when non-nil, is invoked at the server's named fault
 	// points with the request headers — the chaos-test seam (see
@@ -320,12 +320,16 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult serves a finished synchronous run: it counts the run,
-// answers 504 for a deadline truncation the client did not opt into
-// (see degradeStatus), and otherwise writes the Result JSON, flagging
-// a partial one with X-Truncated.
+// notes it on the request for the slow-request report, answers 504
+// for a deadline truncation the client did not opt into (see
+// degradeStatus), and otherwise writes the Result JSON, flagging a
+// partial one with X-Truncated.
 func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *discoverxfd.Result, degrade bool) {
 	s.fault("result", r)
 	s.finishRun(res)
+	if in := instrFrom(r.Context()); in != nil {
+		in.res = res
+	}
 	if status, ok := s.degradeStatus(res, degrade); !ok {
 		writeJSONStatus(w, status, map[string]string{
 			"error":  "deadline exceeded: " + res.Stats.TruncatedReason,
@@ -342,7 +346,8 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *discov
 	}
 }
 
-// finishRun folds one completed run into the server counters.
+// finishRun folds one completed run into the server counters and the
+// stage histogram.
 func (s *Server) finishRun(res *discoverxfd.Result) {
 	s.stats.completed.Add(1)
 	if res.Stats.Truncated {
@@ -350,6 +355,9 @@ func (s *Server) finishRun(res *discoverxfd.Result) {
 	}
 	s.stats.tuples.Add(int64(res.Stats.Tuples))
 	s.stats.latticeNodes.Add(int64(res.Stats.NodesVisited))
+	for i, h := range s.met.stages {
+		h.Observe(res.Stats.Stages[i].Seconds())
+	}
 }
 
 // degradeStatus decides how to serve a finished run: a Result

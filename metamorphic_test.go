@@ -11,6 +11,7 @@ import (
 	"discoverxfd"
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
+	"discoverxfd/internal/source/jsondoc"
 	"discoverxfd/internal/xmlgen"
 )
 
@@ -47,15 +48,11 @@ func shuffleSiblings(tr *datatree.Tree, seed int64) {
 	tr.Renumber()
 }
 
-// TestShuffleSiblingsInvariant is a metamorphic property of the whole
-// pipeline: the order of same-label siblings carries no meaning, so
-// shuffling them must not change the Result JSON (with times zeroed),
-// counters included. Result JSON names no node keys. Every generator
-// runs at default scale, plus psd ×8 and a 300×8 wide table, under
-// default options and with approximate FDs, each shuffled with three
-// seeds.
-func TestShuffleSiblingsInvariant(t *testing.T) {
-	corpora := []func() xmlgen.Dataset{
+// metamorphicCorpora are the documents the whole-pipeline metamorphic
+// properties range over: every generator at default scale, plus psd ×8
+// and a 300×8 wide table. Each call generates a fresh copy.
+func metamorphicCorpora() []func() xmlgen.Dataset {
+	return []func() xmlgen.Dataset{
 		func() xmlgen.Dataset { return xmlgen.Warehouse(xmlgen.DefaultWarehouse()) },
 		func() xmlgen.Dataset { return xmlgen.DBLP(xmlgen.DefaultDBLP()) },
 		func() xmlgen.Dataset { return xmlgen.Auction(xmlgen.DefaultAuction()) },
@@ -65,7 +62,16 @@ func TestShuffleSiblingsInvariant(t *testing.T) {
 		func() xmlgen.Dataset { p := xmlgen.DefaultPSD(); p.Entries *= 8; return xmlgen.PSD(p) },
 		func() xmlgen.Dataset { p := xmlgen.DefaultWide(8); p.Rows = 300; return xmlgen.Wide(p) },
 	}
-	for _, gen := range corpora {
+}
+
+// TestShuffleSiblingsInvariant is a metamorphic property of the whole
+// pipeline: the order of same-label siblings carries no meaning, so
+// shuffling them must not change the Result JSON (with times zeroed),
+// counters included. Result JSON names no node keys. Every corpus of
+// metamorphicCorpora runs under default options and with approximate
+// FDs, each shuffled with three seeds.
+func TestShuffleSiblingsInvariant(t *testing.T) {
+	for _, gen := range metamorphicCorpora() {
 		name := gen().Name
 		for _, opts := range []*discoverxfd.Options{nil, {ApproxError: 0.05}} {
 			t.Run(fmt.Sprintf("%s/approx=%v", name, opts != nil), func(t *testing.T) {
@@ -83,6 +89,55 @@ func TestShuffleSiblingsInvariant(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestJSONSpellingInvariant is a metamorphic property of the source
+// layer: a document written as JSON by jsondoc.Write and read back by
+// LoadJSON is the same document. Over every corpus of
+// metamorphicCorpora the JSON spelling must parse to the XML
+// spelling's tree, infer the same schema text, and discover the same
+// Result JSON (times zeroed) under the declared schema and under the
+// schema each spelling infers.
+func TestJSONSpellingInvariant(t *testing.T) {
+	for _, gen := range metamorphicCorpora() {
+		ds := gen()
+		t.Run(ds.Name, func(t *testing.T) {
+			t.Parallel()
+			var spelled bytes.Buffer
+			if err := jsondoc.Write(&spelled, ds.Tree, ds.Schema); err != nil {
+				t.Fatal(err)
+			}
+			doc, err := discoverxfd.NewEngine(nil).LoadJSON(context.Background(), &spelled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if doc.String() != ds.Tree.String() {
+				t.Fatal("the JSON spelling parses to a different tree than the XML one")
+			}
+			xmlInferred, err := discoverxfd.InferSchema(ds.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jsonInferred, err := discoverxfd.InferSchema(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if xmlInferred.String() != jsonInferred.String() {
+				t.Errorf("inferred schemas diverge\njson:\n%s\nxml:\n%s", jsonInferred, xmlInferred)
+			}
+			twin := ds
+			twin.Tree = doc
+			for _, declared := range []bool{true, false} {
+				fromXML, fromJSON := ds, twin
+				if !declared {
+					fromXML.Schema, fromJSON.Schema = nil, nil // Discover infers
+				}
+				if want, got := discoverJSON(t, fromXML, nil), discoverJSON(t, fromJSON, nil); !bytes.Equal(got, want) {
+					t.Errorf("declared schema %v: the JSON spelling's Result JSON differs\n%s", declared, diffHint(want, got))
+				}
+			}
+		})
 	}
 }
 

@@ -3,9 +3,10 @@
 # service, exercising the robustness contract against a real listener:
 # liveness/readiness, synchronous discovery, an async job observed
 # over SSE, resident documents with incremental updates (PATCH
-# /v1/documents), graceful degradation under a wall-clock deadline,
-# overload shedding (429 + Retry-After), and a SIGTERM drain that
-# completes in-flight work. CI runs it with the server built -race.
+# /v1/documents), slow-request reports carrying the served run's stage
+# timings, graceful degradation under a wall-clock deadline, overload
+# shedding (429 + Retry-After), and a SIGTERM drain that completes
+# in-flight work. CI runs it with the server built -race.
 #
 # Usage: scripts/server_smoke.sh [path-to-xfdd-binary]
 # (no argument: builds the binary with -race into a temp dir)
@@ -51,9 +52,10 @@ go run ./cmd/xfdgen -dataset wide -width 16 -scale 2 > "$WORK/hog.xml"
 go run ./cmd/xfdgen -dataset wide -width 18 -scale 2 > "$WORK/slow.xml"
 
 note "booting xfdd on $ADDR"
+# -slow-run 1ns: every request earns a slow-request report (stage 4b).
 "$XFDD" -addr "$ADDR" -max-concurrent 1 -queue-depth -1 \
   -default-timeout 120s -max-timeout 120s -drain-timeout 120s \
-  -trace "$WORK/smoke.trace" 2> "$WORK/xfdd.log" &
+  -slow-run 1ns -trace "$WORK/smoke.trace" 2> "$WORK/xfdd.log" &
 SERVER_PID=$!
 for i in $(seq 1 100); do
   curl -sf -o /dev/null "$BASE/healthz" && break
@@ -132,6 +134,17 @@ code 200 "$BASE/v1/documents"
 code 200 -X DELETE "$BASE/v1/documents/$DOC"
 code 404 "$BASE/v1/documents/$DOC"
 
+note "stage 4b: slow-request reports carry the served run's stage timings"
+# The middleware logs a request before its response completes.
+for route in /v1/discover '/v1/documents/{id}/discover'; do
+  line="$(grep 'msg="slow request"' "$WORK/xfdd.log" | grep -F " route=$route " |
+    grep -F ' status=200 ' | tail -n 1)"
+  [ -n "$line" ] || fail "no slow request line for a served $route"
+  for key in plan traverse minimize verify assemble; do
+    case "$line" in *" $key="*) ;; *) fail "$route slow request line missing $key=: $line" ;; esac
+  done
+done
+
 note "stage 5: graceful degradation under deadline"
 code 504 --data-binary "@$WORK/slow.xml" "$BASE/v1/discover?timeout=5s"
 code 200 --data-binary "@$WORK/slow.xml" "$BASE/v1/discover?timeout=5s&degrade=truncate"
@@ -165,7 +178,7 @@ go run ./cmd/promcheck "$WORK/metrics.prom"
 for m in xfd_http_requests_total xfd_http_request_duration_seconds_bucket \
          xfd_engine_runs_started_total xfd_engine_runs_finished_total \
          xfd_requests_shed_total xfd_queue_depth xfd_running_runs \
-         xfd_tenant_running go_goroutines; do
+         xfd_tenant_running xfd_run_stage_duration_seconds_bucket go_goroutines; do
   grep -q "^$m" "$WORK/metrics.prom" || fail "exposition missing $m"
 done
 # The shed from this stage is attributed to its reason.
