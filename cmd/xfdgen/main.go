@@ -23,6 +23,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the dataset's default seed (0 = default)")
 	sets := flag.Int("sets", 4, "psd only: number of unrelated set elements (1..4)")
 	width := flag.Int("width", 8, "wide only: attributes per row")
+	fdEvery := flag.Int("fdevery", 3, "wide only: inject a_i -> a_{i+1} for every i divisible by this (0 = no injected FD, so nothing prunes)")
 	truth := flag.Bool("truth", false, "print the injected ground-truth constraints to stderr")
 	flag.Parse()
 
@@ -74,6 +75,7 @@ func main() {
 	case "wide":
 		p := xmlgen.DefaultWide(*width)
 		p.Rows *= *scale
+		p.FDEvery = *fdEvery
 		if *seed != 0 {
 			p.Seed = *seed
 		}

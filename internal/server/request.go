@@ -130,9 +130,8 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 // even in degrade=truncate mode: no partial result exists yet.
 func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, eng *discoverxfd.Engine, req *request) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ct := r.Header.Get("Content-Type")
 	var err error
-	if ct == "application/json" || strings.HasPrefix(ct, "application/json;") {
+	if isJSON(r.Header.Get("Content-Type")) {
 		data, rerr := io.ReadAll(body)
 		if rerr != nil {
 			return decodeErr("request body", rerr)
@@ -170,19 +169,104 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 	return nil
 }
 
-// isEnvelope reports whether a JSON body has the envelope shape: a
-// top-level object whose "document" member is a string. Everything
-// else — including objects with a complex "document" member — is a
-// raw JSON document.
+// isJSON reports whether a Content-Type header names application/json.
+// Type and subtype compare case-insensitively, and parameters and the
+// white space around them are ignored (RFC 9110 §8.3.1).
+func isJSON(ct string) bool {
+	mt, _, _ := strings.Cut(ct, ";")
+	return strings.EqualFold(strings.TrimSpace(mt), "application/json")
+}
+
+// isEnvelope reports whether a JSON body has the envelope shape: the
+// body is valid JSON, its top level is an object, and the last of its
+// members named "document" holds a string. The name is unescaped and
+// matched case-insensitively, as encoding/json matches struct fields,
+// so a later null or object "document" cancels an earlier string.
+// Everything else is a raw JSON document. The top-level members are
+// walked without decoding them, and the body is validated only when
+// the walk finds the envelope shape.
 func isEnvelope(data []byte) bool {
-	var probe struct {
-		Document json.RawMessage `json:"document"`
-	}
-	if json.Unmarshal(data, &probe) != nil {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
 		return false
 	}
-	d := bytes.TrimSpace(probe.Document)
-	return len(d) > 0 && d[0] == '"'
+	str := false
+	for i = skipSpace(data, i+1); i < len(data) && data[i] == '"'; {
+		end := skipString(data, i)
+		named := isDocumentName(data[i:end])
+		if i = skipSpace(data, end); i == len(data) || data[i] != ':' {
+			return false
+		}
+		i = skipSpace(data, i+1)
+		if named {
+			str = i < len(data) && data[i] == '"'
+		}
+		if i = skipSpace(data, skipValue(data, i)); i == len(data) || data[i] != ',' {
+			break
+		}
+		i = skipSpace(data, i+1)
+	}
+	return str && json.Valid(data)
+}
+
+// isDocumentName reports whether the quoted member name q spells
+// "document" in any case once unescaped.
+func isDocumentName(q []byte) bool {
+	if bytes.IndexByte(q, '\\') < 0 {
+		return len(q) >= 2 && bytes.EqualFold(q[1:len(q)-1], []byte("document"))
+	}
+	var name string
+	return json.Unmarshal(q, &name) == nil && strings.EqualFold(name, "document")
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON white space.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipString returns the index after the string whose opening quote
+// is at i, or len(data) if it does not close.
+func skipString(data []byte, i int) int {
+	for i++; i < len(data); i++ {
+		switch data[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return len(data)
+}
+
+// skipValue returns the index after the value starting at i, which
+// it does not validate: a string, an object or array through its
+// matching close, or a scalar up to the next delimiter.
+func skipValue(data []byte, i int) int {
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '"':
+			i = skipString(data, i) - 1
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',', ' ', '\n', '\t', '\r':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return i
 }
 
 // loadAs parses one document in the named format through eng; "" falls

@@ -275,6 +275,11 @@ func TestJSONDocumentNegotiation(t *testing.T) {
 		{"raw json body", Config{}, map[string]string{"Content-Type": "application/json"}, libraryJSONDoc},
 		{"format json envelope", Config{}, map[string]string{"Content-Type": "application/json"}, string(env)},
 		{"default format json", Config{DefaultFormat: "json"}, nil, libraryJSONDoc},
+		// The media type is case-insensitive, and its parameters and
+		// the space around them do not matter (RFC 9110 §8.3.1).
+		{"mixed-case content type", Config{}, map[string]string{"Content-Type": "Application/JSON"}, libraryJSONDoc},
+		{"upper-case content type with charset", Config{}, map[string]string{"Content-Type": "APPLICATION/JSON;charset=UTF-8"}, libraryJSONDoc},
+		{"space before parameters", Config{}, map[string]string{"Content-Type": "application/json ; charset=utf-8"}, libraryJSONDoc},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -45,11 +45,14 @@ fi
 
 note "generating corpora"
 go run ./cmd/xfdgen -dataset warehouse > "$WORK/corpus.xml"
-# Wide rows make the lattice expensive: width 16 finishes in seconds
-# (the drain must complete it), width 18 takes far longer than any
-# smoke deadline (so a 5s budget reliably truncates mid-discovery).
-go run ./cmd/xfdgen -dataset wide -width 16 -scale 2 > "$WORK/hog.xml"
-go run ./cmd/xfdgen -dataset wide -width 18 -scale 2 > "$WORK/slow.xml"
+# Wide rows without an injected FD (-fdevery 0, so nothing prunes)
+# make the lattice expensive. Under -race on a 2-vCPU host width 22
+# takes about 35s: long enough to still be running when stage 7 sends
+# SIGTERM, short enough for the drain to complete it. Width 24 takes
+# far longer than any smoke deadline, so a 5s budget reliably
+# truncates mid-discovery.
+go run ./cmd/xfdgen -dataset wide -width 22 -scale 2 -fdevery 0 > "$WORK/hog.xml"
+go run ./cmd/xfdgen -dataset wide -width 24 -scale 2 -fdevery 0 > "$WORK/slow.xml"
 
 note "booting xfdd on $ADDR"
 # -slow-run 1ns: every request earns a slow-request report (stage 4b).
@@ -186,6 +189,7 @@ grep -q 'xfd_requests_shed_total{reason="queue_full"' "$WORK/metrics.prom" ||
   fail "shed counter missing the queue_full reason"
 
 note "stage 7: SIGTERM drain completes in-flight work"
+[ "$(stat_field running)" = "1" ] || fail "hog request finished before the drain began"
 kill -TERM "$SERVER_PID"
 for i in $(seq 1 100); do
   [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/readyz")" = "503" ] && break
