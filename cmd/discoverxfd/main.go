@@ -65,7 +65,6 @@ func main() {
 	approx := flag.Float64("approx", 0, "also report approximate FDs within this g3 error budget (e.g. 0.02)")
 	suggest := flag.Bool("suggest", false, "print schema-refinement suggestions after the report")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of the text report")
-	parallel := flag.Bool("parallel", false, "discover independent subtrees concurrently")
 	stream := flag.Bool("stream", false, "stream the document instead of materializing it (requires -schema; disables -suggest)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run; on expiry the partial result found so far is reported (0 = none)")
 	maxNodes := flag.Int("maxnodes", 0, "reject documents with more than this many data nodes (0 = unlimited)")
@@ -102,7 +101,6 @@ func main() {
 		OrderedSets:     *ordered,
 		KeepConstantFDs: *constants,
 		ApproxError:     *approx,
-		Parallel:        *parallel,
 		Limits: discoverxfd.Limits{
 			MaxDepth:  *maxDepth,
 			MaxNodes:  *maxNodes,

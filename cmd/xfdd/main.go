@@ -72,7 +72,6 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	maxJobs := flag.Int("max-jobs", 64, "job records retained before the oldest finished jobs are evicted")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight runs before aborting them")
-	parallel := flag.Bool("parallel", false, "discover independent subtrees concurrently within each run")
 	maxLHS := flag.Int("maxlhs", 0, "bound on LHS attributes per hierarchy level (0 = unbounded)")
 	maxNodes := flag.Int("maxnodes", 0, "reject documents with more than this many data nodes (0 = unlimited)")
 	maxDepth := flag.Int("maxdepth", 0, "reject documents nested deeper than this many elements (0 = parser default)")
@@ -134,7 +133,7 @@ func main() {
 		RetryAfter:     *retryAfter,
 		MaxJobs:        *maxJobs,
 		Limits:         limits,
-		Options:        discoverxfd.Options{Parallel: *parallel, MaxLHS: *maxLHS},
+		Options:        discoverxfd.Options{MaxLHS: *maxLHS},
 		Trace:          tracing.Tracer(),
 		Log:            log,
 		SlowRun:        *slowRun,

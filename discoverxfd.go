@@ -90,7 +90,8 @@ type (
 	// Tracer receives a run's trace events (see Options.Trace). Use
 	// NewJSONLTracer or NewProgressTracer for the built-in backends,
 	// or implement the one-method interface; implementations must be
-	// safe for concurrent use under Options.Parallel.
+	// safe for concurrent use, since one Tracer may serve concurrent
+	// runs.
 	Tracer = trace.Tracer
 	// TraceEvent is one typed trace event; see internal/trace for the
 	// schema (also documented in docs/INTERNALS.md §12).
@@ -133,11 +134,6 @@ type Options struct {
 	// Useful on dirty data, where a near-constraint still marks a
 	// redundancy worth refining. Results land in Result.ApproxFDs.
 	ApproxError float64
-	// Parallel discovers independent relation subtrees concurrently;
-	// results are identical to the serial run. Workers are
-	// panic-safe: a panic in one subtree surfaces as an error from
-	// Discover, not a process crash.
-	Parallel bool
 	// Limits bounds the resources the call may consume (input size,
 	// search depth, wall-clock time). See the Limits type for the
 	// error-versus-graceful-truncation contract. The zero value
@@ -155,8 +151,8 @@ type Options struct {
 	// relation's lattice traversal with the relation's pivot path. It
 	// is a testing and fault-injection seam (the chaos suite uses it
 	// to panic inside a chosen engine stage); production callers leave
-	// it nil. The hook runs on discovery worker goroutines and must be
-	// safe for concurrent use under Parallel.
+	// it nil. The hook runs on the goroutine that called Discover, so
+	// it must be safe for concurrent use only if the Engine is.
 	RelationHook func(pivot Path)
 }
 
@@ -168,7 +164,6 @@ func (o *Options) coreOptions() core.Options {
 		NoInterRelation:   o.IntraOnly,
 		KeepConstantFDs:   o.KeepConstantFDs,
 		ApproxError:       o.ApproxError,
-		Parallel:          o.Parallel,
 		MaxLatticeLevel:   o.Limits.MaxLatticeLevel,
 		MaxPartitionBytes: o.Limits.MaxPartitionBytes,
 		Tracer:            o.Trace,

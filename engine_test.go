@@ -172,7 +172,7 @@ func TestEngineFullPipeline(t *testing.T) {
 // race-freedom gate.
 func TestEngineMetricsConcurrent(t *testing.T) {
 	ds := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
-	eng := discoverxfd.NewEngine(&discoverxfd.Options{Parallel: true})
+	eng := discoverxfd.NewEngine(nil)
 	h, err := eng.BuildHierarchy(context.Background(), ds.Tree, ds.Schema)
 	if err != nil {
 		t.Fatal(err)

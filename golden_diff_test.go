@@ -40,7 +40,6 @@ func goldenCases() []struct {
 	}{
 		{"warehouse", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), nil},
 		{"warehouse_approx", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), &discoverxfd.Options{ApproxError: 0.05}},
-		{"warehouse_parallel", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), &discoverxfd.Options{Parallel: true}},
 		{"warehouse_intra", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), &discoverxfd.Options{IntraOnly: true}},
 		{"dblp", xmlgen.DBLP(xmlgen.DefaultDBLP()), nil},
 		{"auction", xmlgen.Auction(xmlgen.DefaultAuction()), nil},
@@ -164,16 +163,17 @@ func stripVolatile(t *testing.T, raw []byte) []string {
 	return out
 }
 
-// TestTraceJSONLDeterministic pins serial-run trace determinism: two
-// serial discoveries over the same corpus emit the same event
-// sequence once the timestamp and run-id fields are stripped.
-// Parallel option sets are skipped — worker interleaving legitimately
-// reorders their relation spans and level events.
+// TestTraceJSONLDeterministic pins trace determinism: two discoveries
+// over the same corpus emit the same event sequence once the timestamp
+// and run-id fields are stripped. The golden corpora never reach the
+// level precompute; the wide table does, so its product workers must
+// leave the sequence alone too (their worker_spawn event is emitted
+// from the traversal).
 func TestTraceJSONLDeterministic(t *testing.T) {
-	for _, c := range goldenCases() {
-		if c.opts != nil && c.opts.Parallel {
-			continue
-		}
+	cases := goldenCases()
+	wide := cases[0]
+	wide.slug, wide.ds, wide.opts = "wide", xmlgen.Wide(xmlgen.DefaultWide(10)), nil
+	for _, c := range append(cases, wide) {
 		t.Run(c.slug, func(t *testing.T) {
 			runOnce := func() []string {
 				opts := discoverxfd.Options{}

@@ -108,7 +108,7 @@ func All() []Experiment {
 		{ID: "e9", Title: "Refinement convergence (XNF repairs extension)", Run: E9Refinement},
 		{ID: "e10", Title: "FD notions compared (Section 2.3)", Run: E10Notions},
 		{ID: "e11", Title: "Relational baselines: TANE vs Dep-Miner vs FUN", Run: E11Baselines},
-		{ID: "e12", Title: "Parallel discovery over independent subtrees", Run: E12Parallel},
+		{ID: "e12", Title: "Lattice level products on every core", Run: E12Parallel},
 		{ID: "e13", Title: "Partition-engine fast path vs naive engine", Run: E13Partition},
 		{ID: "e14", Title: "Engine reuse: warm repeated discovery vs cold one-shot", Run: E14EngineReuse},
 		{ID: "e15", Title: "E-update: incremental discovery under document mutations", Run: E15UpdateIncremental},

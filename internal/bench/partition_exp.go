@@ -67,7 +67,7 @@ func E13Partition(quick bool) *Table {
 			panic(fmt.Sprintf("bench: %s: %v", c.ds.Name, err))
 		}
 		naiveOpts := core.Options{ApproxError: 0.05, NaivePartitions: true}
-		fastOpts := core.Options{ApproxError: 0.05, Parallel: true}
+		fastOpts := core.Options{ApproxError: 0.05}
 
 		naiveDur, naiveAllocs, _, naiveSamples := bestDiscover(h, naiveOpts)
 		fastDur, fastAllocs, fastRes, fastSamples := bestDiscover(h, fastOpts)

@@ -7,30 +7,31 @@ import (
 	"discoverxfd/internal/xmlgen"
 )
 
-// TestDiscoveryDeterministic runs discovery repeatedly (serial and
-// parallel) and requires byte-identical rendered output: map
-// iteration order inside the engine must never leak into results.
+// TestDiscoveryDeterministic runs discovery repeatedly, on psd and on
+// a table whose levels reach the precompute gate, and requires
+// byte-identical rendered output: map iteration order inside the
+// engine and the product workers' scheduling must never leak into
+// results.
 func TestDiscoveryDeterministic(t *testing.T) {
-	ds := xmlgen.PSD(xmlgen.DefaultPSD())
-	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first string
-	for i := 0; i < 4; i++ {
-		opts := Options{ApproxError: 0.05, Parallel: i%2 == 1}
-		res, err := discoverCold(h, opts)
+	for _, ds := range []xmlgen.Dataset{xmlgen.PSD(xmlgen.DefaultPSD()), xmlgen.Wide(xmlgen.DefaultWide(10))} {
+		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := render(res)
-		if i == 0 {
-			first = out
-			continue
-		}
-		if out != first {
-			t.Fatalf("run %d (parallel=%v) differs:\n--- first ---\n%s\n--- now ---\n%s",
-				i, opts.Parallel, first, out)
+		var first string
+		for i := 0; i < 4; i++ {
+			res, err := discoverCold(h, Options{ApproxError: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := render(res)
+			if i == 0 {
+				first = out
+				continue
+			}
+			if out != first {
+				t.Fatalf("%s: run %d differs:\n--- first ---\n%s\n--- now ---\n%s", ds.Name, i, first, out)
+			}
 		}
 	}
 }
@@ -39,8 +40,8 @@ func TestDiscoveryDeterministic(t *testing.T) {
 // of the approximate pass: discoverApprox walks the partition cache
 // in sorted attribute-set order, so the rendered output (including
 // the ApproxFDs section) must be byte-identical across every knob
-// that could plausibly reorder it — worker count, cache eviction
-// pressure, and the naive baseline engine.
+// that could plausibly reorder it — cache eviction pressure and the
+// naive baseline engine.
 func TestApproxOrderDeterministic(t *testing.T) {
 	ds := xmlgen.PSD(xmlgen.DefaultPSD())
 	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
@@ -49,9 +50,7 @@ func TestApproxOrderDeterministic(t *testing.T) {
 	}
 	cases := []Options{
 		{ApproxError: 0.05},
-		{ApproxError: 0.05, Parallel: true},
 		{ApproxError: 0.05, MaxPartitionBytes: 1 << 12},
-		{ApproxError: 0.05, Parallel: true, MaxPartitionBytes: 1 << 12},
 		{ApproxError: 0.05, NaivePartitions: true},
 	}
 	var first string

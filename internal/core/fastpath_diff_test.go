@@ -15,7 +15,8 @@ import (
 // diffDatasets returns the differential-test corpus: every generator
 // family plus randomized wide relations (varying seed, domain and
 // noise) whose value distributions stress the interned counting
-// builds, the cache, and the parallel level precompute.
+// builds and the cache, and a 400-row table whose levels reach the
+// level precompute's gate.
 func diffDatasets() []xmlgen.Dataset {
 	sets := []xmlgen.Dataset{
 		xmlgen.Warehouse(xmlgen.DefaultWarehouse()),
@@ -34,6 +35,7 @@ func diffDatasets() []xmlgen.Dataset {
 			Seed:          seed,
 		}))
 	}
+	sets = append(sets, xmlgen.Wide(xmlgen.DefaultWide(10)))
 	// Missing leaves in the g and p relations make ancestor paths of
 	// inter-relation LHSs null for some tuples of their descendants.
 	sets = append(sets, xmlgen.Dataset{Name: "random-nulls(seed=5)", Tree: randomDoc(5), Schema: naiveSchema})
@@ -89,13 +91,16 @@ func TestVerifyMatchesEvaluate(t *testing.T) {
 }
 
 // TestFastPathMatchesNaive is the end-to-end differential property:
-// the interned + cached + parallel partition engine must produce the
-// same FD/Key/redundancy/approximate-FD cover as the naive engine
-// (generic hashed partition builds, serial products, evaluator-only
-// verification) on every dataset, including under aggressive cache
-// eviction. Run under -race this also exercises the parallel product
-// workers for sharing bugs.
+// the interned + cached partition engine, with its level precompute,
+// must produce the same FD/Key/redundancy/approximate-FD cover as the
+// naive engine (generic hashed partition builds, lazy products,
+// evaluator-only verification) on every dataset, including under
+// aggressive cache eviction, and visit the same nodes with the same
+// products. The naive engine never precomputes; the fast one must on
+// the corpus that reaches the gate. Run under -race this also
+// exercises the product workers for sharing bugs.
 func TestFastPathMatchesNaive(t *testing.T) {
+	precomputed := false
 	for _, ds := range diffDatasets() {
 		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
 		if err != nil {
@@ -112,9 +117,8 @@ func TestFastPathMatchesNaive(t *testing.T) {
 		want := render(naive)
 
 		fastVariants := map[string]func(*Options){
-			"fast":          func(o *Options) {},
-			"fast+parallel": func(o *Options) { o.Parallel = true },
-			"fast+evict":    func(o *Options) { o.Parallel = true; o.MaxPartitionBytes = 1 },
+			"fast":       func(o *Options) {},
+			"fast+evict": func(o *Options) { o.MaxPartitionBytes = 1 },
 		}
 		for name, tweak := range fastVariants {
 			opts := base
@@ -130,10 +134,20 @@ func TestFastPathMatchesNaive(t *testing.T) {
 			if fast.Stats.PartitionCacheHits == 0 {
 				t.Errorf("%s/%s: fast path reported no cache hits", ds.Name, name)
 			}
+			if fast.Stats.NodesVisited != naive.Stats.NodesVisited || fast.Stats.PartitionsComputed != naive.Stats.PartitionsComputed {
+				t.Errorf("%s/%s: %d nodes and %d products, naive engine %d and %d", ds.Name, name,
+					fast.Stats.NodesVisited, fast.Stats.PartitionsComputed, naive.Stats.NodesVisited, naive.Stats.PartitionsComputed)
+			}
+			if fast.Stats.ParallelProducts > 0 {
+				precomputed = true
+			}
 		}
 		if naive.Stats.ParallelProducts != 0 {
 			t.Errorf("%s: naive engine reported %d parallel products", ds.Name, naive.Stats.ParallelProducts)
 		}
+	}
+	if !precomputed {
+		t.Error("no corpus reached the level precompute")
 	}
 }
 
@@ -252,17 +266,17 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 	a := AttrSet(0).Add(0).Add(1).Add(2)
 	before := cache.partitionOf(rp, a, sc, false, nil)
 	cache.nullsOf(rp, a, func() []bool { return make([]bool, r.NRows()) })
-	if got, want := cache.liveBytes(), storeBytes(rp); got != want || len(rp.gids) == 0 {
+	if got, want := cache.bytes, storeBytes(rp); got != want || len(rp.gids) == 0 {
 		t.Fatalf("cache charges %d bytes for a store holding %d (%d group-id lookups)", got, want, len(rp.gids))
 	}
 	cache.retire(rp)
 	if _, ok := rp.parts[a]; ok {
 		t.Fatal("retire under a 1-byte budget kept a multi-attribute partition")
 	}
-	if got, want := cache.liveBytes(), storeBytes(rp); got != want || len(rp.gids)+len(rp.nulls) != 0 {
+	if got, want := cache.bytes, storeBytes(rp); got != want || len(rp.gids)+len(rp.nulls) != 0 {
 		t.Fatalf("after the trim the cache charges %d bytes for a store holding %d (%d lookups kept)", got, want, len(rp.gids)+len(rp.nulls))
 	}
-	if cache.evictions.Load() == 0 {
+	if cache.evictions == 0 {
 		t.Fatal("no evictions counted")
 	}
 	after := cache.partitionOf(rp, a, sc, false, nil)

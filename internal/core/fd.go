@@ -150,9 +150,10 @@ type Stats struct {
 	// PartitionsComputed counts partition products performed.
 	PartitionsComputed int
 	// ParallelProducts counts partition products computed by the
-	// level-parallel precompute workers (a subset of
-	// PartitionsComputed); zero when Options.Parallel is off or levels
-	// were too small to parallelize.
+	// level precompute's workers (a subset of PartitionsComputed): a
+	// level computes its products on every core when it has at least
+	// 4 of them over at least 256 rows. It depends on the input alone,
+	// never on GOMAXPROCS, and is zero under NaivePartitions.
 	ParallelProducts int
 	// PartitionCacheHits / PartitionCacheMisses count lookups in the
 	// run-wide partition cache; misses trigger a build or product.
@@ -183,19 +184,17 @@ type Stats struct {
 	// IntraTime is time spent in lattice traversal and partition
 	// arithmetic; InterTime is time spent creating, converting and
 	// checking partition targets. Both are accumulated per relation
-	// and then summed across relations, so under Options.Parallel they
-	// are summed worker time, not wall-clock: concurrent subtree
-	// workers accrue simultaneously and IntraTime+InterTime may exceed
-	// WallTime (compare against WallTime to judge parallel
-	// efficiency). In a serial run every accrual interval is a
-	// disjoint slice of the run, so IntraTime+InterTime ≤ WallTime —
+	// and then summed across relations. Relations are traversed one
+	// after another (a level's product workers run while the traversal
+	// waits for them), so every accrual interval is a disjoint slice of
+	// the run and IntraTime+InterTime ≤ WallTime —
 	// TestStatsTimeAccounting pins that bound as the double-counting
 	// regression check. Each relation's accounting is exclusive: its
 	// intra share is measured once, as the lattice traversal's elapsed
 	// time less the target work inside it, never counted twice.
 	IntraTime, InterTime time.Duration
 	// WallTime is the wall-clock duration of the whole run, plan
-	// through assemble, regardless of parallelism.
+	// through assemble.
 	WallTime time.Duration
 	// Stages is the wall-clock duration of each pipeline stage in
 	// execution order — plan, traverse, minimize, verify, assemble, as
@@ -261,19 +260,11 @@ type Options struct {
 	// tuples (TANE's g3 measure; extension). Approximate candidates
 	// are drawn from the edges the exact traversal visited.
 	ApproxError float64
-	// Parallel runs independent relation subtrees concurrently (a
-	// relation's lattice still runs after all of its children, which
-	// its partition targets depend on). Results are identical to the
-	// serial run; Stats times become summed per-relation times.
-	// Workers are panic-safe: a panic in one subtree surfaces as an
-	// error from Discover (joined in deterministic child order), not a
-	// process crash.
-	Parallel bool
 	// NaivePartitions disables the partition-engine fast path: column
 	// partitions are built by generic hashing instead of the interned
-	// dense-code counting build, no products are precomputed in
-	// parallel, and the run-wide cache keeps nothing beyond what the
-	// serial traversal needs. This is the pre-fast-path-equivalent
+	// dense-code counting build, no level's products are precomputed
+	// on worker goroutines, and the run-wide cache keeps nothing beyond
+	// what the lazy traversal needs. This is the pre-fast-path-equivalent
 	// engine, kept selectable for differential tests and as the
 	// benchmark baseline; results are identical either way.
 	NaivePartitions bool
@@ -291,19 +282,20 @@ type Options struct {
 	MaxLatticeLevel int
 	// RelationHook, if non-nil, is invoked at the start of each
 	// essential relation's lattice traversal with the relation's pivot
-	// path. It exists for fault injection in tests
-	// (internal/faultinject): a hook that panics exercises the
-	// recover-to-error path of parallel discovery.
+	// path, on the goroutine that called Discover. It exists for fault
+	// injection in tests (internal/faultinject): a hook that panics
+	// exercises the run's recover-to-error path.
 	RelationHook func(pivot schema.Path)
 	// Tracer receives the run's trace events: pipeline stage spans,
 	// per-relation traversal spans, per-lattice-level progress,
 	// partition-target lifecycle, and governor events. nil disables
 	// tracing; hot paths guard event construction behind a single nil
 	// check, so the disabled path costs one pointer compare. The
-	// tracer must be safe for concurrent use under Options.Parallel
-	// (both internal/trace backends are). newRun wraps the supplied
-	// tracer with the run's id stamp, so one Tracer may serve many
-	// runs and still distinguish them.
+	// tracer must be safe for concurrent use (both internal/trace
+	// backends are): one Tracer may serve concurrent runs, and a
+	// product worker that sees the deadline pass emits the governor's
+	// truncate event. newRun wraps the supplied tracer with the run's
+	// id stamp, so runs sharing a Tracer stay distinguishable.
 	Tracer trace.Tracer
 }
 

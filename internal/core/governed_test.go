@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"discoverxfd/internal/faultinject"
+	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/xmlgen"
 )
@@ -31,7 +33,10 @@ func buildAuction(t *testing.T) *relation.Hierarchy {
 // minimal keys, none pruned by an FD), so a 50ms deadline reliably
 // fires mid-lattice, and a 1s deadline fires late enough that the
 // stages after the traversal (minimizing thousands of keys among
-// them) must still return promptly.
+// them) must still return promptly. Its levels reach the precompute
+// gate, so the deadline also stops product workers: one at
+// GOMAXPROCS=1 ("serial"), several at the host's setting, at least 2
+// ("parallel").
 func TestDeadlineReturnsPartialResult(t *testing.T) {
 	ds := xmlgen.Wide(xmlgen.WideParams{Rows: 1000, Attrs: 18, Domain: 6, FDEvery: 0, Seed: 5})
 	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
@@ -43,16 +48,19 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 		suffix   string
 		deadline time.Duration
 	}{{"", 50 * time.Millisecond}, {"_1s", time.Second}} {
-		for _, parallel := range []bool{false, true} {
+		for _, procs := range []int{1, max(2, runtime.GOMAXPROCS(0))} {
 			name := "serial"
-			if parallel {
+			if procs > 1 {
 				name = "parallel"
 			}
 			t.Run(name+c.suffix, func(t *testing.T) {
 				defer faultinject.CheckGoroutines(t)()
+				var res *Result
+				var err error
 				start := time.Now()
-				eng := NewEngine(Options{Parallel: parallel})
-				res, err := eng.Discover(context.Background(), h, time.Now().Add(c.deadline), false)
+				atProcs(procs, func() {
+					res, err = NewEngine(Options{}).Discover(context.Background(), h, time.Now().Add(c.deadline), false)
+				})
 				elapsed := time.Since(start)
 				if err != nil {
 					t.Fatalf("deadline must degrade gracefully, got error: %v", err)
@@ -100,14 +108,12 @@ func TestCancelledContextIsAnError(t *testing.T) {
 	h := buildAuction(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []bool{false, true} {
-		res, err := NewEngine(Options{Parallel: parallel}).Discover(ctx, h, time.Time{}, false)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel=%v: err = %v, want context.Canceled", parallel, err)
-		}
-		if res != nil {
-			t.Errorf("parallel=%v: cancelled discovery returned a Result", parallel)
-		}
+	res, err := NewEngine(Options{}).Discover(ctx, h, time.Time{}, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Error("cancelled discovery returned a Result")
 	}
 }
 
@@ -156,36 +162,55 @@ func TestMaxLatticeLevelTruncates(t *testing.T) {
 }
 
 // TestInjectedPanicSurfacesAsError checks panic containment: a panic
-// in a (possibly parallel) worker becomes an error from Discover with
-// the relation named, not a process crash, and leaks no goroutines.
+// on the traversal goroutine ("serial", from a relation hook) or in a
+// level precompute's product worker ("parallel") becomes an error from
+// the run with the relation named, not a process crash, and leaks no
+// goroutines.
 func TestInjectedPanicSurfacesAsError(t *testing.T) {
-	h := buildAuction(t)
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
+	check := func(t *testing.T, res *Result, err error, pivot string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("injected panic did not surface as an error")
 		}
-		t.Run(name, func(t *testing.T) {
-			defer faultinject.CheckGoroutines(t)()
-			hook, fired := faultinject.PanicHook("bid")
-			res, err := discoverCold(h, Options{
-				Parallel:     parallel,
-				RelationHook: hook,
-			})
-			if err == nil {
-				t.Fatal("injected panic did not surface as an error")
-			}
-			if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "/site/auction/bid") {
-				t.Errorf("err = %q, want it to name the panic and the relation", err)
-			}
-			if res != nil {
-				t.Error("panicked discovery returned a Result alongside the error")
-			}
-			if fired.Load() == 0 {
-				t.Error("panic hook never fired")
-			}
-		})
+		if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), pivot) {
+			t.Errorf("err = %q, want it to name the panic and the relation %s", err, pivot)
+		}
+		if res != nil {
+			t.Error("panicked discovery returned a Result alongside the error")
+		}
 	}
+	t.Run("serial", func(t *testing.T) {
+		defer faultinject.CheckGoroutines(t)()
+		hook, fired := faultinject.PanicHook("bid")
+		res, err := discoverCold(buildAuction(t), Options{RelationHook: hook})
+		check(t, res, err, "/site/auction/bid")
+		if fired.Load() == 0 {
+			t.Error("panic hook never fired")
+		}
+	})
+	t.Run("parallel", func(t *testing.T) {
+		defer faultinject.CheckGoroutines(t)()
+		ds := xmlgen.Wide(xmlgen.DefaultWide(10))
+		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seed the row relation's first column with a partition one row
+		// short: every level-2 product over it panics in a worker.
+		rel := h.Relations[len(h.Relations)-1]
+		parts := make([]map[AttrSet]*partition.Partition, len(h.Relations))
+		parts[rel.Index] = map[AttrSet]*partition.Partition{AttrSet(0).Add(0): partition.Single(rel.NRows() - 1)}
+		var res *Result
+		atProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+			run := newRun(context.Background(), h, Options{}, time.Time{})
+			run.seed(&warmHierarchy{h: h, parts: parts})
+			res, err = run.execute()
+		})
+		check(t, res, err, string(rel.Pivot))
+		if err != nil && !strings.Contains(err.Error(), "product worker") {
+			t.Errorf("err = %q, want it to name the product worker", err)
+		}
+	})
 }
 
 // TestUnfiredGovernorIsByteIdentical checks the no-fault determinism

@@ -21,9 +21,9 @@ import (
 //     whatever it has found and reports a partial Result with
 //     Stats.Truncated set — graceful degradation, never an error.
 //
-// All methods are safe for concurrent use by parallel discovery
-// workers and are no-ops on a nil receiver, so ungoverned entry
-// points need no special casing.
+// All methods are safe for concurrent use by the level precompute's
+// product workers and are no-ops on a nil receiver, so ungoverned
+// entry points need no special casing.
 type governor struct {
 	ctx      context.Context
 	deadline time.Time // zero = no wall-clock budget
@@ -77,12 +77,10 @@ func (g *governor) expired() bool {
 	return true
 }
 
-// productWorkers returns how many goroutines a parallel partition
-// product batch may use: the job count, capped at the machine's
-// parallelism. Subtree workers each run their own batches; the Go
-// scheduler multiplexes the short-lived product goroutines, and the
-// cap keeps any single batch from flooding it. Nil-safe like every
-// governor method (ungoverned tests run serial batches of one).
+// productWorkers returns how many goroutines a level precompute may
+// use: the job count, capped at the machine's parallelism. Nil-safe
+// like every governor method: an ungoverned traversal, such as
+// DiscoverRelation's, uses one worker.
 func (g *governor) productWorkers(jobs int) int {
 	if g == nil {
 		return 1
@@ -109,23 +107,17 @@ type workerGroup struct {
 	err error // guarded by mu
 }
 
-// Go runs fn on a new goroutine. A panic in fn is converted into an
-// error naming what (e.g. "parallel product worker for relation R")
-// and handed to catch; a nil catch retains the first such error for
-// Wait to return. fn must do its own cancellation checks — the group
-// guarantees only the join and the panic barrier.
-func (g *workerGroup) Go(what string, catch func(error), fn func()) {
+// Go runs fn on a new goroutine. A panic in fn is recovered, with its
+// stack, for Wait to return. fn must do its own cancellation checks —
+// the group guarantees only the join and the panic barrier.
+func (g *workerGroup) Go(fn func()) {
 	g.wg.Add(1)
 	//lint:governed this is the one sanctioned spawn: Wait joins the goroutine and the deferred recover below turns its panics into errors.
 	go func() {
 		defer g.wg.Done()
 		defer func() {
 			if p := recover(); p != nil {
-				err := fmt.Errorf("core: panic in %s: %v\n%s", what, p, debug.Stack())
-				if catch != nil {
-					catch(err)
-					return
-				}
+				err := fmt.Errorf("%v\n%s", p, debug.Stack())
 				g.mu.Lock()
 				if g.err == nil {
 					g.err = err
@@ -137,8 +129,9 @@ func (g *workerGroup) Go(what string, catch func(error), fn func()) {
 	}()
 }
 
-// Wait joins every spawned worker and returns the first panic error
-// recorded by a nil-catch Go, if any.
+// Wait joins every spawned worker and returns the first recovered
+// panic, if any, as an error holding its value and stack; the caller
+// names the worker.
 func (g *workerGroup) Wait() error {
 	g.wg.Wait()
 	g.mu.Lock()

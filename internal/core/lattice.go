@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +69,16 @@ type latticeRun struct {
 	interFDs  []FD
 	interKeys []Key
 	outgoing  []*target
+
+	// Buffers kept for the relation's whole traversal: lhs holds
+	// candidateLHS's result, jobs a level precompute's products, wsc
+	// the scratch of each product worker after the first (returned in
+	// close), and nullRows each column's missing-value rows, indexed by
+	// the first nullsFor.
+	lhs      []AttrSet
+	jobs     []productJob
+	wsc      []*partition.Scratch
+	nullRows [][]int32
 }
 
 // output converts the traversal's findings into the relation's
@@ -96,7 +107,10 @@ func (lr *latticeRun) output() *relOutput {
 // store) stay readable.
 func (lr *latticeRun) close() {
 	partition.PutScratch(lr.sc)
-	lr.sc = nil
+	for _, sc := range lr.wsc {
+		partition.PutScratch(sc)
+	}
+	lr.sc, lr.wsc = nil, nil
 }
 
 // run executes the traversal: DiscoverXFD behaviour (candidateLHS2,
@@ -188,8 +202,8 @@ func (lr *latticeRun) run() {
 		if sz := a.Size(); sz > level {
 			// The queue is level-ordered: reaching the first set of the
 			// next size means the previous level is fully processed, so
-			// every product this level needs is determined. Warm them
-			// in parallel when worthwhile.
+			// every product this level needs is determined. Compute them
+			// on every core when the level is big enough.
 			if tr != nil {
 				lr.emitLevel(tr, level, &snap)
 			}
@@ -267,8 +281,8 @@ func (lr *latticeRun) run() {
 
 // levelSnapshot records the counters relevant to one lattice level at
 // its start, so emitLevel can report per-level deltas. The partition
-// counters come from this relation's store, so concurrent relations
-// cannot pollute each other's rates.
+// counters come from this relation's store, so lookups in another
+// relation's store never count toward this one's rates.
 type levelSnapshot struct {
 	nodes, products, hits, misses int
 }
@@ -299,7 +313,7 @@ func (lr *latticeRun) emitLevel(tr trace.Tracer, level int, snap *levelSnapshot)
 		Kind: trace.KindLevel, Relation: string(lr.rel.Pivot), Level: level,
 		Nodes: nodes, Products: cur.products - snap.products,
 		CacheHits: hits, CacheMisses: misses,
-		CacheBytes: lr.cache.liveBytes(),
+		CacheBytes: lr.cache.bytes,
 	}
 	if hits+misses > 0 {
 		ev.HitRate = float64(hits) / float64(hits+misses)
@@ -428,10 +442,12 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 
 // candidateLHS implements Figure 8's candidateLHS (pruning rules 1
 // and 2) and, for xfd mode, candidateLHS2 (rule 1 only — rule 2 must
-// not suppress edges whose failures seed partition targets).
+// not suppress edges whose failures seed partition targets). The
+// result aliases a buffer the next call overwrites.
 func (lr *latticeRun) candidateLHS(a AttrSet, xfd bool) []AttrSet {
-	out := make([]AttrSet, 0, a.Size())
-	for _, i := range a.Attrs() {
+	out := lr.lhs[:0]
+	for rest := a; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(uint64(rest))
 		al := a.Without(i)
 		if lr.opts.DisableFDPruning {
 			out = append(out, al)
@@ -456,6 +472,7 @@ func (lr *latticeRun) candidateLHS(a AttrSet, xfd bool) []AttrSet {
 			out = append(out, al)
 		}
 	}
+	lr.lhs = out
 	return out
 }
 
@@ -465,113 +482,123 @@ func (lr *latticeRun) getPartition(a AttrSet) *partition.Partition {
 	return lr.cache.partitionOf(lr.pc, a, lr.sc, lr.opts.NaivePartitions, lr.stats)
 }
 
-// Parallel level precompute kicks in only when a level has enough
-// products over enough rows to amortize goroutine startup; below the
-// thresholds the serial lazy path wins.
+// The level precompute runs only when a level has enough products
+// over enough rows to amortize goroutine startup; below the thresholds
+// the lazy path in the traversal wins. The gate reads the input alone,
+// never the host, so Stats do not depend on GOMAXPROCS.
 const (
 	parallelLevelMinNodes = 4
 	parallelLevelMinRows  = 256
 )
 
+// productJob is one partition product of a level precompute: its
+// operands, resolved on the traversal goroutine, and the product or
+// the error its worker stored.
+type productJob struct {
+	a         AttrSet
+	rest, out *partition.Partition
+	ids       []int32
+	err       error
+}
+
 // precomputeLevel computes the partitions of one lattice level's
-// pending nodes in parallel, seeding the cache the serial traversal
-// then hits. pending is the queue suffix starting at the level's
-// first node. Only nodes the serial traversal would materialize are
+// pending nodes on up to GOMAXPROCS workers, seeding the cache the
+// traversal then hits. pending is the queue suffix starting at the
+// level's first node. Only nodes the traversal would materialize are
 // computed — a node with no candidate LHS, or under Figure 8 one
 // containing a key, is skipped before its partition is ever built
 // (every key it could contain is smaller, so already found) — so the
-// cache ends up with exactly the entries the serial run produces and
-// discovery output (including the approximate pass, which scans the
-// cache) is bit-identical. Workers stop at the deadline, as the serial
-// loop does at its next node.
+// cache ends up with exactly the entries the lazy traversal produces
+// and discovery output (including the approximate pass, which scans
+// the cache) is bit-identical. Workers stop at the deadline, as the
+// traversal does at its next node.
 func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
-	if !lr.opts.Parallel || lr.opts.NaivePartitions {
+	n := lr.rel.NRows()
+	if lr.opts.NaivePartitions || n < parallelLevelMinRows {
 		return
 	}
 	size := pending[0].Size()
-	end := 0
-	for end < len(pending) && pending[end].Size() == size {
-		end++
-	}
-	work := make([]AttrSet, 0, end)
-	for _, a := range pending[:end] {
+	jobs := lr.jobs[:0]
+	for _, a := range pending {
+		if a.Size() != size {
+			break
+		}
 		if _, ok := lr.pc.parts[a]; ok {
 			continue
 		}
 		if !xfd && lr.supersetOfKey(a) {
 			continue
 		}
-		if len(lr.candidateLHS(a, xfd)) == 0 && size > 1 {
+		if len(lr.candidateLHS(a, xfd)) == 0 {
 			continue
 		}
-		work = append(work, a)
+		jobs = append(jobs, productJob{a: a})
 	}
-	if len(work) < parallelLevelMinNodes || lr.rel.NRows() < parallelLevelMinRows {
+	lr.jobs = jobs
+	if len(jobs) < parallelLevelMinNodes {
 		return
 	}
 	// Resolve each product's operands serially first (almost always
 	// cache hits from the previous level, and the column's group ids
 	// from the store); workers then run pure products with no shared
 	// state.
-	type job struct {
-		a    AttrSet
-		rest *partition.Partition
-		ids  []int32
+	for i := range jobs {
+		jobs[i].rest, jobs[i].ids = lr.cache.operands(lr.pc, jobs[i].a, lr.sc, false, lr.stats)
 	}
-	jobs := make([]job, 0, len(work))
-	for _, a := range work {
-		rest, ids := lr.cache.operands(lr.pc, a, lr.sc, lr.opts.NaivePartitions, lr.stats)
-		jobs = append(jobs, job{a, rest, ids})
-	}
-	results := make([]*partition.Partition, len(jobs))
-	errs := make([]error, len(jobs))
-	var next atomic.Int64
-	// A worker panic must surface as this run's error, not a process
-	// crash (same contract as subtree workers); workerGroup provides
-	// the barrier.
 	workers := lr.gov.productWorkers(len(jobs))
 	if tr := lr.opts.Tracer; tr != nil {
 		trace.Emit(tr, &trace.Event{Kind: trace.KindGovernor, Action: "worker_spawn",
 			Workers: workers, Relation: string(lr.rel.Pivot),
 			Detail: fmt.Sprintf("product workers for %d level-%d partitions", len(jobs), size)})
 	}
+	for len(lr.wsc) < workers-1 {
+		lr.wsc = append(lr.wsc, partition.GetScratch(n))
+	}
+	var next atomic.Int64
+	// A worker panic must surface as this run's error, not a process
+	// crash; workerGroup provides the barrier.
 	var grp workerGroup
 	for w := 0; w < workers; w++ {
-		grp.Go(fmt.Sprintf("parallel product worker for relation %s", lr.rel.Pivot), nil, func() {
-			sc := partition.GetScratch(lr.rel.NRows())
-			defer partition.PutScratch(sc)
+		// The traversal's own scratch serves the first worker: the
+		// traversal waits idle until every worker has returned.
+		sc := lr.sc
+		if w > 0 {
+			sc = lr.wsc[w-1]
+		}
+		grp.Go(func() {
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
 				if err := lr.gov.cancelled(); err != nil {
-					errs[i] = err
+					jobs[i].err = err
 					return
 				}
 				if lr.gov.expired() {
 					return
 				}
-				results[i] = jobs[i].rest.Product(jobs[i].ids, sc)
+				jobs[i].out = jobs[i].rest.Product(jobs[i].ids, sc)
 			}
 		})
 	}
 	panicErr := grp.Wait()
-	for i, p := range results {
-		if errs[i] != nil {
+	for i := range jobs {
+		j := &jobs[i]
+		if j.err != nil {
 			// First failure in deterministic job order wins.
-			lr.err = errs[i]
+			lr.err = j.err
 			return
 		}
-		if p == nil {
+		if j.out == nil {
 			continue
 		}
-		lr.cache.install(lr.pc, jobs[i].a, p)
+		lr.cache.install(lr.pc, j.a, j.out)
 		lr.stats.PartitionsComputed++
 		lr.stats.ParallelProducts++
 	}
-	if lr.err == nil && panicErr != nil {
-		lr.err = panicErr
+	if panicErr != nil {
+		lr.err = fmt.Errorf("core: panic in product worker for relation %s: %w", lr.rel.Pivot, panicErr)
 	}
 }
 
@@ -582,16 +609,25 @@ func (lr *latticeRun) groupIDs(a AttrSet) []int32 {
 
 // nullsFor returns (and caches) the per-row missing-value lookup for
 // attribute set a: true where any attribute of a is null. Used by
-// target checks, where a missing value excuses its row.
+// target checks, where a missing value excuses its row. The columns
+// are scanned once per relation, so a lookup costs its null rows, not
+// every row of every column in a.
 func (lr *latticeRun) nullsFor(a AttrSet) []bool {
 	return lr.cache.nullsOf(lr.pc, a, func() []bool {
-		nl := make([]bool, lr.rel.NRows())
-		for _, i := range a.Attrs() {
-			col := lr.rel.Cols[i]
-			for row, code := range col {
-				if relation.IsNull(code) {
-					nl[row] = true
+		if lr.nullRows == nil {
+			lr.nullRows = make([][]int32, lr.rel.NAttrs())
+			for i, col := range lr.rel.Cols {
+				for row, code := range col {
+					if relation.IsNull(code) {
+						lr.nullRows[i] = append(lr.nullRows[i], int32(row))
+					}
 				}
+			}
+		}
+		nl := make([]bool, lr.rel.NRows())
+		for rest := a; rest != 0; rest &= rest - 1 {
+			for _, row := range lr.nullRows[bits.TrailingZeros64(uint64(rest))] {
+				nl[row] = true
 			}
 		}
 		return nl

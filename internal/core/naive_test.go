@@ -337,7 +337,6 @@ func TestDiscoverSoundUnderVariants(t *testing.T) {
 		{"ordered-sets", relation.Options{OrderedSets: true}, Options{}},
 		{"no-set-attrs", relation.Options{DisableSetAttrs: true}, Options{}},
 		{"maxlhs-1", relation.Options{}, Options{MaxLHS: 1}},
-		{"parallel", relation.Options{}, Options{Parallel: true}},
 		{"tiny-caps", relation.Options{}, Options{MaxTargetsPerRelation: 3}},
 	}
 	for _, v := range variants {

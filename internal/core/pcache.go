@@ -2,8 +2,6 @@ package core
 
 import (
 	"maps"
-	"sync"
-	"sync/atomic"
 
 	"discoverxfd/internal/partition"
 	"discoverxfd/internal/relation"
@@ -16,13 +14,11 @@ import (
 // reused by the approximate pass and by the post-traversal FD
 // verification, across the whole bottom-up relation-tree walk.
 //
-// Concurrency contract: each relation's lattice runs on a single
-// goroutine, and parallel subtree workers touch disjoint relations,
-// so a relation's store and its slot in rels need no locking; only
-// the retired list (mutex) and the byte and eviction counters
-// (atomics) are shared. The happens-before edge between a subtree
-// worker's writes and the parent's reads is the WaitGroup join in
-// traverse.
+// Concurrency contract: a run's traversal, verify and assemble use
+// the cache on one goroutine, so nothing in it is locked. The level
+// precompute's product workers never touch it: the traversal resolves
+// their operands before they start and installs their products after
+// it has joined them.
 //
 // Memory contract: maxBytes (Options.MaxPartitionBytes) caps the
 // estimated bytes *retained* across relations: partitions and the
@@ -35,19 +31,16 @@ import (
 // from those, so eviction affects speed, never results.
 type partitionCache struct {
 	maxBytes int64
-	rels     []*relPartitions // by Relation.Index; see the concurrency contract
+	rels     []*relPartitions // by Relation.Index
 
-	mu      sync.Mutex
-	retired []*relPartitions // guarded by mu
-	bytes   atomic.Int64
-	peak    atomic.Int64
-
-	evictions atomic.Int64
+	retired   []*relPartitions
+	bytes     int64
+	peak      int64
+	evictions int64
 }
 
 // relPartitions holds one relation's cached partitions and derived
-// lookups. Accessed lock-free by the single goroutine traversing the
-// relation (see the concurrency contract above).
+// lookups.
 type relPartitions struct {
 	rel   *relation.Relation
 	parts map[AttrSet]*partition.Partition
@@ -62,9 +55,7 @@ type relPartitions struct {
 
 	// hits/misses count this store's lookups: per-lattice-level trace
 	// events read them for a hit rate, and flushStats sums them into
-	// the run's counters. Plain ints are safe under the single-
-	// goroutine-per-store contract (verify and assemble run after the
-	// traversal's join).
+	// the run's counters.
 	hits, misses int
 }
 
@@ -112,13 +103,8 @@ func (c *partitionCache) add(rp *relPartitions, n int64) {
 
 // charge adds n to the cache-wide byte total, tracking the peak.
 func (c *partitionCache) charge(n int64) {
-	total := c.bytes.Add(n)
-	for {
-		peak := c.peak.Load()
-		if total <= peak || c.peak.CompareAndSwap(peak, total) {
-			break
-		}
-	}
+	c.bytes += n
+	c.peak = max(c.peak, c.bytes)
 }
 
 // seed pre-populates the cache from an Engine's warm layer: the
@@ -173,20 +159,17 @@ func (c *partitionCache) snapshot() []map[AttrSet]*partition.Partition {
 // lookups (group ids, null maps) are dropped with them. The partition
 // needed later worst-case is rebuilt from the retained columns.
 func (c *partitionCache) retire(rp *relPartitions) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.retired = append(c.retired, rp)
 	if c.maxBytes <= 0 {
 		return
 	}
-	for i := 0; c.bytes.Load() > c.maxBytes && i < len(c.retired); i++ {
+	for i := 0; c.bytes > c.maxBytes && i < len(c.retired); i++ {
 		c.trim(c.retired[i])
 	}
 }
 
 // trim drops a retired store's multi-attribute partitions and derived
 // lookups, keeping the column partitions (cheap, always reusable).
-// Caller holds c.mu.
 func (c *partitionCache) trim(rp *relPartitions) {
 	rp.own()
 	freed := int64(0)
@@ -206,28 +189,23 @@ func (c *partitionCache) trim(rp *relPartitions) {
 		freed += int64(len(nl))
 	}
 	rp.bytes -= freed
-	c.bytes.Add(-freed)
-	c.evictions.Add(evicted)
+	c.bytes -= freed
+	c.evictions += evicted
 	rp.gids = make(map[AttrSet][]int32)
 	rp.nulls = make(map[AttrSet][]bool)
 }
 
-// install caches a partition computed outside partitionOf — the
-// parallel level precompute — preserving partitionOf's counter
-// semantics (each installed partition is one cache miss). Like every
-// store mutation it runs on the relation's single traversal
-// goroutine; the xfdlint partimmut analyzer keeps cache writes
-// confined to this file.
+// install caches a partition computed outside partitionOf — the level
+// precompute — preserving partitionOf's counter semantics (each
+// installed partition is one cache miss). Like every store mutation it
+// runs on the traversal goroutine; the xfdlint partimmut analyzer
+// keeps cache writes confined to this file.
 func (c *partitionCache) install(rp *relPartitions, a AttrSet, p *partition.Partition) {
 	rp.own()
 	rp.parts[a] = p
 	c.add(rp, p.MemBytes())
 	rp.misses++
 }
-
-// liveBytes is the cache's live byte gauge, exposed for per-level
-// trace events and engine metrics. Safe to read concurrently.
-func (c *partitionCache) liveBytes() int64 { return c.bytes.Load() }
 
 // gidsOf returns the cached row→group lookup for Π_A, running compute
 // on first use. The lookup is charged to the cache like a partition,
@@ -267,8 +245,8 @@ func (c *partitionCache) flushStats(st *Stats) {
 			st.PartitionCacheMisses += rp.misses
 		}
 	}
-	st.PartitionCacheEvictions = int(c.evictions.Load())
-	st.PartitionCachePeakBytes = c.peak.Load()
+	st.PartitionCacheEvictions = int(c.evictions)
+	st.PartitionCachePeakBytes = c.peak
 }
 
 // partitionOf returns Π_A for the store's relation, computing missing

@@ -19,15 +19,16 @@ import (
 // the run-wide partition cache, the Stats record being accumulated,
 // and the relation-indexed depth and null-row tables the traversal
 // and the partition targets consult. One Run is created per
-// Engine.Discover call, used on however many goroutines the governed
-// traversal spawns, and discarded; nothing in it is shared across
-// runs except the partitions and per-relation outputs the owning
-// Engine carries over in its warm layer.
+// Engine.Discover call, used on the calling goroutine (the level
+// precompute's product workers touch none of it but the governor),
+// and discarded; nothing in it is shared across runs except the
+// partitions and per-relation outputs the owning Engine carries over
+// in its warm layer.
 //
 // A run executes as a fixed pipeline of named stages (see execute):
 //
 //	plan      width checks, depth/null precomputation
-//	traverse  post-order subtree visit (serial or governed-parallel)
+//	traverse  post-order relation visit, level products on every core
 //	minimize  FD/key minimization and superkey filtering
 //	verify    partition-based FD verification (Definition 11 filter)
 //	assemble  deterministic Result and redundancy ordering
@@ -47,8 +48,7 @@ type Run struct {
 
 	// Per-relation slots: each essential relation writes its output
 	// and its Stats once, when it finishes (a replayed one copies the
-	// warm entry's output). Parallel subtree workers write disjoint
-	// slots, so no synchronization is needed. warm is the engine's
+	// warm entry's output). warm is the engine's
 	// entry this run was seeded from (nil on cold runs); reusable
 	// marks relations whose whole subtree this run replays from it
 	// instead of traversing (see planReuse).
@@ -119,11 +119,11 @@ const (
 )
 
 // pipeline runs the staged pipeline. Any panic that escapes a stage —
-// from the serial traversal or from result assembly — surfaces as an
-// error to the caller instead of killing the process. Parallel
-// workers additionally recover per goroutine (workerGroup's panic
-// barrier), which is what keeps a worker panic from unwinding past
-// the group's join. The run span (run_start/run_end) brackets the
+// from the traversal or from result assembly — surfaces as an error
+// to the caller instead of killing the process. Product workers
+// additionally recover per goroutine (workerGroup's panic barrier),
+// which is what keeps a worker panic from unwinding past the group's
+// join. The run span (run_start/run_end) brackets the
 // stage spans; run_end reports truncation, the run's WallTime, and the
 // error if the run failed.
 func (run *Run) pipeline() (res *Result, err error) {
@@ -329,11 +329,9 @@ func relationDepths(h *relation.Hierarchy) []int {
 // traverse is the post-order traversal stage: children before
 // parents, so targets flow upward (Figure 9 lines 5–6). Each
 // essential relation writes its output and Stats to its own slots,
-// which makes the parallel mode a pure fan-out: sibling subtrees
-// share nothing, and a parent reads its children's slots in child
-// order after joining them, so output is independent of scheduling.
-// ctx carries the stage's pprof labels; each essential relation's
-// lattice section adds its own relation label on top.
+// and a parent reads its children's slots in child order. ctx carries
+// the stage's pprof labels; each essential relation's lattice section
+// adds its own relation label on top.
 func (run *Run) traverse(ctx context.Context, r *relation.Relation) error {
 	if err := run.gov.cancelled(); err != nil {
 		return err
@@ -345,32 +343,9 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) error {
 		run.replay(r)
 		return nil
 	}
-	if run.opts.Parallel && len(r.Children) > 1 {
-		errs := make([]error, len(r.Children))
-		if run.tr != nil {
-			trace.Emit(run.tr, &trace.Event{Kind: trace.KindGovernor, Action: "worker_spawn",
-				Workers: len(r.Children), Detail: "subtree workers under " + string(r.Pivot)})
-		}
-		// A worker panic must not unwind past its goroutine's stack
-		// (that would kill the process); workerGroup turns it into
-		// this subtree's error, reported in child order.
-		var grp workerGroup
-		for i, c := range r.Children {
-			grp.Go(fmt.Sprintf("parallel discovery worker for subtree %s", c.Pivot),
-				func(err error) { errs[i] = err },
-				func() { errs[i] = run.traverse(ctx, c) })
-		}
-		grp.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, c := range r.Children {
-			if err := run.traverse(ctx, c); err != nil {
-				return err
-			}
+	for _, c := range r.Children {
+		if err := run.traverse(ctx, c); err != nil {
+			return err
 		}
 	}
 	if !r.Essential {

@@ -59,28 +59,27 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 // TestStatsTimeAccounting pins the documented time semantics (see
-// Stats). IntraTime and InterTime are exclusive, so in a serial run
-// their sum cannot exceed the run's wall clock — the regression check
-// for double-counting; under Parallel they are summed worker time and
-// only non-negative. Stages is the run's one timing record, written
-// traced or not: every stage took time, and the stages, which run one
-// after another, sum to at most WallTime. In traced runs, serial and
-// parallel, each stage_end carries exactly its Stages entry and
-// run_end exactly WallTime.
+// Stats). IntraTime and InterTime are exclusive, so their sum cannot
+// exceed the run's wall clock — the regression check for
+// double-counting — also where product workers compute a level's
+// partitions (the Wide table). Stages is the run's one timing record,
+// written traced or not: every stage took time, and the stages, which
+// run one after another, sum to at most WallTime. In traced runs each
+// stage_end carries exactly its Stages entry and run_end exactly
+// WallTime.
 func TestStatsTimeAccounting(t *testing.T) {
 	if len(trace.Stages) != numStages {
 		t.Fatalf("trace.Stages names %d stages, Stats.Stages holds %d", len(trace.Stages), numStages)
 	}
-	ds := xmlgen.PSD(xmlgen.DefaultPSD())
-	h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parallel := range []bool{false, true} {
+	for _, ds := range []xmlgen.Dataset{xmlgen.PSD(xmlgen.DefaultPSD()), xmlgen.Wide(xmlgen.DefaultWide(10))} {
+		h, err := relation.Build(ds.Tree, ds.Schema, relation.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, traced := range []bool{false, true} {
-			name := fmt.Sprintf("parallel=%v traced=%v", parallel, traced)
+			name := fmt.Sprintf("%s traced=%v", ds.Name, traced)
 			tr := &captureTracer{}
-			opts := Options{Parallel: parallel}
+			var opts Options
 			if traced {
 				opts.Tracer = tr
 			}
@@ -95,8 +94,8 @@ func TestStatsTimeAccounting(t *testing.T) {
 			if st.IntraTime < 0 || st.InterTime < 0 {
 				t.Errorf("%s: negative component times: intra %v, inter %v", name, st.IntraTime, st.InterTime)
 			}
-			if sum := st.IntraTime + st.InterTime; !parallel && sum > st.WallTime {
-				t.Errorf("%s: serial run double-counts time: intra %v + inter %v > wall %v",
+			if sum := st.IntraTime + st.InterTime; sum > st.WallTime {
+				t.Errorf("%s: run double-counts time: intra %v + inter %v > wall %v",
 					name, st.IntraTime, st.InterTime, st.WallTime)
 			}
 			var sum time.Duration
@@ -130,7 +129,7 @@ func TestStatsTimeAccounting(t *testing.T) {
 	}
 }
 
-// TestMergeStats checks the parallel-merge accumulator.
+// TestMergeStats checks the per-relation accumulator.
 func TestMergeStats(t *testing.T) {
 	a := Stats{Relations: 1, Tuples: 10, NodesVisited: 5, IntraTime: 100, InterTime: 7}
 	b := Stats{Relations: 2, Tuples: 20, NodesVisited: 7, TargetsCreated: 3, IntraTime: 50}

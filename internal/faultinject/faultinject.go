@@ -1,8 +1,8 @@
 // Package faultinject is a test harness for the resource-governance
 // contract of the discovery pipeline: readers that error, truncate,
 // or stall mid-document; contexts that cancel after a prescribed
-// amount of input; panic-injecting hooks for the parallel traversal;
-// and a goroutine-leak checker. Production code never imports it —
+// amount of input; panic-injecting hooks for the traversal; and a
+// goroutine-leak checker. Production code never imports it —
 // it exists so every package's tests can inject the same faults the
 // service will eventually meet in the wild.
 package faultinject
@@ -155,8 +155,8 @@ func (c *cancellingReader) Read(p []byte) (int, error) {
 
 // PanicHook returns a relation hook (core.Options.RelationHook) that
 // panics when it sees a pivot path containing substr — a fault
-// injected into the middle of the (possibly parallel) bottom-up
-// traversal. The returned counter reports how often the hook fired.
+// injected into the middle of the bottom-up traversal. The returned
+// counter reports how often the hook fired.
 func PanicHook(substr string) (hook func(pivot schema.Path), fired *atomic.Int32) {
 	var count atomic.Int32
 	return func(pivot schema.Path) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -76,4 +77,56 @@ func TestJSONBodyTooLarge(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJSONBodyBuffersReused posts JSON bodies of several sizes and
+// shapes — raw documents, an envelope, one over the body cap — from two
+// clients at once through one server, three rounds each. JSON bodies
+// are read into pooled buffers, so a parsed document or an error that
+// kept a reference to its body's bytes would be served corrupted once
+// another request reused the buffer: every response must equal the
+// body's response on a fresh server.
+func TestJSONBodyBuffersReused(t *testing.T) {
+	env, err := json.Marshal(envelope{Document: libraryJSONDoc, Format: "json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shelves := func(n int) string {
+		return `{"library": {"shelf": [` + strings.Repeat(`{"room": "r1", "book": {"isbn": "i1"}}, `, n) + `{"room": "r2"}]}}`
+	}
+	bodies := []string{libraryJSONDoc, string(env), shelves(300), shelves(3000), `{"library": [1,`}
+	cfg := Config{MaxBodyBytes: 64 << 10}
+	hdr := map[string]string{"Content-Type": "application/json"}
+	type response struct {
+		code int
+		body string
+	}
+	serve := func(s *Server, body string) response {
+		rec := do(s, "POST", "/v1/discover", hdr, strings.NewReader(body))
+		return response{rec.Code, string(normalizeTimes(rec.Body.Bytes()))}
+	}
+	want := make([]response, len(bodies))
+	for i, b := range bodies {
+		want[i] = serve(newTestServer(t, cfg), b)
+	}
+	if want[3].code != http.StatusRequestEntityTooLarge || want[0].code != http.StatusOK {
+		t.Fatalf("fixture statuses %d and %d, want 200 and 413", want[0].code, want[3].code)
+	}
+	s := newTestServer(t, cfg)
+	var wg sync.WaitGroup
+	for client := 0; client < 2; client++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range bodies {
+					i := (k + client*len(bodies)/2) % len(bodies)
+					if got := serve(s, bodies[i]); got != want[i] {
+						t.Errorf("client %d round %d body %d: got %d %.200s, want %d %.200s", client, round, i, got.code, got.body, want[i].code, want[i].body)
+					}
+				}
+			}
+		}(client)
+	}
+	wg.Wait()
 }

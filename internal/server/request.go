@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"discoverxfd"
@@ -127,15 +128,20 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 // effective timeout — so a disconnected or out-of-budget client
 // aborts the parse, and under http.MaxBytesReader, so an oversized
 // body fails with 413. A deadline that fires during parse is an error
-// even in degrade=truncate mode: no partial result exists yet.
+// even in degrade=truncate mode: no partial result exists yet. A JSON
+// body is read whole into a pooled buffer, returned when decodeBody
+// returns: every reader of its bytes finishes here, and the parsers
+// copy what they keep.
 func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, eng *discoverxfd.Engine, req *request) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var err error
 	if isJSON(r.Header.Get("Content-Type")) {
-		data, rerr := io.ReadAll(body)
-		if rerr != nil {
+		buf := jsonBodies.Get().(*bytes.Buffer)
+		defer putJSONBody(buf)
+		if _, rerr := buf.ReadFrom(body); rerr != nil {
 			return decodeErr("request body", rerr)
 		}
+		data := buf.Bytes()
 		if !isEnvelope(data) {
 			req.doc, err = eng.LoadJSON(ctx, bytes.NewReader(data))
 			if err != nil {
@@ -167,6 +173,19 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 		return decodeErr("document", err)
 	}
 	return nil
+}
+
+// jsonBodies holds the buffers JSON bodies are read into, so a body
+// costs no allocation once a buffer has grown to its size.
+var jsonBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putJSONBody returns buf to jsonBodies, unless it grew past 1 MiB:
+// one large body must not stay pinned in the pool.
+func putJSONBody(buf *bytes.Buffer) {
+	if buf.Cap() <= 1<<20 {
+		buf.Reset()
+		jsonBodies.Put(buf)
+	}
 }
 
 // isJSON reports whether a Content-Type header names application/json.

@@ -100,8 +100,8 @@ type Config struct {
 	// Limits is the server-wide resource envelope. Per-request limit
 	// parameters may tighten these but never exceed them.
 	Limits discoverxfd.Limits
-	// Options is the base discovery configuration (Parallel, MaxLHS,
-	// approximate discovery, …). Its Trace and RelationHook fields
+	// Options is the base discovery configuration (MaxLHS, approximate
+	// discovery, …). Its Trace and RelationHook fields
 	// are ignored: tracing is wired per request from Trace below, and
 	// the hook is a chaos-build concern (Fault).
 	Options discoverxfd.Options

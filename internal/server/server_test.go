@@ -144,7 +144,6 @@ func TestServedResultMatchesLibrary(t *testing.T) {
 	}{
 		{"warehouse", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), discoverxfd.Options{}},
 		{"warehouse_approx", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), discoverxfd.Options{ApproxError: 0.05}},
-		{"warehouse_parallel", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), discoverxfd.Options{Parallel: true}},
 		{"warehouse_intra", xmlgen.Warehouse(xmlgen.DefaultWarehouse()), discoverxfd.Options{IntraOnly: true}},
 		{"dblp", xmlgen.DBLP(xmlgen.DefaultDBLP()), discoverxfd.Options{}},
 		{"auction", xmlgen.Auction(xmlgen.DefaultAuction()), discoverxfd.Options{}},

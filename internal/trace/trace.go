@@ -15,7 +15,8 @@
 // measurable overhead (the E13 bench gate pins this).
 //
 // Concurrency contract: a Tracer must be safe for concurrent Emit
-// calls — parallel discovery emits from governed worker goroutines.
+// calls — one Tracer may serve concurrent runs, and a product worker
+// that sees a run's deadline pass emits the governor's truncate event.
 // Backends in this package synchronize internally with a mutex and
 // spawn no goroutines of their own (the xfdlint govdiscipline
 // analyzer enforces the no-spawn rule repo-wide).

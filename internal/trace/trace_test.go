@@ -189,7 +189,7 @@ func validTrace() string {
 			tr.Emit(&Event{Kind: KindRelationStart, Relation: "/a/b", Tuples: 10, Attrs: 3})
 			tr.Emit(&Event{Kind: KindLevel, Relation: "/a/b", Level: 1, Nodes: 3, CacheMisses: 3})
 			tr.Emit(&Event{Kind: KindTarget, Relation: "/a/b", Action: "create", Pairs: 4})
-			tr.Emit(&Event{Kind: KindGovernor, Action: "worker_spawn", Workers: 2, Detail: "subtree workers"})
+			tr.Emit(&Event{Kind: KindGovernor, Action: "worker_spawn", Workers: 2, Detail: "product workers for 4 level-2 partitions"})
 			tr.Emit(&Event{Kind: KindRelationEnd, Relation: "/a/b", DurationMS: 0.5})
 		}
 		tr.Emit(&Event{Kind: KindStageEnd, Stage: s, DurationMS: 1})

@@ -11,6 +11,7 @@ import (
 	"discoverxfd"
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/relation"
+	"discoverxfd/internal/schema"
 	"discoverxfd/internal/source/jsondoc"
 	"discoverxfd/internal/xmlgen"
 )
@@ -150,19 +151,7 @@ func TestJSONSpellingInvariant(t *testing.T) {
 // and the run between the batches must match a cold engine's over
 // the mutated document.
 func TestSetInverseRestoresResult(t *testing.T) {
-	corpora := []func() xmlgen.Dataset{
-		func() xmlgen.Dataset { return xmlgen.Warehouse(xmlgen.DefaultWarehouse()) },
-		func() xmlgen.Dataset { return xmlgen.DBLP(xmlgen.DefaultDBLP()) },
-		func() xmlgen.Dataset { return xmlgen.Auction(xmlgen.DefaultAuction()) },
-		func() xmlgen.Dataset { return xmlgen.Mondial(xmlgen.DefaultMondial()) },
-		func() xmlgen.Dataset { return xmlgen.Catalog(xmlgen.DefaultCatalog()) },
-		func() xmlgen.Dataset { return xmlgen.PSD(xmlgen.DefaultPSD()) },
-		func() xmlgen.Dataset { return xmlgen.Wide(xmlgen.DefaultWide(8)) },
-		func() xmlgen.Dataset {
-			return xmlgen.WideForest(xmlgen.WideForestParams{Tables: 4, Table: xmlgen.DefaultWide(8)})
-		},
-	}
-	for ci, gen := range corpora {
+	for ci, gen := range inverseCorpora() {
 		ds := gen()
 		t.Run(ds.Name, func(t *testing.T) {
 			t.Parallel()
@@ -204,6 +193,120 @@ func TestSetInverseRestoresResult(t *testing.T) {
 			}
 		})
 	}
+}
+
+// inverseCorpora returns the generators the update-inverse properties
+// run over: every generator at default scale, a wide table and a
+// forest of them. Each call builds fresh documents, which the updates
+// then mutate.
+func inverseCorpora() []func() xmlgen.Dataset {
+	return []func() xmlgen.Dataset{
+		func() xmlgen.Dataset { return xmlgen.Warehouse(xmlgen.DefaultWarehouse()) },
+		func() xmlgen.Dataset { return xmlgen.DBLP(xmlgen.DefaultDBLP()) },
+		func() xmlgen.Dataset { return xmlgen.Auction(xmlgen.DefaultAuction()) },
+		func() xmlgen.Dataset { return xmlgen.Mondial(xmlgen.DefaultMondial()) },
+		func() xmlgen.Dataset { return xmlgen.Catalog(xmlgen.DefaultCatalog()) },
+		func() xmlgen.Dataset { return xmlgen.PSD(xmlgen.DefaultPSD()) },
+		func() xmlgen.Dataset { return xmlgen.Wide(xmlgen.DefaultWide(8)) },
+		func() xmlgen.Dataset {
+			return xmlgen.WideForest(xmlgen.WideForestParams{Tables: 4, Table: xmlgen.DefaultWide(8)})
+		},
+	}
+}
+
+// TestInsertDeleteInverseRestoresResult is the insert/delete twin of
+// TestSetInverseRestoresResult: a batch inserting one tuple per
+// essential class, under a random existing parent tuple and with a
+// random value for every leaf, followed by the batch deleting the
+// inserted tuples by the keys the Changeset reported, must leave warm
+// discovery with the first Result JSON (Stats zeroed). The run between
+// the batches must match a cold engine's over the mutated document.
+func TestInsertDeleteInverseRestoresResult(t *testing.T) {
+	for ci, gen := range inverseCorpora() {
+		ds := gen()
+		t.Run(ds.Name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(int64(ci)))
+			eng := discoverxfd.NewEngine(nil)
+			h, err := eng.BuildHierarchy(ctx, ds.Tree, ds.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := eng.DiscoverHierarchy(ctx, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inserts []discoverxfd.Update
+			for _, r := range h.Relations {
+				if !r.Essential {
+					continue
+				}
+				parent := 0
+				if r.Parent.Essential {
+					if r.Parent.NRows() == 0 {
+						continue
+					}
+					parent = r.Parent.Keys[rng.Intn(r.Parent.NRows())]
+				}
+				vals := make(map[discoverxfd.RelPath]string)
+				chosen := make(map[schema.Path]bool) // Choice elements given their one alternative
+				for _, a := range r.Attrs {
+					if a.Kind != relation.Leaf {
+						continue
+					}
+					if c := choiceAbove(h.Schema, a.Path, r.Pivot); c != "" {
+						if chosen[c] {
+							continue
+						}
+						chosen[c] = true
+					}
+					vals[a.Rel] = scriptValue(rng, h, a)
+				}
+				inserts = append(inserts, discoverxfd.Update{Op: discoverxfd.OpInsert, Class: r.Pivot, Parent: parent, Values: vals})
+			}
+			cs, err := eng.ApplyUpdate(h, inserts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserted, err := eng.DiscoverHierarchy(ctx, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := discoverxfd.NewEngine(nil).Discover(ctx, ds.Tree, ds.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := resultJSON(t, cold), resultJSON(t, inserted); !bytes.Equal(got, want) {
+				t.Fatalf("after %d inserts: warm Result differs from cold\n%s", len(inserts), diffHint(want, got))
+			}
+			deletes := make([]discoverxfd.Update, len(inserts))
+			for i, ins := range inserts {
+				deletes[i] = discoverxfd.Update{Op: discoverxfd.OpDelete, Class: ins.Class, Key: cs.Keys[i]}
+			}
+			if _, err := eng.ApplyUpdate(h, deletes); err != nil {
+				t.Fatal(err)
+			}
+			last, err := eng.DiscoverHierarchy(ctx, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := resultJSON(t, first), resultJSON(t, last); !bytes.Equal(got, want) {
+				t.Errorf("%d inserts and their deletes changed the Result\n%s", len(inserts), diffHint(want, got))
+			}
+		})
+	}
+}
+
+// choiceAbove returns the nearest Choice element strictly between the
+// pivot and the leaf at path, or "" if there is none.
+func choiceAbove(s *schema.Schema, path, pivot schema.Path) schema.Path {
+	for p, ok := path.Parent(); ok && p != pivot; p, ok = p.Parent() {
+		if el, err := s.Resolve(p); err == nil && el.Payload != nil && el.Payload.Kind == schema.Choice {
+			return p
+		}
+	}
+	return ""
 }
 
 // leafSets picks up to n distinct leaves holding a value and returns
