@@ -95,7 +95,7 @@ type scanner struct {
 
 	// The current token.
 	name      *qname // tokStart
-	attrs     []attr // tokStart; xmlns declarations are dropped
+	attrs     []attr // tokStart; xmlns declarations are dropped, values live in vals
 	text      []byte // tokText; valid until the next call to next
 	closeNext bool   // the start tag was self-closing: next reports its end
 
@@ -103,14 +103,16 @@ type scanner struct {
 	names map[string]*qname // interned names, each validated once
 	open  []openElem
 	ns    []nsBinding
+	vals  *Arena // the parse's arena, which attribute values are copied into
 }
 
-func newScanner(r io.Reader) *scanner {
+func newScanner(r io.Reader, vals *Arena) *scanner {
 	return &scanner{
 		r:     r,
 		buf:   make([]byte, windowSize),
 		line:  1,
 		names: make(map[string]*qname),
+		vals:  vals,
 	}
 }
 
@@ -346,7 +348,7 @@ func (s *scanner) scanStart(i int) error {
 		if j, err = s.scanChars(k+1, s.buf[k]); err != nil {
 			return err
 		}
-		s.attrs = append(s.attrs, attr{an, string(s.text)})
+		s.attrs = append(s.attrs, attr{an, s.vals.Value(s.text)})
 	}
 	s.pos = j
 	s.push(q)

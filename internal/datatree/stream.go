@@ -15,8 +15,18 @@ import (
 // order, without retaining the whole tree.
 // Each delivered node has correct Parent/Children links within its
 // subtree but no pre-order key (the caller assigns identities).
-// Memory stays proportional to the largest single child subtree plus
-// the largest single token.
+//
+// Subtrees are built in the parse's Arena, whose slabs a delivered
+// subtree shares with the subtrees around it, so a delivered subtree
+// stays reachable while any subtree of its slab group does. A group
+// ends at the first root child after it has started 32 node slabs
+// (Arena.boundary), and a root child never straddles two groups.
+// Memory therefore stays bounded by the largest single child subtree
+// plus one group (32 node slabs, 128 KiB, with the child lists of
+// their nodes and the 4 KiB value chunks holding their values), plus
+// the largest single token. A subtree fn keeps, or a value string it
+// keeps, pins its group or its value chunk; a caller that keeps
+// subtrees keeps their Clones.
 //
 // It returns the root element's label. A non-nil error from fn aborts
 // the parse and is returned verbatim. DefaultLimits applies; use
@@ -30,7 +40,7 @@ func StreamRootChildren(r io.Reader, fn func(child *Node) error) (string, error)
 // count over all delivered subtrees, not just the retained one;
 // cancellation is checked periodically between tokens.
 func StreamRootChildrenContext(ctx context.Context, r io.Reader, lim ParseLimits, fn func(child *Node) error) (string, error) {
-	label, _, err := walkRootChildren(ctx, r, lim, fn)
+	label, _, err := walkRootChildren(ctx, r, lim, true, fn)
 	return label, err
 }
 
@@ -43,12 +53,14 @@ type frame struct {
 
 // walkRootChildren is the element loop behind both ParseXML and
 // StreamRootChildren: it builds each child subtree of the root element
-// from the scanner's tokens and hands it to fn once complete, enforcing
-// the limits and checking ctx on the way. It returns the root's label
-// and its trimmed text; the text is also delivered as a trailing
-// "@text" child when the root has children.
-func walkRootChildren(ctx context.Context, r io.Reader, lim ParseLimits, fn func(*Node) error) (label, text string, err error) {
-	s := newScanner(r)
+// from the scanner's tokens in one Arena and hands it to fn once
+// complete, enforcing the limits and checking ctx on the way. A stream
+// cuts the arena's slab groups at root children (Arena.boundary). It
+// returns the root's label and its trimmed text; the text is also
+// delivered as a trailing "@text" child when the root has children.
+func walkRootChildren(ctx context.Context, r io.Reader, lim ParseLimits, stream bool, fn func(*Node) error) (label, text string, err error) {
+	a := new(Arena)
+	s := newScanner(r, a)
 	guard := &parseGuard{ctx: ctx, lim: lim}
 	var (
 		frames   []frame // open elements; frames[0] is the root
@@ -86,15 +98,19 @@ func walkRootChildren(ctx context.Context, r io.Reader, lim ParseLimits, fn func
 					return label, "", fmt.Errorf("datatree: multiple root elements (%q and %q)", label, s.name.local)
 				}
 				sawRoot, label = true, s.name.local
-				for _, a := range s.attrs {
-					if err := emit(&Node{Label: a.name.attrLabel(), Value: a.value, HasValue: true}); err != nil {
+				for _, at := range s.attrs {
+					if err := emit(a.leaf(at.name.attrLabel(), at.value, nil)); err != nil {
 						return label, "", err
 					}
 				}
 			} else {
-				n = &Node{Label: s.name.local, Parent: frames[len(frames)-1].node}
-				for _, a := range s.attrs {
-					kids = append(kids, &Node{Label: a.name.attrLabel(), Parent: n, Value: a.value, HasValue: true})
+				if stream && len(frames) == 1 {
+					a.boundary()
+				}
+				n = a.Node(s.name.local)
+				n.Parent = frames[len(frames)-1].node
+				for _, at := range s.attrs {
+					kids = append(kids, a.leaf(at.name.attrLabel(), at.value, n))
 				}
 			}
 			if len(frames) < cap(frames) {
@@ -109,35 +125,33 @@ func walkRootChildren(ctx context.Context, r io.Reader, lim ParseLimits, fn func
 			trimmed := bytes.TrimSpace(f.text)
 			frames = frames[:len(frames)-1]
 			n := f.node
+			f.node = nil // a popped frame must not keep a delivered subtree alive
 			if n == nil {
 				// The root closes. A childless root's text is its value,
 				// which no root child carries.
-				text = string(trimmed)
+				text = a.Value(trimmed)
 				if text != "" && children > 0 {
 					if err := guard.addNodes(1); err != nil {
 						return label, "", err
 					}
-					if err := emit(&Node{Label: TextLabel, Value: text, HasValue: true}); err != nil {
+					if err := emit(a.leaf(TextLabel, text, nil)); err != nil {
 						return label, "", err
 					}
 				}
 				continue
 			}
-			own := kids[f.kids:]
 			switch {
 			case len(trimmed) == 0:
-				if len(own) > 0 {
-					n.Children = append([]*Node(nil), own...)
-				}
-			case len(own) == 0:
-				n.Value, n.HasValue = string(trimmed), true
+			case len(kids) == f.kids:
+				n.Value, n.HasValue = a.Value(trimmed), true
 			default:
 				if err := guard.addNodes(1); err != nil {
 					return label, "", err
 				}
-				n.Children = append(make([]*Node, 0, len(own)+1), own...)
-				n.Children = append(n.Children, &Node{Label: TextLabel, Parent: n, Value: string(trimmed), HasValue: true})
+				kids = append(kids, a.leaf(TextLabel, a.Value(trimmed), n))
 			}
+			own := kids[f.kids:]
+			n.Children = a.Children(own)
 			clear(own) // the stack must not keep delivered subtrees alive
 			kids = kids[:f.kids]
 			if len(frames) == 1 {

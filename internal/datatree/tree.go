@@ -129,6 +129,23 @@ func (n *Node) AddLeaf(label, value string) *Node {
 	return c
 }
 
+// Clone returns a parentless deep copy of the subtree rooted at n that
+// shares no memory with it: every node, child list and value is
+// allocated anew. A subtree delivered by StreamRootChildren shares
+// the parse's slabs and value chunks with the subtrees around it; a
+// caller that keeps one keeps its Clone, which holds only itself.
+func (n *Node) Clone() *Node {
+	c := &Node{Label: n.Label, Key: n.Key, Value: strings.Clone(n.Value), HasValue: n.HasValue}
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, len(n.Children))
+		for i, k := range n.Children {
+			c.Children[i] = k.Clone()
+			c.Children[i].Parent = c
+		}
+	}
+	return c
+}
+
 // Graft appends a new child node under parent with a fresh key and
 // returns it. Unlike AddChild+Renumber, grafting never renumbers
 // existing nodes: the new key is taken past every key handed out so

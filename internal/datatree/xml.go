@@ -94,7 +94,7 @@ func ParseXML(r io.Reader) (*Tree, error) {
 // "datatree:" error.
 func ParseXMLContext(ctx context.Context, r io.Reader, lim ParseLimits) (*Tree, error) {
 	root := &Node{}
-	label, text, err := walkRootChildren(ctx, r, lim, func(c *Node) error {
+	label, text, err := walkRootChildren(ctx, r, lim, false, func(c *Node) error {
 		root.Children = append(root.Children, c)
 		return nil
 	})

@@ -196,10 +196,10 @@ func Apply(t *datatree.Tree, h *relation.Hierarchy, fd core.FD) (int, error) {
 		e := seen[sig]
 		lookup := t.Root.AddChild(label)
 		for _, n := range e.lhsNodes {
-			lookup.Children = append(lookup.Children, cloneNode(n))
+			lookup.Children = append(lookup.Children, n.Clone())
 		}
 		for _, n := range e.rhsNodes {
-			lookup.Children = append(lookup.Children, cloneNode(n))
+			lookup.Children = append(lookup.Children, n.Clone())
 		}
 	}
 	t.Renumber()
@@ -281,16 +281,4 @@ func removeNodes(parent *datatree.Node, nodes []*datatree.Node) int {
 	}
 	parent.Children = kept
 	return removed
-}
-
-// cloneNode deep-copies a subtree (keys are reassigned by the
-// caller's Renumber).
-func cloneNode(n *datatree.Node) *datatree.Node {
-	cp := &datatree.Node{Label: n.Label, Value: n.Value, HasValue: n.HasValue}
-	for _, c := range n.Children {
-		cc := cloneNode(c)
-		cc.Parent = cp
-		cp.Children = append(cp.Children, cc)
-	}
-	return cp
 }

@@ -76,8 +76,11 @@ func Ingest(ctx context.Context, in source.Input, s *schema.Schema, opts Options
 // builder constructs the hierarchical representation incrementally,
 // one root-child subtree at a time, so a large document never needs
 // to be fully materialized: memory stays proportional to the
-// representation (columns of codes) plus the largest single subtree.
-// It is the only hierarchy builder; Ingest drives it.
+// representation (columns of codes), the non-set root children it
+// keeps, and the largest single subtree. A streamed subtree shares
+// the parser's slabs with its neighbours (datatree.StreamRootChildren),
+// so a kept root child is a Clone and an interned value a copy. It is
+// the only hierarchy builder; Ingest drives it.
 //
 // What a build retains follows the input's shape. Built from a tree,
 // tuples carry the pivot nodes' pre-order keys, Relation.Node returns
@@ -166,6 +169,11 @@ func (b *builder) addRootChild(n *datatree.Node) error {
 		return fmt.Errorf("relation: %w", err)
 	}
 	if stream {
+		// Keep a Clone: the streamed subtree shares the parser's slabs
+		// with the subtrees around it and would keep them all alive.
+		// Nested set members are read from the Clone too, so the
+		// encoder's memo holds no streamed node.
+		n = n.Clone()
 		n.Parent = b.root
 		b.root.Children = append(b.root.Children, n)
 	}
@@ -282,7 +290,7 @@ func newPatchState(t *datatree.Tree, h *Hierarchy) *patchState {
 		remap:   make([][]map[int64]int64, len(h.Relations)),
 	}
 	for _, r := range h.Relations {
-		ps.in[r.Index] = newInterner(len(r.Attrs))
+		ps.in[r.Index] = newInterner(len(r.Attrs), t == nil)
 		ps.remap[r.Index] = make([]map[int64]int64, len(r.Attrs))
 		r.Cols = make([][]int64, len(r.Attrs))
 		r.ColBound = make([]int64, len(r.Attrs))

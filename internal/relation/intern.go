@@ -1,5 +1,7 @@
 package relation
 
+import "strings"
+
 // interner assigns dense per-column integer codes to leaf attribute
 // values, hashing each distinct string once per relation: a single
 // value→id map is shared by every leaf column of the relation, and
@@ -11,13 +13,20 @@ type interner struct {
 	ids  map[string]int32 // value -> relation-wide id
 	cols [][]int64        // per column: relation-wide id -> dense code (0 = unassigned)
 	next []int64          // per column: next unassigned dense code
+
+	// detach makes ids key a copy of each new value. A streamed
+	// build's values are slices of the parser's shared value chunks,
+	// and a key that kept one would keep its whole chunk alive: with
+	// a column of distinct ids, every chunk of the document.
+	detach bool
 }
 
-func newInterner(nCols int) *interner {
+func newInterner(nCols int, detach bool) *interner {
 	in := &interner{
-		ids:  make(map[string]int32),
-		cols: make([][]int64, nCols),
-		next: make([]int64, nCols),
+		ids:    make(map[string]int32),
+		cols:   make([][]int64, nCols),
+		next:   make([]int64, nCols),
+		detach: detach,
 	}
 	for i := range in.next {
 		in.next[i] = 1
@@ -30,6 +39,9 @@ func (in *interner) code(ai int, v string) int64 {
 	id, ok := in.ids[v]
 	if !ok {
 		id = int32(len(in.ids))
+		if in.detach {
+			v = strings.Clone(v)
+		}
 		in.ids[v] = id
 	}
 	col := in.cols[ai]

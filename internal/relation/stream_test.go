@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,3 +224,115 @@ func mustSchema(t *testing.T, text string) *schema.Schema {
 }
 
 func schemaRel(s string) schema.RelPath { return schema.RelPath(s) }
+
+// pinDoc generates a document of n <item> set members as it is read:
+// each item holds a distinct short id and, pinDepth elements down,
+// one long value all items share, and every pinMetaEvery-th item is
+// preceded by a <meta> root child, which the schema declares once and
+// the document repeats. at, when set, runs as item i is generated.
+type pinDoc struct {
+	n, i    int
+	at      func(i int)
+	pending []byte
+}
+
+const (
+	pinDepth     = 8   // elements between an <item> and its long value
+	pinMetaEvery = 150 // items between two <meta>s: more nodes than one slab group
+)
+
+// pinValue is under a quarter of a parser value chunk, so the parser
+// packs about four items' values into each chunk.
+var pinValue = strings.Repeat("v", 1000)
+
+// pinSchema is the schema pinDoc's documents conform to, but for the
+// repeated <meta>.
+func pinSchema(t *testing.T) *schema.Schema {
+	var b strings.Builder
+	b.WriteString("doc: Rcd\n  meta: Rcd\n    owner: str\n  item: SetOf Rcd\n    id: str\n")
+	for d := 1; d <= pinDepth; d++ {
+		kind := "Rcd"
+		if d == pinDepth {
+			kind = "str"
+		}
+		fmt.Fprintf(&b, "%sx%d: %s\n", strings.Repeat("  ", d+1), d, kind)
+	}
+	return mustSchema(t, b.String())
+}
+
+func (d *pinDoc) Read(p []byte) (int, error) {
+	if len(d.pending) == 0 {
+		switch {
+		case d.i < d.n:
+			if d.at != nil {
+				d.at(d.i)
+			}
+			if d.i%pinMetaEvery == 0 {
+				d.pending = fmt.Appendf(d.pending, "<meta><owner>%d</owner></meta>", d.i)
+			}
+			d.pending = fmt.Appendf(d.pending, "<item><id>%d</id>", d.i)
+			for k := 1; k <= pinDepth; k++ {
+				d.pending = fmt.Appendf(d.pending, "<x%d>", k)
+			}
+			d.pending = append(d.pending, pinValue...)
+			for k := pinDepth; k >= 1; k-- {
+				d.pending = fmt.Appendf(d.pending, "</x%d>", k)
+			}
+			d.pending = append(d.pending, "</item>"...)
+			d.i++
+		case d.i == d.n:
+			d.pending = append(d.pending, "</doc>"...)
+			d.i++
+		default:
+			return 0, io.EOF
+		}
+	}
+	k := copy(p, d.pending)
+	d.pending = d.pending[:copy(d.pending, d.pending[k:])]
+	return k, nil
+}
+
+// liveHeap returns the live heap after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestBuildStreamDoesNotPinStreamedSubtrees streams items whose values
+// share the parser's value chunks, with a repeated non-set <meta> in
+// each of the parser's slab groups. The builder interns every id and
+// keeps every <meta> for the root tuple, and neither may keep the
+// parser's memory alive: an interned id would pin its value chunk
+// and with it four items' long values, a kept <meta> its slab group
+// of some 150 items. So between an early and a late item the live heap
+// may grow only by what the representation holds per item (columns,
+// interned ids, member codes: 243 bytes when every value was its own
+// allocation), well under the 1,000-byte value each item carries.
+func TestBuildStreamDoesNotPinStreamedSubtrees(t *testing.T) {
+	const items, early, late = 6000, 1000, 5000
+	const perItem = 400
+	var earlyHeap, lateHeap uint64
+	doc := &pinDoc{n: items, pending: []byte("<doc>"), at: func(i int) {
+		switch i {
+		case early:
+			earlyHeap = liveHeap()
+		case late:
+			lateHeap = liveHeap()
+		}
+	}}
+	h, err := BuildStream(doc, pinSchema(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := h.ByPivot("/doc/item").NRows(); n != items {
+		t.Fatalf("R_item rows = %d, want %d", n, items)
+	}
+	grew := int64(lateHeap) - int64(earlyHeap)
+	if grew >= perItem*(late-early) {
+		t.Fatalf("live heap grew by %d bytes over %d items (%d per item), want < %d per item",
+			grew, late-early, grew/(late-early), perItem)
+	}
+	t.Logf("live heap grew by %d bytes over %d items (%d per item)", grew, late-early, grew/(late-early))
+}

@@ -46,9 +46,9 @@
 // (invalid UTF-8 and unpaired surrogate escapes become U+FFFD), but it
 // builds no token stream: each member name is validated and interned
 // once, element paths are interned ids that carry the set hint and
-// the flags mixed-path normalization reads, and each node gets its
-// children in one exact-size slice. The encoding/json token loop it
-// replaced is the differential oracle in oracle_test.go.
+// the flags mixed-path normalization reads, and nodes, child lists
+// and values come from one datatree.Arena. The encoding/json token
+// loop it replaced is the differential oracle in oracle_test.go.
 package jsondoc
 
 import (
@@ -167,7 +167,8 @@ type elemPath struct {
 
 // parser is the state of one parse: the byte window over the input,
 // the resource guard, the interned member names and element paths,
-// and the stack of finished nodes waiting for their parent to close.
+// the arena the tree is built in, and the stack of finished nodes
+// waiting for their parent to close.
 type parser struct {
 	ctx context.Context
 	lim datatree.ParseLimits
@@ -189,6 +190,7 @@ type parser struct {
 	labels []string
 	ids    map[uint64]int32 // pathKey(parent, name) → path id
 	paths  []elemPath
+	arena  datatree.Arena
 	kids   []*datatree.Node // finished nodes whose parent is still open
 }
 
@@ -238,7 +240,7 @@ func (p *parser) document() (*datatree.Node, int32, error) {
 	case '{':
 		root, rootID, err = p.rootObject()
 	case '[':
-		root = &datatree.Node{Label: SyntheticRoot}
+		root = p.arena.Node(SyntheticRoot)
 		p.nodes++
 		rootID = p.child(-1, p.intern(SyntheticRoot))
 		item := p.intern(ItemLabel)
@@ -274,7 +276,7 @@ func (p *parser) rootObject() (*datatree.Node, int32, error) {
 		if err := p.addNodes(1); err != nil {
 			return nil, 0, err
 		}
-		return &datatree.Node{Label: SyntheticRoot}, p.child(-1, p.intern(SyntheticRoot)), nil
+		return p.arena.Node(SyntheticRoot), p.child(-1, p.intern(SyntheticRoot)), nil
 	}
 	name, c, err := p.memberStart(c)
 	if err != nil {
@@ -288,7 +290,7 @@ func (p *parser) rootObject() (*datatree.Node, int32, error) {
 	if c == '{' {
 		// Candidate {"label": {...}}: parse the object as if it were
 		// the root element, then check for a second member.
-		cand := &datatree.Node{Label: p.labels[name]}
+		cand := p.arena.Node(p.labels[name])
 		candID := p.child(-1, name)
 		if err := p.object(cand, candID, 2); err != nil {
 			return nil, 0, err
@@ -316,7 +318,7 @@ func (p *parser) rootObject() (*datatree.Node, int32, error) {
 	if err := p.members(c, rootID, 2); err != nil {
 		return nil, 0, err
 	}
-	root := &datatree.Node{Label: SyntheticRoot}
+	root := p.arena.Node(SyntheticRoot)
 	p.adopt(root, rootID, mark)
 	return root, rootID, nil
 }
@@ -462,7 +464,7 @@ func (p *parser) value(c byte, name, path int32, depth int) error {
 	if err := p.addNodes(1); err != nil {
 		return err
 	}
-	n := &datatree.Node{Label: p.labels[name]}
+	n := p.arena.Node(p.labels[name])
 	p.kids = append(p.kids, n)
 	switch c {
 	case '{':
@@ -478,7 +480,7 @@ func (p *parser) value(c byte, name, path int32, depth int) error {
 		p.adopt(n, path, mark)
 		return nil
 	case tokString, tokNumber:
-		n.Value = string(p.tok)
+		n.Value = p.arena.Value(p.tok)
 	case tokTrue:
 		n.Value = "true"
 	case tokFalse:
@@ -494,14 +496,13 @@ func (p *parser) value(c byte, name, path int32, depth int) error {
 }
 
 // adopt gives n the nodes pushed on p.kids since mark as its
-// children, in one exact-size slice, and pops them.
+// children, in one list carved from the arena, and pops them.
 func (p *parser) adopt(n *datatree.Node, path int32, mark int) {
 	kids := p.kids[mark:]
 	if len(kids) == 0 {
 		return
 	}
-	n.Children = make([]*datatree.Node, len(kids))
-	copy(n.Children, kids)
+	n.Children = p.arena.Children(kids)
 	p.kids = p.kids[:mark]
 	p.paths[path].flags |= record
 }

@@ -1,12 +1,15 @@
 package jsondoc
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/xmlgen"
 )
 
 // mustParse parses a JSON document or fails the test.
@@ -315,5 +318,62 @@ func TestSniff(t *testing.T) {
 		if d.Sniff([]byte(src)) {
 			t.Errorf("Sniff(%q) = true", src)
 		}
+	}
+}
+
+// editTree grafts a child under every inner node and adds one under
+// every leaf, in pre-order, then prunes every third child of every
+// node that had children before the edits.
+func editTree(t *datatree.Tree) {
+	var nodes []*datatree.Node
+	t.Root.Walk(func(n *datatree.Node) bool { nodes = append(nodes, n); return true })
+	var inner []*datatree.Node
+	for i, n := range nodes {
+		if n.IsLeaf() {
+			n.AddLeaf("added", fmt.Sprint(i))
+		} else {
+			inner = append(inner, n)
+			t.Graft(n, "grafted")
+		}
+	}
+	for _, n := range inner {
+		var prune []*datatree.Node
+		for i, c := range n.Children {
+			if i%3 == 2 {
+				prune = append(prune, c)
+			}
+		}
+		for _, c := range prune {
+			t.Prune(c)
+		}
+	}
+}
+
+// TestEditsToParsedTreeStayLocal requires edits to a parsed tree to
+// give the same tree as the same edits to the encoding/json oracle's
+// tree, which is built node by node: appending to a child list carved
+// from the parse's arena must not write into its neighbour's.
+func TestEditsToParsedTreeStayLocal(t *testing.T) {
+	docs := map[string][]byte{
+		"warehouse": writeTwin(t, xmlgen.Warehouse(xmlgen.DefaultWarehouse())),
+		"psd":       writeTwin(t, xmlgen.PSD(xmlgen.DefaultPSD())),
+		"mixed":     []byte(`{"r": {"a": [1, {"b": 2}, [3, {"c": 4}], null], "d": {"e": "x"}}}`),
+	}
+	for name, doc := range docs {
+		t.Run(name, func(t *testing.T) {
+			parsed, err := Parse(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := parseDecoder(context.Background(), bytes.NewReader(doc), datatree.DefaultLimits())
+			if err != nil {
+				t.Fatal(err)
+			}
+			editTree(parsed)
+			editTree(built)
+			if got, want := parsed.String(), built.String(); got != want {
+				t.Fatalf("edits to the parsed tree reached other nodes:\nparsed:\n%s\nbuilt node by node:\n%s", got, want)
+			}
+		})
 	}
 }
