@@ -102,9 +102,9 @@ func countFindings(out, analyzer string) int {
 }
 
 // TestSeededFlowBugs is the acceptance check for the flow-aware
-// analyzers: deleting one `defer e.mu.Unlock()` in the engine and the
-// deferred stage_end emit in the run pipeline must each produce
-// exactly one diagnostic from the right analyzer.
+// analyzers: deleting the `defer e.met.mu.Unlock()` of Engine.Metrics
+// and the deferred stage_end emit in the run pipeline must each
+// produce exactly one diagnostic from the right analyzer.
 func TestSeededFlowBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and type-checks the whole module")
@@ -113,8 +113,8 @@ func TestSeededFlowBugs(t *testing.T) {
 
 	t.Run("lockguard", func(t *testing.T) {
 		tree := copyModule(t)
-		mutate(t, tree, filepath.Join("internal", "core", "engine.go"),
-			"\te.mu.Lock()\n\tdefer e.mu.Unlock()\n\tfor _, w := range e.warm {", "\te.mu.Lock()\n\tfor _, w := range e.warm {")
+		mutate(t, tree, filepath.Join("internal", "core", "metrics.go"),
+			"\te.met.mu.Lock()\n\tdefer e.met.mu.Unlock()\n\treturn e.met.m\n", "\te.met.mu.Lock()\n\treturn e.met.m\n")
 		out, err := lint(t, bin, tree)
 		if err == nil {
 			t.Fatalf("seeded unlock leak not caught:\n%s", out)
@@ -122,7 +122,7 @@ func TestSeededFlowBugs(t *testing.T) {
 		if got := countFindings(out, "lockguard"); got != 1 {
 			t.Fatalf("lockguard findings = %d, want exactly 1:\n%s", got, out)
 		}
-		if !strings.Contains(out, "e.mu is locked but not released on every path") {
+		if !strings.Contains(out, "e.met.mu is locked but not released on every path") {
 			t.Fatalf("unexpected diagnostic:\n%s", out)
 		}
 	})
@@ -200,13 +200,13 @@ func TestGitHubAnnotationsOnFindings(t *testing.T) {
 	}
 	bin := buildTool(t)
 	tree := copyModule(t)
-	mutate(t, tree, filepath.Join("internal", "core", "engine.go"),
-		"\te.mu.Lock()\n\tdefer e.mu.Unlock()\n\tfor _, w := range e.warm {", "\te.mu.Lock()\n\tfor _, w := range e.warm {")
+	mutate(t, tree, filepath.Join("internal", "core", "metrics.go"),
+		"\te.met.mu.Lock()\n\tdefer e.met.mu.Unlock()\n\treturn e.met.m\n", "\te.met.mu.Lock()\n\treturn e.met.m\n")
 	out, err := lint(t, bin, tree, "-github")
 	if err == nil {
 		t.Fatal("expected findings exit status")
 	}
-	if !strings.Contains(out, "::error file=internal/core/engine.go,line=") {
+	if !strings.Contains(out, "::error file=internal/core/metrics.go,line=") {
 		t.Fatalf("missing or mis-pathed annotation:\n%s", out)
 	}
 }

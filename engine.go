@@ -28,15 +28,19 @@ import (
 // from as many goroutines as you like. Each call runs an isolated
 // staged pipeline (plan → traverse → minimize → verify → assemble;
 // see internal/core), so concurrent calls never observe each other's
-// state. What an Engine does share across calls is a warm layer of
-// immutable partitions per hierarchy: repeated DiscoverHierarchy
-// calls over the same *Hierarchy value reuse partitions computed by
-// earlier runs instead of rebuilding them (benchmark E14 measures the
-// effect), and ApplyUpdate patches them in place. Only a hierarchy
-// the caller holds can be presented again, so runs over the
-// hierarchies Discover and DiscoverStream build inside the call
-// neither seed from nor publish to the warm layer: a long-lived
-// Engine retains nothing of them.
+// state. An Engine holds only its options and its counters (Metrics).
+// What repeated DiscoverHierarchy calls over the same *Hierarchy
+// value reuse is the hierarchy's warm entry: the immutable partitions
+// and per-relation results of the last such run, kept on the
+// hierarchy itself, so that later runs skip rebuilding them
+// (benchmark E14 measures the effect). Every engine whose options
+// equal the ones that built the entry reuses it, Trace and
+// RelationHook aside; an engine with other options runs cold and
+// leaves its own entry in its place. ApplyUpdate through any engine
+// patches the entry in place. The entry lives exactly as long as the
+// caller holds the hierarchy. Discover and DiscoverStream build their
+// hierarchy inside the call and run cold, so they leave nothing
+// behind.
 //
 // Every method that loads, builds or discovers validates
 // Options.Limits before any work (a bad value fails with
@@ -61,7 +65,7 @@ func NewEngine(opts *Options) *Engine {
 }
 
 // Metrics returns a snapshot of the engine's cumulative counters:
-// runs started/finished/truncated/failed, warm-layer seedings, direct
+// runs started/finished/truncated/failed, warm-entry seedings, direct
 // evaluations, the partition-cache high-water mark, and the summed
 // Stats of every finished run. Safe to call concurrently with running
 // discoveries.
@@ -99,8 +103,9 @@ func (e *Engine) Discover(ctx context.Context, doc *Document, s *Schema) (*Resul
 
 // DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy, under
 // the same cancellation and truncation contract as Discover.
-// Repeated calls with the same *Hierarchy reuse the engine's warm
-// partitions — this is the engine-reuse fast path.
+// Repeated calls with the same *Hierarchy, through this engine or any
+// with equal options, reuse the hierarchy's warm entry — this is the
+// engine-reuse fast path.
 func (e *Engine) DiscoverHierarchy(ctx context.Context, h *Hierarchy) (*Result, error) {
 	deadline, err := e.begin(ctx)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // E14EngineReuse measures the reusable-engine warm path: repeated
 // core.Engine.Discover calls over the same hierarchy reuse the
-// engine's retained immutable partitions, against cold one-shot runs
+// immutable partitions of its warm entry, against cold one-shot runs
 // that rebuild every partition from the data. The speedup is a
 // within-run ratio (warm and cold runs interleave on the same
 // machine), the quantity the CI bench gate pins against the committed

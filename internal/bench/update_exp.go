@@ -17,7 +17,7 @@ import (
 
 // E15UpdateIncremental is the E-update experiment: discovery after a
 // batch of random document mutations, incremental (Engine.ApplyUpdate
-// patches the warm partition layer, then Engine.Discover revalidates)
+// patches the hierarchy's warm entry, then Engine.Discover revalidates)
 // against a cold run that rebuilds the hierarchy from the mutated
 // tree and discovers one-shot. Mutation batches cover 1%, 5% and 20%
 // of the tuples; the 1% case is the serving-layer steady state and is

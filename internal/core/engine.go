@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"slices"
-	"sync"
+	"reflect"
 	"time"
 
 	"discoverxfd/internal/partition"
@@ -14,30 +13,28 @@ import (
 // Engine is a reusable discovery engine: construct it once from an
 // Options value and call Discover / Evaluate from as many goroutines
 // as you like. Each call builds its own Run (governor, partition
-// cache, stats — see run.go), so concurrent calls are fully
-// isolated; the only state an Engine shares across runs is a warm
-// layer, keyed by hierarchy, that repeated runs over the same
-// document reuse instead of recomputing (the E14 engine-reuse
-// benchmark measures the effect).
+// cache, stats — see run.go), so concurrent calls are fully isolated.
+// An Engine holds nothing but its options and its counters: what
+// repeated runs over one hierarchy reuse instead of recomputing (the
+// E14 engine-reuse benchmark measures the effect) is the hierarchy's
+// warm entry, kept on the hierarchy itself (relation.Derived), so it
+// lives exactly as long as the caller holds the hierarchy and serves
+// every engine whose options match the ones that built it.
 //
 // Sharing contract: partitions are immutable after construction (the
 // partimmut analyzer enforces this), and a warm entry's maps and
 // outputs are written only by ApplyUpdate under the hierarchy's
 // writer lock, so runs holding the reader lock may share them. The
-// warm layer is invalidated at run scope — a finishing run replaces
-// its hierarchy's entry wholesale with its own (partitions already
-// trimmed to the run's MaxPartitionBytes budget), and the oldest
-// hierarchies are evicted beyond a small cap. Runs under
-// Options.NaivePartitions never seed from nor publish to the warm
-// layer: the naive engine is the differential baseline and must stay
-// bit-for-bit cold. Neither do Discover calls with warm false: their
-// hierarchy was built inside the caller's call, so no later run can
-// hit its entry, which would only pin the hierarchy until evicted.
+// entry is replaced at run scope: a finishing run stores its own
+// (partitions already trimmed to the run's MaxPartitionBytes budget)
+// in place of the one it found. Runs under Options.NaivePartitions
+// never seed from nor publish to it: the naive engine is the
+// differential baseline and must stay bit-for-bit cold. Neither do
+// Discover calls with warm false, which is how a caller asks for a
+// cold run over a hierarchy it holds, or runs over one it built
+// inside its own call and will never present again.
 type Engine struct {
 	opts Options
-
-	mu   sync.Mutex
-	warm []*warmHierarchy // guarded by mu
 
 	// met is the engine's cumulative run instrumentation (see
 	// Metrics).
@@ -46,16 +43,17 @@ type Engine struct {
 
 // warmHierarchy is what the last run over a hierarchy left behind,
 // by Relation.Index: each relation store's partition map, and each
-// essential relation's output slot. A later run reads the maps in
-// place (see partitionCache.seed) and replays the output of every
-// subtree it proves unchanged (see Run.planReuse); so the entry also
-// keeps the null tables its outputs were computed under, and the
-// hierarchy's batch count it reflects. Nothing writes an entry but
-// ApplyUpdate, under the hierarchy's writer lock: it patches the maps
-// in place and empties the output slots of the relations it touched.
+// essential relation's output slot. A later run under the same key
+// reads the maps in place (see partitionCache.seed) and replays the
+// output of every subtree it proves unchanged (see Run.planReuse); so
+// the entry also keeps the null tables its outputs were computed
+// under. Nothing writes an entry but ApplyUpdate, under the
+// hierarchy's writer lock: it patches the maps in place and empties
+// the output slots of the relations it touched.
 type warmHierarchy struct {
-	h       *relation.Hierarchy
-	batches uint64 // h.Batches() the entry reflects
+	// key is the options of the run that built the entry (see
+	// warmKey); only runs under equal options read it.
+	key Options
 
 	parts []map[AttrSet]*partition.Partition // nil when no store retained a partition
 	outs  []*relOutput                       // nil when the run was truncated
@@ -65,10 +63,14 @@ type warmHierarchy struct {
 	nullsAtOrAbove []bool
 }
 
-// engineWarmHierarchies caps how many hierarchies' partitions an
-// Engine retains; beyond it the least recently run hierarchy is
-// dropped.
-const engineWarmHierarchies = 4
+// warmKey returns the options that decide what a run finds: all of
+// them but Tracer and RelationHook, which only observe a run. A field
+// added to Options joins the key unless it is cleared here too.
+func warmKey(o Options) Options {
+	o.Tracer = nil
+	o.RelationHook = nil
+	return o
+}
 
 // NewEngine returns an Engine that runs every call with the given
 // options. The zero Options value is valid: DiscoverXFD with every
@@ -96,9 +98,9 @@ func (e *Engine) Evaluate(ctx context.Context, h *relation.Hierarchy, class sche
 // error. Exhausting a budget instead returns the partial Result found
 // so far with Stats.Truncated set: the wall-clock deadline (zero
 // means none), Options.MaxLatticeLevel, or a truncated input
-// hierarchy. warm false runs without the warm layer, neither seeding
-// from nor publishing to it, for a hierarchy the caller built inside
-// its own call and will never present again.
+// hierarchy. warm true seeds the run from h's warm entry when a run
+// under equal options left it, and stores this run's entry in its
+// place; warm false runs cold and leaves h's entry alone.
 func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy, deadline time.Time, warm bool) (*Result, error) {
 	e.runStarted()
 	run := newRun(ctx, h, e.opts, deadline)
@@ -117,48 +119,21 @@ func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy, deadline t
 	}
 	res, err := run.execute()
 	if share && err == nil {
-		e.publish(run.warmEntry())
+		if w := run.warmEntry(); w != nil {
+			relation.SetDerived(h, w)
+		}
 	}
 	e.runDone(res, err)
 	return res, err
 }
 
-// warmFor returns h's warm entry, or nil if there is none or it
-// predates an update made other than through this engine's
-// ApplyUpdate. Caller holds h's lock (either side), which keeps the
-// entry's contents fixed; only the slice bookkeeping needs e.mu.
+// warmFor returns h's warm entry if a run under options equal to the
+// engine's left it, or nil. Caller holds h's lock (either side), which
+// keeps the entry's contents fixed.
 func (e *Engine) warmFor(h *relation.Hierarchy) *warmHierarchy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, w := range e.warm {
-		if w.h == h && w.batches == h.Batches() {
-			return w
-		}
+	w, _ := relation.Derived(h).(*warmHierarchy)
+	if w == nil || !reflect.DeepEqual(w.key, warmKey(e.opts)) {
+		return nil
 	}
-	return nil
-}
-
-// publish installs a finished run's entry as the warm entry for its
-// hierarchy, replacing any previous entry (run-scoped invalidation)
-// and evicting the oldest hierarchy beyond the cap. An entry with
-// neither partitions nor outputs leaves the previous one in place.
-func (e *Engine) publish(w *warmHierarchy) {
-	if w.parts == nil && w.outs == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i := e.warmIndex(w.h); i >= 0 {
-		e.warm = slices.Delete(e.warm, i, i+1)
-	}
-	e.warm = append(e.warm, w)
-	if len(e.warm) > engineWarmHierarchies {
-		e.warm = slices.Delete(e.warm, 0, len(e.warm)-engineWarmHierarchies)
-	}
-}
-
-// warmIndex returns the position of h's entry in e.warm, or -1.
-// Caller holds e.mu.
-func (e *Engine) warmIndex(h *relation.Hierarchy) int {
-	return slices.IndexFunc(e.warm, func(w *warmHierarchy) bool { return w.h == h })
+	return w
 }

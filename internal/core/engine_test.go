@@ -48,30 +48,6 @@ func TestEngineWarmLayerReuse(t *testing.T) {
 	}
 }
 
-// TestEngineWarmEviction runs more hierarchies through one engine
-// than the warm cap retains and checks the oldest entries are
-// evicted while the most recent stay warm.
-func TestEngineWarmEviction(t *testing.T) {
-	eng := NewEngine(Options{})
-	hs := make([]*relation.Hierarchy, engineWarmHierarchies+2)
-	for i := range hs {
-		hs[i] = buildWarehouse(t, relation.Options{})
-		if _, err := eng.Discover(context.Background(), hs[i], time.Time{}, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(eng.warm); n != engineWarmHierarchies {
-		t.Fatalf("warm layer holds %d hierarchies, cap is %d", n, engineWarmHierarchies)
-	}
-	for i, h := range hs {
-		warm := eng.warmFor(h) != nil
-		wantWarm := i >= len(hs)-engineWarmHierarchies
-		if warm != wantWarm {
-			t.Errorf("hierarchy %d: warm=%v, want %v", i, warm, wantWarm)
-		}
-	}
-}
-
 // TestEngineNaiveStaysCold pins the differential-baseline guarantee:
 // NaivePartitions runs never publish to (or seed from) the warm
 // layer, so naive results stay bit-for-bit reproducible.
@@ -82,8 +58,8 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.warmFor(h) != nil {
-		t.Fatal("naive run published to the warm layer")
+	if relation.Derived(h) != nil {
+		t.Fatal("naive run published a warm entry")
 	}
 	second, err := eng.Discover(context.Background(), h, time.Time{}, true)
 	if err != nil {
@@ -97,11 +73,11 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 	}
 }
 
-// TestEngineCallBuiltHierarchiesStayCold pins that runs over a
-// hierarchy built inside the caller's own call (Discover with warm
-// false) neither seed from nor publish to the warm layer, so a
-// long-lived engine retains none of them, yet they still count in
-// Metrics; warm runs over one hierarchy the caller holds keep seeding.
+// TestEngineCallBuiltHierarchiesStayCold pins that runs with warm
+// false, over a hierarchy the caller holds or one built inside the
+// call, neither seed from nor publish to the hierarchy's warm entry,
+// yet they still count in Metrics; warm runs over one hierarchy the
+// caller holds keep seeding.
 func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 	eng := NewEngine(Options{})
 	ctx := context.Background()
@@ -114,8 +90,8 @@ func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(eng.warm); n != 0 {
-		t.Fatalf("warm layer holds %d hierarchies after cold runs, want 0", n)
+	if relation.Derived(h) != nil {
+		t.Fatal("cold runs left a warm entry on the hierarchy")
 	}
 	if m := eng.Metrics(); m.RunsFinished != 4 || m.WarmSeeded != 0 {
 		t.Fatalf("after 4 cold runs: RunsFinished=%d WarmSeeded=%d, want 4 and 0", m.RunsFinished, m.WarmSeeded)
@@ -129,19 +105,18 @@ func TestEngineCallBuiltHierarchiesStayCold(t *testing.T) {
 	if m := eng.Metrics(); m.WarmSeeded != 1 {
 		t.Errorf("two warm runs over one hierarchy: WarmSeeded=%d, want 1", m.WarmSeeded)
 	}
-	if n := len(eng.warm); n != 1 {
-		t.Errorf("warm layer holds %d hierarchies, want 1", n)
+	if eng.warmFor(h) == nil {
+		t.Error("warm runs left no warm entry on the hierarchy")
 	}
 }
 
 // TestDeadlineTruncatedRunLeavesWarmLayerClean pins that the per-call
-// deadline, the one budget that can differ between runs of one engine
-// over one hierarchy, cannot poison the warm layer: a warm run cut
-// short at any essential relation must not leave outputs behind that a
-// later run without a deadline replays.
+// deadline, the one budget outside the warm entry's key, cannot poison
+// the entry: a warm run cut short at any essential relation must not
+// leave outputs behind that a later run without a deadline replays.
+// Each subtest builds its own hierarchy, so each starts cold.
 func TestDeadlineTruncatedRunLeavesWarmLayerClean(t *testing.T) {
-	h := buildAuction(t)
-	cold, err := discoverCold(h, Options{})
+	cold, err := discoverCold(buildAuction(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +124,12 @@ func TestDeadlineTruncatedRunLeavesWarmLayerClean(t *testing.T) {
 		t.Fatalf("cold run found %d FDs and %d keys, want 7 and 15", len(cold.FDs), len(cold.Keys))
 	}
 	ctx := context.Background()
-	for _, r := range h.Relations {
+	for _, r := range buildAuction(t).Relations {
 		if !r.Essential {
 			continue
 		}
 		t.Run(strings.TrimPrefix(string(r.Pivot), "/"), func(t *testing.T) {
+			h := buildAuction(t)
 			// The hook outsleeps the call's deadline on reaching r, so
 			// r's lattice, and everything after it, runs out of budget.
 			var deadline time.Time

@@ -139,8 +139,8 @@ type Stats struct {
 	// Relations is the number of essential relations processed.
 	Relations int
 	// RelationsReused counts essential relations whose lattice
-	// traversal was skipped entirely because the engine's warm layer
-	// proved their subtree untouched since the last run and replayed
+	// traversal was skipped entirely because the hierarchy's warm
+	// entry proved their subtree untouched since the last run and replayed
 	// its cached outputs (see Run.planReuse).
 	RelationsReused int
 	// Tuples is the total tuple count over essential relations.

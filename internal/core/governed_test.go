@@ -203,7 +203,7 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 		var res *Result
 		atProcs(max(2, runtime.GOMAXPROCS(0)), func() {
 			run := newRun(context.Background(), h, Options{}, time.Time{})
-			run.seed(&warmHierarchy{h: h, parts: parts})
+			run.seed(&warmHierarchy{parts: parts})
 			res, err = run.execute()
 		})
 		check(t, res, err, string(rel.Pivot))

@@ -20,8 +20,8 @@ type edge struct {
 // relOutput is one essential relation's contribution to a run, in
 // public form: its intra- then inter-relation FDs and keys, its
 // approximate FDs, and the outgoing targets it hands to its parent.
-// It is immutable once the relation finishes, so the Engine's warm
-// layer replays it as is.
+// It is immutable once the relation finishes, so the hierarchy's warm
+// entry replays it as is.
 type relOutput struct {
 	fds    []FD
 	keys   []Key

@@ -21,8 +21,8 @@ type Metrics struct {
 	RunsFinished  int64
 	RunsTruncated int64
 	RunsFailed    int64
-	// WarmSeeded counts runs that started from the engine's warm
-	// partition layer instead of cold.
+	// WarmSeeded counts runs that started from their hierarchy's
+	// warm entry instead of cold.
 	WarmSeeded int64
 	// Evaluations counts direct FD evaluations (Engine.Evaluate).
 	Evaluations int64
@@ -33,7 +33,7 @@ type Metrics struct {
 	UpdateOps      int64
 	UpdatesFailed  int64
 	// PartitionsPatched / PartitionsKept / PartitionsDropped count the
-	// fate of warm-layer partitions across updates: rebuilt from the
+	// fate of warm-entry partitions across updates: rebuilt from the
 	// column's codes, shared untouched, or discarded as stale.
 	PartitionsPatched int64
 	PartitionsKept    int64
@@ -64,7 +64,7 @@ func (e *Engine) runStarted() {
 	e.met.mu.Unlock()
 }
 
-// warmSeeded records a run seeded from the warm layer.
+// warmSeededRun records a run seeded from a warm entry.
 func (e *Engine) warmSeededRun() {
 	e.met.mu.Lock()
 	e.met.m.WarmSeeded++

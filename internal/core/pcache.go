@@ -107,7 +107,7 @@ func (c *partitionCache) charge(n int64) {
 	c.peak = max(c.peak, c.bytes)
 }
 
-// seed pre-populates the cache from an Engine's warm layer: the
+// seed pre-populates the cache from h's warm entry: the
 // immutable partition maps, by Relation.Index, that a previous run
 // over h retained. Each store reads its warm map in place and copies
 // it only before its first write (see own), so concurrent runs share
@@ -132,13 +132,12 @@ func (c *partitionCache) seed(h *relation.Hierarchy, warm []map[AttrSet]*partiti
 }
 
 // snapshot returns every relation store's partition map, by
-// Relation.Index, for the Engine's warm layer, or nil if no store
+// Relation.Index, for the run's warm entry, or nil if no store
 // holds any. The maps are handed over, not copied: a store's map is
 // private, or the very warm map it was seeded with and never wrote,
 // and the Engine publishes only after execute has returned, so this
 // run never writes to them again. Partitions are immutable after
-// construction, so the Engine may hand the snapshot to later runs
-// unsynchronized.
+// construction, so later runs may read the snapshot unsynchronized.
 func (c *partitionCache) snapshot() []map[AttrSet]*partition.Partition {
 	var out []map[AttrSet]*partition.Partition
 	for i, rp := range c.rels {

@@ -22,8 +22,8 @@ import (
 // Engine.Discover call, used on the calling goroutine (the level
 // precompute's product workers touch none of it but the governor),
 // and discarded; nothing in it is shared across runs except the
-// partitions and per-relation outputs the owning Engine carries over
-// in its warm layer.
+// partitions and per-relation outputs it leaves in its hierarchy's
+// warm entry.
 //
 // A run executes as a fixed pipeline of named stages (see execute):
 //
@@ -48,8 +48,8 @@ type Run struct {
 
 	// Per-relation slots: each essential relation writes its output
 	// and its Stats once, when it finishes (a replayed one copies the
-	// warm entry's output). warm is the engine's
-	// entry this run was seeded from (nil on cold runs); reusable
+	// warm entry's output). warm is the hierarchy's warm entry this
+	// run was seeded from (nil on cold runs); reusable
 	// marks relations whose whole subtree this run replays from it
 	// instead of traversing (see planReuse).
 	outs     []*relOutput
@@ -242,7 +242,7 @@ func (run *Run) plan() error {
 	return nil
 }
 
-// seed starts the run from the engine's warm entry for its hierarchy:
+// seed starts the run from its hierarchy's warm entry:
 // the cache reads the entry's partition maps, and planReuse its
 // outputs.
 func (run *Run) seed(w *warmHierarchy) {
@@ -450,13 +450,17 @@ func (run *Run) collect(r *relation.Relation, all *relOutput) {
 }
 
 // warmEntry packages what this run leaves for the next one over its
-// hierarchy. A truncated run leaves no outputs: a skipped relation
-// has none to replay, and a partial entry would silently pin the
+// hierarchy, or nil when it leaves nothing, which keeps the entry in
+// place. A truncated run leaves no outputs: a skipped relation has
+// none to replay, and a partial entry would silently pin the
 // truncation into every warm repeat.
 func (run *Run) warmEntry() *warmHierarchy {
-	w := &warmHierarchy{h: run.h, batches: run.h.Batches(), parts: run.cache.snapshot()}
+	w := &warmHierarchy{key: warmKey(run.opts), parts: run.cache.snapshot()}
 	if !run.res.Stats.Truncated {
 		w.outs, w.anyNull, w.nullsAtOrAbove = run.outs, run.anyNull, run.nullsAtOrAbove
+	}
+	if w.parts == nil && w.outs == nil {
+		return nil
 	}
 	return w
 }

@@ -95,7 +95,7 @@ type target struct {
 
 // clone returns a copy safe to offer to a fresh run: the satisfied
 // list is reset (the consuming relation appends to it per level), and
-// the immutable rows and parts are shared. The warm layer hands out
+// the immutable rows and parts are shared. The warm entry hands out
 // clones of cached outgoing targets so that one run's minimality
 // bookkeeping never leaks into the next.
 func (t *target) clone() *target {

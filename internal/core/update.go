@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"discoverxfd/internal/partition"
@@ -9,30 +8,40 @@ import (
 	"discoverxfd/internal/trace"
 )
 
-// ApplyUpdate applies a batch of document updates to h and patches the
-// engine's warm layer in place of invalidating it: retained partitions
-// of untouched relations (and of touched relations' clean columns) are
+// ApplyUpdate applies a batch of document updates to h and patches
+// h's warm entry in place of invalidating it: retained partitions of
+// untouched relations (and of touched relations' clean columns) are
 // kept, dirty single-column partitions are rebuilt from the column's
 // codes by the same builder cold runs use (Relation.ColumnPartition),
 // and only multi-column sets intersecting the dirty columns are
 // dropped — those the next run recomputes by products of the rebuilt
 // columns. Each touched relation loses its output slot, so the next
-// Discover over h traverses it again and replays every subtree the
-// batch left alone, which is what the E-update benchmark measures.
+// warm Discover over h traverses it again and replays every subtree
+// the batch left alone, which is what the E-update benchmark
+// measures. A patch depends on the batch alone, so ApplyUpdate
+// patches the entry whatever options built it, and an update through
+// any engine keeps it current.
 //
 // ApplyUpdate serializes against running discoveries: it takes h's
 // writer lock while Discover holds the reader lock across seed,
 // execute, and publish, so a run never observes half-applied updates
 // and never publishes pre-update state over a patched warm entry.
+// Under that lock it takes the entry, lets Apply empty the slot,
+// patches the entry and stores it back.
 //
 // On error the hierarchy retains the updates applied before the
-// failing op; the warm entry for h is dropped so no stale state can
-// be served.
+// failing op; the entry is not stored back, so no stale state can be
+// served.
 func (e *Engine) ApplyUpdate(h *relation.Hierarchy, ops []relation.Update) (*relation.Changeset, error) {
 	start := time.Now()
 	h.Lock()
+	w, _ := relation.Derived(h).(*warmHierarchy)
 	cs, err := h.Apply(ops)
-	pr := e.patchWarm(h, cs)
+	var pr []patchReport
+	if err == nil && w != nil {
+		pr = w.patch(cs)
+		relation.SetDerived(h, w)
+	}
 	h.Unlock()
 	e.updateDone(cs, err, pr)
 	e.traceUpdate(start, cs, err, pr)
@@ -42,7 +51,7 @@ func (e *Engine) ApplyUpdate(h *relation.Hierarchy, ops []relation.Update) (*rel
 	return cs, nil
 }
 
-// patchReport summarizes the warm-layer patch of one relation.
+// patchReport summarizes the warm-entry patch of one relation.
 type patchReport struct {
 	rel     *relation.Relation
 	rows    int // touched rows
@@ -52,24 +61,11 @@ type patchReport struct {
 	dropped int // stale multi-column sets discarded
 }
 
-// patchWarm brings h's warm entry up to date with the Apply batch that
+// patch brings the warm entry up to date with the Apply batch that
 // produced cs, in place, and reports the patch per relation in
-// relation order. It patches only an entry exactly one batch behind;
-// any other entry, and every entry after a failed batch (cs nil), it
-// drops. Caller holds h's writer lock, so no run is reading the entry.
-func (e *Engine) patchWarm(h *relation.Hierarchy, cs *relation.Changeset) []patchReport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	i := e.warmIndex(h)
-	if i < 0 {
-		return nil
-	}
-	w := e.warm[i]
-	if cs == nil || w.batches+1 != h.Batches() {
-		e.warm = slices.Delete(e.warm, i, i+1)
-		return nil
-	}
-	w.batches = h.Batches()
+// relation order. Caller holds the hierarchy's writer lock, so no run
+// is reading the entry.
+func (w *warmHierarchy) patch(cs *relation.Changeset) []patchReport {
 	var reports []patchReport
 	for idx, rc := range cs.Rels {
 		if rc == nil {

@@ -126,11 +126,12 @@ func TestWarmMapsSharedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestWarmEntryStaleAfterOutsideUpdate pins that an engine's warm
-// entry is used only while it reflects the hierarchy. After an update
-// made through another engine, or by Apply directly, the engine's own
-// next update must not patch the stale entry back into use, and the
-// engine's next warm run must not replay it.
+// TestWarmEntryStaleAfterOutsideUpdate pins that a warm entry is used
+// only while it reflects the hierarchy. An update through another
+// engine patches the shared entry, and one made by Apply directly
+// empties the slot, so the engine's own next update has no stale entry
+// to patch back into use, and its next warm run none to replay: every
+// warm run still equals a cold one.
 func TestWarmEntryStaleAfterOutsideUpdate(t *testing.T) {
 	routes := map[string]func(h *relation.Hierarchy, ops []relation.Update) error{
 		"other engine": func(h *relation.Hierarchy, ops []relation.Update) error {
@@ -247,4 +248,110 @@ func TestReuseAcrossRootNullProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "after filling the root leaf", warm, cold)
+}
+
+// TestWarmEntryFollowsHierarchy pins that the warm entry belongs to
+// the hierarchy and is keyed by the options that decide what a run
+// finds. A second engine with equal options and its own RelationHook
+// reuses every relation the first engine's run left, and its hook
+// still runs on each one. An engine with other options (MaxLHS 1)
+// ignores the entry: it runs cold, finds what a cold run finds, and
+// leaves its own entry in place of the first.
+func TestWarmEntryFollowsHierarchy(t *testing.T) {
+	h := buildWarehouse(t, relation.Options{})
+	ctx := context.Background()
+	first, err := NewEngine(Options{}).Discover(ctx, h, time.Time{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var hooked []schema.Path
+	same := NewEngine(Options{RelationHook: func(p schema.Path) { hooked = append(hooked, p) }})
+	again, err := same.Discover(ctx, h, time.Time{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.Relations == 0 || again.Stats.RelationsReused != again.Stats.Relations {
+		t.Errorf("an engine with equal options reused %d of %d relations, want all",
+			again.Stats.RelationsReused, again.Stats.Relations)
+	}
+	if m := same.Metrics(); m.WarmSeeded != 1 {
+		t.Errorf("an engine with equal options: WarmSeeded = %d, want 1", m.WarmSeeded)
+	}
+	if len(hooked) != again.Stats.Relations {
+		t.Errorf("the second engine's hook ran on %d of %d relations: %v", len(hooked), again.Stats.Relations, hooked)
+	}
+	requireSameResult(t, "an engine with equal options", again, first)
+
+	other := NewEngine(Options{MaxLHS: 1})
+	got, err := other.Discover(ctx, h, time.Time{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.RelationsReused != 0 {
+		t.Errorf("an engine with MaxLHS 1 reused %d relations of an entry built without it, want 0", got.Stats.RelationsReused)
+	}
+	if m := other.Metrics(); m.WarmSeeded != 0 {
+		t.Errorf("an engine with MaxLHS 1: WarmSeeded = %d, want 0", m.WarmSeeded)
+	}
+	cold, err := discoverCold(h, Options{MaxLHS: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "an engine with MaxLHS 1", got, cold)
+	if other.warmFor(h) == nil || same.warmFor(h) != nil {
+		t.Error("the MaxLHS 1 run did not replace the hierarchy's warm entry with its own")
+	}
+}
+
+// TestWarmEntryConcurrentEngines runs warm discovery over one
+// hierarchy from several goroutines at once, each on its own engine
+// under the same options, so runs seed from and publish to the
+// hierarchy's one entry concurrently. Under -race no access may
+// conflict, every result must equal a cold run's, and each engine's
+// repeats must seed from the entry.
+func TestWarmEntryConcurrentEngines(t *testing.T) {
+	h := buildWarehouse(t, relation.Options{})
+	opts := Options{ApproxError: 0.1}
+	cold, err := discoverCold(h, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const engines, rounds = 4, 3
+	results := make([][]*Result, engines)
+	errs := make([]error, engines)
+	seeded := make([]int64, engines)
+	var wg sync.WaitGroup
+	for i := 0; i < engines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := NewEngine(opts)
+			for r := 0; r < rounds; r++ {
+				res, err := eng.Discover(context.Background(), h, time.Time{}, true)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i] = append(results[i], res)
+			}
+			seeded[i] = eng.Metrics().WarmSeeded
+		}()
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		for r, res := range results[i] {
+			requireSameResult(t, fmt.Sprintf("engine %d round %d", i, r), res, cold)
+			if !reflect.DeepEqual(fdStrings(&Result{FDs: res.ApproxFDs}), fdStrings(&Result{FDs: cold.ApproxFDs})) {
+				t.Errorf("engine %d round %d: approximate FDs differ from the cold run's", i, r)
+			}
+		}
+		if seeded[i] < rounds-1 {
+			t.Errorf("engine %d seeded %d of its %d runs, want at least %d", i, seeded[i], rounds, rounds-1)
+		}
+	}
 }

@@ -21,9 +21,10 @@ import (
 // windowSize is the initial size of the byte window. The window
 // doubles only when a single token fills it, so a stream's memory is
 // bounded by its largest token (encoding/xml buffers a whole text run
-// too). It is a variable only so that tests can drive small inputs
-// through the refill path.
-var windowSize = 64 << 10
+// too). 16 KiB, the JSON scanner's size, parses as fast as 64 KiB
+// while allocating 48 KiB less per document. It is a variable only so
+// that tests can drive small inputs through the refill path.
+var windowSize = 16 << 10
 
 // maxEmptyReads is how many consecutive (0, nil) reads fill tolerates
 // before failing with io.ErrNoProgress, as bufio.Reader does.

@@ -215,9 +215,12 @@ type Hierarchy struct {
 	// interners, densifier remaps) that makes in-place updates
 	// possible; nil for streamed or hand-assembled hierarchies.
 	upd *patchState
-	// batches counts the Apply batches that may have mutated the
-	// hierarchy (see Batches); written under the write lock.
-	batches uint64
+
+	// derived is state a caller derived from the hierarchy (discovery's
+	// warm entry), opaque here; see Derived. It has its own mutex
+	// because runs holding the read lock publish to it concurrently.
+	derivedMu sync.Mutex
+	derived   any // guarded by derivedMu
 }
 
 // RLock takes the hierarchy's read lock. Discovery runs and direct
@@ -235,11 +238,22 @@ func (h *Hierarchy) Lock() { h.mu.Lock() }
 // Unlock releases the write lock.
 func (h *Hierarchy) Unlock() { h.mu.Unlock() }
 
-// Batches returns how many Apply batches may have mutated the
-// hierarchy, failed ones included. State derived from the hierarchy is
-// current only while this count stays what it was when the state was
-// derived. Read it under either lock.
-func (h *Hierarchy) Batches() uint64 { return h.batches }
+// Derived returns the state last stored on h by SetDerived. Apply
+// empties the slot, failed batches too, so state stored there is never
+// read against a hierarchy changed since.
+func Derived(h *Hierarchy) any {
+	h.derivedMu.Lock()
+	defer h.derivedMu.Unlock()
+	return h.derived
+}
+
+// SetDerived stores v as h's derived state, replacing any previous
+// value; nil empties the slot.
+func SetDerived(h *Hierarchy, v any) {
+	h.derivedMu.Lock()
+	defer h.derivedMu.Unlock()
+	h.derived = v
+}
 
 // truncate records the first budget exhaustion; later ones keep the
 // original reason.
@@ -416,7 +430,6 @@ func BuildStream(r io.Reader, s *schema.Schema, opts Options) (*Hierarchy, error
 // Truncated set.
 func BuildStreamContext(ctx context.Context, r io.Reader, s *schema.Schema, opts Options) (*Hierarchy, error) {
 	return Ingest(ctx, source.Input{
-		Format: "xml",
 		Stream: func(ctx context.Context, fn func(*datatree.Node) error) (string, error) {
 			return datatree.StreamRootChildrenContext(ctx, r, opts.parseLimits(), fn)
 		},

@@ -16,8 +16,9 @@ import (
 // tuple class and pivot node key. An update mutates the retained data
 // tree and the relation columns consistently, and reports exactly
 // which columns and rows changed (the Changeset), which is what lets
-// the engine's warm layer keep the striped partitions of clean columns
-// and rebuild only the dirty ones (see the engine's ApplyUpdate).
+// the warm entry discovery keeps on the hierarchy (see Derived) keep
+// the striped partitions of clean columns and rebuild only the dirty
+// ones (see the engine's ApplyUpdate).
 //
 // The invariants the update path maintains:
 //
@@ -169,16 +170,19 @@ func (ps *patchState) ensureRowIndex(h *Hierarchy) {
 // second alternative under a Choice element. Without this the update
 // path could produce documents a rebuild rejects.
 //
+// Apply first empties the derived-state slot (see Derived); a caller
+// that brings its state up to date stores it again.
+//
 // Apply does not lock: callers serialize updates against running
 // discoveries via Lock/RLock (the engine's ApplyUpdate does).
 func (h *Hierarchy) Apply(ops []Update) (*Changeset, error) {
+	SetDerived(h, nil)
 	if h.upd == nil {
 		return nil, ErrNotUpdatable
 	}
 	if h.Truncated {
 		return nil, fmt.Errorf("relation: truncated hierarchy (%s) is not updatable", h.TruncatedReason)
 	}
-	h.batches++
 	h.upd.ensureRowIndex(h)
 	app := &applier{
 		h:        h,

@@ -153,6 +153,38 @@ func TestEngineStagePanicContained(t *testing.T) {
 	}
 }
 
+// TestResidentFaultHookPerRequest pins that an engine-stage fault
+// armed by X-Fault-Relation belongs to the request that sent it, not
+// to the resident document that request created: a discover sent with
+// the header fails with 500, and one sent without it answers 200 with
+// the library's result.
+func TestResidentFaultHookPerRequest(t *testing.T) {
+	hook, _ := faultinject.HeaderFaultHook() // non-nil Fault arms X-Fault-Relation
+	s := newTestServer(t, Config{Fault: hook})
+	xml := libraryXML(8)
+	poison := map[string]string{"X-Fault-Relation": "book"}
+	rec := do(s, "POST", "/v1/documents", poison, strings.NewReader(xml))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d, body %s", rec.Code, rec.Body)
+	}
+	base := "/v1/documents/" + decodeDoc(t, rec.Body.String()).ID
+
+	if rec = do(s, "POST", base+"/discover", poison, nil); rec.Code != http.StatusInternalServerError {
+		t.Errorf("discover with the fault header = %d, want 500", rec.Code)
+	}
+	rec = do(s, "POST", base+"/discover", nil, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("discover without the fault header = %d, want 200; body %s", rec.Code, rec.Body)
+	}
+	doc, err := discoverxfd.ParseDocument(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := libraryJSON(t, doc, nil, discoverxfd.Options{}); !bytes.Equal(normalizeTimes(rec.Body.Bytes()), want) {
+		t.Errorf("resident discover differs from the library path\nserved: %s\nwant:   %s", rec.Body, want)
+	}
+}
+
 // lockedJSONL wraps a JSONL tracer over a shared buffer; the mutex
 // also lets the test read the buffer safely afterwards.
 func lockedJSONL(mu *sync.Mutex, buf *bytes.Buffer) trace.Tracer {

@@ -14,20 +14,24 @@ import (
 
 // Resident documents are the server's incremental-discovery surface:
 // POST /v1/documents parses a document once and keeps its built
-// hierarchy (and a dedicated engine with its warm partition layer)
-// resident; PATCH /v1/documents/{id} applies an update script to it
-// in place; POST /v1/documents/{id}/discover then runs incrementally,
-// from warm partitions that the update kept or rebuilt column by
-// column instead of discarding. This is the
+// hierarchy resident; PATCH /v1/documents/{id} applies an update
+// script to it in place; POST /v1/documents/{id}/discover then runs
+// incrementally, from the warm partitions that the update kept or
+// rebuilt column by column instead of discarding. The warm entry
+// lives on the hierarchy, so each of these requests runs on its own
+// engine, built from the document's options. This is the
 // serving-layer shape of the update path — parse once, mutate and
 // re-discover many times.
 
-// document is one resident document: its engine (the warm layer is
-// per-engine, so each document gets its own), its built hierarchy,
-// and bookkeeping for the listing endpoint.
+// document is one resident document: its built hierarchy (which
+// carries its warm entry), the options every request over it runs
+// under, and bookkeeping for the listing endpoint. opts are the
+// creating request's, limits included (see fixedLimits); like every
+// request's options they hold no tracer and no fault hook, which
+// each request's engine adds (see requestEngine).
 type document struct {
 	id      string
-	eng     *discoverxfd.Engine
+	opts    discoverxfd.Options
 	h       *discoverxfd.Hierarchy
 	created time.Time
 
@@ -56,7 +60,7 @@ func newDocStore(max int) *docStore {
 var errDocStoreFull = &httpError{status: http.StatusConflict,
 	msg: "document store is full; delete a resident document first"}
 
-func (ds *docStore) add(eng *discoverxfd.Engine, h *discoverxfd.Hierarchy) (*document, error) {
+func (ds *docStore) add(opts discoverxfd.Options, h *discoverxfd.Hierarchy) (*document, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if len(ds.docs) >= ds.max {
@@ -65,7 +69,7 @@ func (ds *docStore) add(eng *discoverxfd.Engine, h *discoverxfd.Hierarchy) (*doc
 	ds.next++
 	d := &document{
 		id:      "doc-" + strconv.Itoa(ds.next),
-		eng:     eng,
+		opts:    opts,
 		h:       h,
 		created: time.Now(),
 	}
@@ -151,19 +155,8 @@ func (s *Server) handleCreateDocument(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
-	// The engine outlives this request as the document's resident
-	// engine, so it traces to the bare backend: stamping it with this
-	// request's trace ids would mislabel every later run. Runs over
-	// resident documents correlate with their requests through the
-	// request span's timing instead.
-	req.opts.Trace = s.cfg.Trace
-	eng := discoverxfd.NewEngine(&req.opts)
-	resident := false
-	defer func() {
-		if !resident {
-			s.met.retire(eng) // the engine dies with the request
-		}
-	}()
+	eng := s.requestEngine(r, req.opts)
+	defer s.met.retire(eng)
 	if err := s.decodeBody(ctx, w, r, eng, req); err != nil {
 		s.writeError(w, r, err)
 		return
@@ -182,12 +175,11 @@ func (s *Server) handleCreateDocument(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, decodeErr("document", err))
 		return
 	}
-	d, err := s.docs.add(eng, h)
+	d, err := s.docs.add(req.opts, h)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	resident = true
 	s.stats.docsCreated.Add(1)
 	s.cfg.Log.Info("document resident", "id", d.id, "tuples", d.h.TotalTuples())
 	writeJSONStatus(w, http.StatusCreated, d.info())
@@ -220,9 +212,6 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, docNotFound(r.PathValue("id")))
 		return
 	}
-	// Fold the retired engine's final counters so the bridged engine
-	// totals stay monotonic across the deletion.
-	s.met.retire(d.eng)
 	s.stats.docsDeleted.Add(1)
 	writeJSONStatus(w, http.StatusOK, map[string]string{"deleted": d.id})
 }
@@ -240,7 +229,7 @@ type updateResult struct {
 
 // handleUpdateDocument is PATCH /v1/documents/{id}: decode a JSON
 // update script (see discoverxfd.ParseUpdates) and apply it to the
-// resident hierarchy. On success the engine has already rebuilt the
+// resident hierarchy. On success the update has already rebuilt the
 // warm partitions of the dirty columns, so the next discover on the
 // document runs incrementally; a rejected script (unknown key, schema
 // violation) returns 422 with the failing op's error — earlier ops in
@@ -262,7 +251,9 @@ func (s *Server) handleUpdateDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.fault("update", r)
-	cs, err := d.eng.ApplyUpdate(d.h, ops)
+	eng := s.requestEngine(r, d.opts)
+	defer s.met.retire(eng)
+	cs, err := eng.ApplyUpdate(d.h, ops)
 	if err != nil {
 		s.stats.docUpdatesRejected.Add(1)
 		s.writeError(w, r, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()})
@@ -311,6 +302,8 @@ func (s *Server) handleDiscoverDocument(w http.ResponseWriter, r *http.Request) 
 		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
+	eng := s.requestEngine(r, d.opts)
+	defer s.met.retire(eng)
 	release, err := s.adm.Acquire(ctx, req.tenant)
 	if err != nil {
 		s.writeError(w, r, err)
@@ -320,7 +313,7 @@ func (s *Server) handleDiscoverDocument(w http.ResponseWriter, r *http.Request) 
 	s.stats.accepted.Add(1)
 	req.fire("admitted")
 
-	res, err := d.eng.DiscoverHierarchy(ctx, d.h)
+	res, err := eng.DiscoverHierarchy(ctx, d.h)
 	if err != nil {
 		s.stats.failed.Add(1)
 		s.writeError(w, r, err)

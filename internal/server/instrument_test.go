@@ -7,7 +7,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -66,6 +68,48 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
+// TestResidentDiscoverTraced pins that a resident document's runs
+// trace with the ids of the request that asked for them: a discover
+// sent with a traceparent, over a document created without one, emits
+// run events that all carry its trace id.
+func TestResidentDiscoverTraced(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, Config{Trace: trace.NewJSONL(&buf)})
+	rec := do(s, "POST", "/v1/documents", nil, strings.NewReader(libraryXML(6)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d, body %s", rec.Code, rec.Body)
+	}
+	id := decodeDoc(t, rec.Body.String()).ID
+	rec = do(s, "POST", "/v1/documents/"+id+"/discover",
+		map[string]string{"traceparent": testTraceparent}, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("discover = %d, body %s", rec.Code, rec.Body)
+	}
+	tp, err := trace.ParseTraceparent(rec.Header().Get("Traceparent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runEvents := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev trace.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Run == "" {
+			continue
+		}
+		runEvents++
+		if ev.TraceID != tp.TraceID || ev.RequestID != tp.ParentID {
+			t.Errorf("run event %s carries ids %q/%q, want %q/%q",
+				ev.Kind, ev.TraceID, ev.RequestID, tp.TraceID, tp.ParentID)
+		}
+	}
+	if runEvents == 0 {
+		t.Fatal("the resident discover emitted no run events")
+	}
+}
+
 // TestTraceparentMintedWhenAbsent pins the no-header and bad-header
 // paths: the server starts a fresh, well-formed trace.
 func TestTraceparentMintedWhenAbsent(t *testing.T) {
@@ -105,7 +149,11 @@ func scrape(t *testing.T, s *Server) string {
 // TestMetricsEndpoint pins the scrape surface: valid exposition
 // carrying RED series for served routes, bridged engine counters, one
 // observation per pipeline stage in the stage histogram, and runtime
-// stats.
+// stats. On a second server it drives a resident document through
+// create, discover, PATCH, discover and DELETE: each request's engine
+// folds its counters when the request ends, so the scrape shows both
+// runs, the second seeded from the warm entry, and the update batch
+// with the partitions it patched, and the DELETE changes none of them.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if rec := do(s, "POST", "/v1/discover",
@@ -131,6 +179,64 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+
+	s = newTestServer(t, Config{})
+	rec := do(s, "POST", "/v1/documents", nil, strings.NewReader(libraryXML(12)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d, body %s", rec.Code, rec.Body)
+	}
+	base := "/v1/documents/" + decodeDoc(t, rec.Body.String()).ID
+	script := `[{"op": "set", "class": "/library/shelf", "key": 2, "attr": "./room", "value": "r42"},
+		{"op": "set", "class": "/library/shelf/book", "key": 4, "attr": "./title", "value": "new"}]`
+	for _, step := range []struct {
+		method, target, body string
+	}{
+		{"POST", base + "/discover", ""},
+		{"PATCH", base, script},
+		{"POST", base + "/discover", ""},
+	} {
+		if rec := do(s, step.method, step.target, nil, strings.NewReader(step.body)); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d, body %s", step.method, step.target, rec.Code, rec.Body)
+		}
+	}
+	before := engineCounters(t, scrape(t, s))
+	for name, want := range map[string]float64{
+		"xfd_engine_runs_finished_total":   2,
+		"xfd_engine_warm_seeded_total":     1,
+		"xfd_engine_updates_applied_total": 1,
+		"xfd_engine_update_ops_total":      2,
+	} {
+		if before[name] != want {
+			t.Errorf("%s = %v, want %v", name, before[name], want)
+		}
+	}
+	if before["xfd_engine_partitions_patched_total"] < 1 {
+		t.Errorf("xfd_engine_partitions_patched_total = %v, want at least 1", before["xfd_engine_partitions_patched_total"])
+	}
+	if rec := do(s, "DELETE", base, nil, nil); rec.Code != http.StatusOK {
+		t.Fatalf("delete = %d, body %s", rec.Code, rec.Body)
+	}
+	if after := engineCounters(t, scrape(t, s)); !reflect.DeepEqual(after, before) {
+		t.Errorf("DELETE changed the engine counters:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// engineCounters reads every xfd_engine_ sample of a scrape by name.
+func engineCounters(t *testing.T, scraped string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(scraped, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "xfd_engine_") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 // TestShedObservability pins the 429 path's observability: the shed

@@ -192,8 +192,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(s.base, req.timeout)
 	}
 	feed := trace.NewFeed(s.cfg.FeedCapacity)
-	req.opts.Trace = trace.Multi(s.requestTracer(r), feed)
-	eng := discoverxfd.NewEngine(&req.opts)
+	req.opts.Trace = feed
+	eng := s.requestEngine(r, req.opts)
 	// Until the job goroutine takes them over, the job context and the
 	// engine die with this handler.
 	started := false
@@ -248,7 +248,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, eng *discoverxfd.Engine, req *request, tk *ticket) {
 	defer s.jobs.wg.Done()
 	defer cancel()
-	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
+	defer s.met.retire(eng)
 	defer func() {
 		if p := recover(); p != nil {
 			s.stats.panics.Add(1)

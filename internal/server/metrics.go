@@ -8,13 +8,11 @@ package server
 // exposition writer, which CI's smoke job re-validates with the
 // package's own checker.
 //
-// Engine bridging: the server creates short-lived engines (one per
-// sync request or job) and long-lived ones (one per resident
-// document). Engine.Metrics is cumulative per engine, so the bridge
-// keeps one folded total of every retired engine's final snapshot and
-// adds the live snapshots of resident documents at scrape time —
-// monotonic, because a document's counters only grow until deletion
-// folds their final value into the retired total.
+// Engine bridging: every engine the server creates serves one request
+// (or the job a request submits), and Engine.Metrics is cumulative per
+// engine, so the bridge folds each engine's final snapshot into one
+// total when its request ends. Scrapes read that total, which only
+// grows; a request still in flight shows up once it ends.
 
 import (
 	"net/http"
@@ -91,7 +89,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.tenantQueued = r.NewGauge("xfd_tenant_queued",
 		"Queued admissions per tenant.", "tenant")
 
-	// Engine counters: folded retired engines + live resident documents.
+	// Engine counters: the folded finals of retired engines.
 	for _, c := range []struct {
 		name, help string
 		read       func(em *discoverxfd.Metrics) int64
@@ -104,7 +102,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func(em *discoverxfd.Metrics) int64 { return em.RunsTruncated }},
 		{"xfd_engine_runs_failed_total", "Discovery runs that returned an error.",
 			func(em *discoverxfd.Metrics) int64 { return em.RunsFailed }},
-		{"xfd_engine_warm_seeded_total", "Runs seeded from a warm partition layer.",
+		{"xfd_engine_warm_seeded_total", "Runs seeded from their hierarchy's warm entry.",
 			func(em *discoverxfd.Metrics) int64 { return em.WarmSeeded }},
 		{"xfd_engine_updates_applied_total", "Accepted document update batches.",
 			func(em *discoverxfd.Metrics) int64 { return em.UpdatesApplied }},
@@ -188,9 +186,9 @@ func (s *Server) observeShed(tenant, reason string) {
 	s.stats.shedTenant(tenant, reason)
 }
 
-// retire folds a discarded engine's final counters into the bridged
-// totals. Call it exactly once per engine, when the engine goes out of
-// service (after a one-shot run, or at document deletion).
+// retire folds a finished engine's final counters into the bridged
+// totals. Call it exactly once per engine, when its request (or job)
+// ends.
 func (m *serverMetrics) retire(eng *discoverxfd.Engine) {
 	em := eng.Metrics()
 	m.mu.Lock()
@@ -198,17 +196,11 @@ func (m *serverMetrics) retire(eng *discoverxfd.Engine) {
 	m.mu.Unlock()
 }
 
-// engineTotals sums the retired engines' folded counters with the live
-// resident-document engines' current snapshots.
+// engineTotals returns the folded counters of every retired engine.
 func (s *Server) engineTotals() discoverxfd.Metrics {
 	s.met.mu.Lock()
-	tot := s.met.retired
-	s.met.mu.Unlock()
-	for _, d := range s.docs.list() {
-		em := d.eng.Metrics()
-		addMetrics(&tot, &em)
-	}
-	return tot
+	defer s.met.mu.Unlock()
+	return s.met.retired
 }
 
 // addMetrics folds src's counters into dst (high-water marks take the

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"discoverxfd"
+	"discoverxfd/internal/trace"
 )
 
 // request is one decoded discovery request: the parsed document and
@@ -71,7 +72,7 @@ func badRequest(format string, args ...any) *httpError {
 // decodeParams derives a request's options from its query parameters
 // and headers, before the body is touched: the degrade mode, the
 // effective timeout, the limits (which may only tighten the server's
-// base), and — on chaos builds — the engine-stage fault hook. The
+// base), and — on chaos builds — the request's fault points. The
 // caller uses the returned timeout to build the request context that
 // decodeBody and the run itself then honor.
 func (s *Server) decodeParams(r *http.Request) (*request, error) {
@@ -79,7 +80,10 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 		opts:   s.cfg.Options,
 		tenant: tenantOf(r),
 	}
-	req.opts.Trace = nil // per-request tracers are attached by the caller
+	// The tracer and the fault hook belong to each request's engine
+	// (see requestEngine), never to its options.
+	req.opts.Trace = nil
+	req.opts.RelationHook = nil
 
 	q := r.URL.Query()
 	switch q.Get("degrade") {
@@ -106,15 +110,26 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 	if s.cfg.Fault != nil {
 		hdr := r.Header.Clone()
 		req.fault = func(point string) { s.cfg.Fault(point, hdr) }
-		if substr := r.Header.Get("X-Fault-Relation"); substr != "" {
-			req.opts.RelationHook = func(pivot discoverxfd.Path) {
-				if strings.Contains(string(pivot), substr) {
-					panic(fmt.Sprintf("server: injected fault at relation %s", pivot))
-				}
+	}
+	return req, nil
+}
+
+// requestEngine returns the engine that serves one request: opts plus
+// the request's tracer and, on chaos builds, the engine-stage fault
+// hook its X-Fault-Relation header arms. opts.Trace, when set (a job's
+// progress feed), receives the events too. The engine lives no longer
+// than its request, or the job the request submits; the caller
+// retires it, folding its counters into /metrics.
+func (s *Server) requestEngine(r *http.Request, opts discoverxfd.Options) *discoverxfd.Engine {
+	opts.Trace = trace.Multi(s.requestTracer(r), opts.Trace)
+	if substr := r.Header.Get("X-Fault-Relation"); s.cfg.Fault != nil && substr != "" {
+		opts.RelationHook = func(pivot discoverxfd.Path) {
+			if strings.Contains(string(pivot), substr) {
+				panic(fmt.Sprintf("server: injected fault at relation %s", pivot))
 			}
 		}
 	}
-	return req, nil
+	return discoverxfd.NewEngine(&opts)
 }
 
 // decodeBody reads and parses the document (and optional schema) into
@@ -382,8 +397,8 @@ func limitsParams(q url.Values, base discoverxfd.Limits) (discoverxfd.Limits, er
 }
 
 // fixedLimits rejects limit parameters on a resident document's
-// discover: its engine, and so its limits, were fixed when POST
-// /v1/documents created it, and the warm layer is not keyed by them.
+// discover: its limits were fixed when POST /v1/documents created it,
+// and every request over the document runs under them.
 func fixedLimits(q url.Values) error {
 	for _, name := range limitParams {
 		if q.Has(name) {

@@ -292,9 +292,8 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
-	req.opts.Trace = s.requestTracer(r)
-	eng := discoverxfd.NewEngine(&req.opts)
-	defer s.met.retire(eng) // one-shot engine: fold its counters on the way out
+	eng := s.requestEngine(r, req.opts)
+	defer s.met.retire(eng)
 	s.fault("decode", r)
 	if err := s.decodeBody(ctx, w, r, eng, req); err != nil {
 		s.writeError(w, r, err)

@@ -1,9 +1,9 @@
 // Package source defines the pluggable document-producer layer: the
 // seam between concrete document formats (XML, JSON) and the
 // format-agnostic engine. A Source turns a byte stream into the data
-// tree of Yu & Jagadish's model (internal/datatree); a Streamer
-// additionally emits root-child subtrees one at a time, which
-// relation.Ingest converts into tuples without materializing the
+// tree of Yu & Jagadish's model (internal/datatree), and an Input
+// hands relation.Ingest either such a tree or a stream of root-child
+// subtrees, which it converts into tuples without materializing the
 // document. Everything above this seam — schema inference,
 // hierarchical representation, partition discovery — is unchanged
 // across formats; that is the point of the layer.
@@ -29,7 +29,7 @@ var ErrUnknownFormat = errors.New("source: unknown document format")
 // data-tree model.
 type Source interface {
 	// Format is the backend's canonical name ("xml", "json"), the
-	// value -format flags and Input.Format carry.
+	// value -format flags carry.
 	Format() string
 	// Extensions lists the file extensions (with leading dot, lower
 	// case) the format claims for extension-based detection.
@@ -42,23 +42,10 @@ type Source interface {
 	Load(ctx context.Context, r io.Reader, lim datatree.ParseLimits) (*datatree.Tree, error)
 }
 
-// Streamer is implemented by sources that can deliver the document
-// root's direct children one subtree at a time, for ingestion without
-// materializing the whole tree (see relation.Ingest).
-type Streamer interface {
-	Source
-	// Stream parses the document, invoking fn once per root-child
-	// subtree, and returns the root element's label.
-	Stream(ctx context.Context, r io.Reader, lim datatree.ParseLimits, fn func(*datatree.Node) error) (string, error)
-}
-
 // Input is one document handed to relation.Ingest: either a
 // materialized tree or a stream of root-child subtrees. Exactly one
 // of Tree and Stream must be set.
 type Input struct {
-	// Format names the producing backend (informational; the engine
-	// is format-agnostic once a tree or stream exists).
-	Format string
 	// Tree is the materialized document.
 	Tree *datatree.Tree
 	// Stream delivers the document root's direct children to fn one

@@ -2,9 +2,8 @@
 // of the system, repackaged behind the source seam. The parser itself
 // lives in internal/datatree (it is the data model's native
 // serialization, shared by WriteXML and the golden corpora); this
-// package adapts it to the source.Source and source.Streamer
-// contracts so the engine reaches XML the same way it reaches every
-// other format.
+// package adapts it to the source.Source contract so the engine
+// reaches XML the same way it reaches every other format.
 package xmldoc
 
 import (
@@ -47,10 +46,4 @@ func (Doc) Sniff(prefix []byte) bool {
 // conventions).
 func (Doc) Load(ctx context.Context, r io.Reader, lim datatree.ParseLimits) (*datatree.Tree, error) {
 	return datatree.ParseXMLContext(ctx, r, lim)
-}
-
-// Stream delivers the root element's direct children one subtree at a
-// time (see datatree.StreamRootChildrenContext).
-func (Doc) Stream(ctx context.Context, r io.Reader, lim datatree.ParseLimits, fn func(*datatree.Node) error) (string, error) {
-	return datatree.StreamRootChildrenContext(ctx, r, lim, fn)
 }

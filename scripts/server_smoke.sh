@@ -123,7 +123,11 @@ cat > "$WORK/update2.json" <<EOF
  {"op": "delete", "class": "/warehouse/state", "key": $KEY}]
 EOF
 code 200 -X PATCH --data-binary "@$WORK/update2.json" "$BASE/v1/documents/$DOC"
-code 200 -X POST "$BASE/v1/documents/$DOC/discover?timeout=60s"
+# The post-update discover joins a trace of its own: its run must carry
+# that trace id, not the creating request's (checked in stage 8).
+TP_DOC_ID=4bf92f3577b34da6a3ce929d0e0e4736
+code 200 -X POST -H "traceparent: 00-$TP_DOC_ID-00f067aa0ba902b7-01" \
+  "$BASE/v1/documents/$DOC/discover?timeout=60s"
 python3 -c "import json; assert json.load(open('$WORK/body'))['fds']" ||
   fail "post-update discover malformed"
 code 422 -X PATCH --data-binary '[{"op":"delete","class":"/warehouse/state","key":999999}]' \
@@ -208,5 +212,10 @@ SERVER_PID=
 
 note "stage 8: trace flushed and schema-valid"
 go run ./cmd/tracecheck "$WORK/smoke.trace"
+python3 -c "
+import json, sys
+sys.exit(not any(ev.get('event') == 'run_start' and ev.get('trace_id') == '$TP_DOC_ID'
+                 for ev in map(json.loads, open('$WORK/smoke.trace'))))" ||
+  fail "no run_start event carries the resident discover's trace id $TP_DOC_ID"
 
 note "PASS"

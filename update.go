@@ -10,8 +10,8 @@ import (
 
 // Incremental updates. A hierarchy Engine.BuildHierarchy built from
 // an in-memory document stays updatable: ApplyUpdate mutates it in
-// place — tuple value changes, inserts, deletes — and the engine
-// keeps its warm partitions, rebuilding only those of the dirty
+// place — tuple value changes, inserts, deletes — and patches the
+// hierarchy's warm entry, rebuilding only the partitions of the dirty
 // columns, so the next DiscoverHierarchy call over the same
 // *Hierarchy runs incrementally. Streamed hierarchies are not
 // updatable (ErrNotUpdatable); rebuild those from the source.
@@ -43,18 +43,19 @@ const (
 var ErrNotUpdatable = relation.ErrNotUpdatable
 
 // ApplyUpdate applies a batch of updates to the hierarchy and patches
-// the engine's warm partition layer: untouched partitions are kept,
-// dirty single-column partitions rebuilt from the column's codes, and
-// only stale multi-column sets dropped. Updates serialize against running discoveries on the
-// same hierarchy. The returned Changeset's Keys hold, per op, the
-// affected pivot key — for inserts, the new tuple's key, which later
-// batches use to address it.
+// its warm entry, whichever engine left it: untouched partitions are
+// kept, dirty single-column partitions rebuilt from the column's
+// codes, and only stale multi-column sets dropped. Updates serialize
+// against running discoveries on the same hierarchy. The returned
+// Changeset's Keys hold, per op, the affected pivot key — for
+// inserts, the new tuple's key, which later batches use to address
+// it.
 //
 // On error the batch stops at the failing op: earlier ops remain
-// applied to the document, and the engine drops the hierarchy's warm
-// partitions so no stale state can be served. Callers wanting
-// all-or-nothing semantics should validate scripts first (or rebuild
-// the hierarchy on error).
+// applied to the document, and the hierarchy's warm entry is dropped
+// so no stale state can be served. Callers wanting all-or-nothing
+// semantics should validate scripts first (or rebuild the hierarchy
+// on error).
 func (e *Engine) ApplyUpdate(h *Hierarchy, ops []Update) (*Changeset, error) {
 	return e.core.ApplyUpdate(h, ops)
 }
