@@ -94,8 +94,9 @@ func (g *governor) productWorkers(jobs int) int {
 // workerGroup launches the engine's parallel workers. It is the only
 // place in the library allowed to start goroutines: every worker it
 // spawns is joined by Wait, and a panic inside a worker is converted
-// into an ordinary error carrying the worker's stack, so a bug in one
-// worker surfaces as the run's error instead of crashing the process.
+// into an ordinary error (a *panicError, holding the worker's stack),
+// so a bug in one worker surfaces as the run's error instead of
+// crashing the process.
 // The xfdlint govdiscipline analyzer enforces that bare `go`
 // statements and raw sync.WaitGroup fan-out stay out of the rest of
 // the engine (see docs/INTERNALS.md §10).
@@ -117,7 +118,7 @@ func (g *workerGroup) Go(fn func()) {
 		defer g.wg.Done()
 		defer func() {
 			if p := recover(); p != nil {
-				err := fmt.Errorf("%v\n%s", p, debug.Stack())
+				err := recovered(p)
 				g.mu.Lock()
 				if g.err == nil {
 					g.err = err
@@ -130,8 +131,7 @@ func (g *workerGroup) Go(fn func()) {
 }
 
 // Wait joins every spawned worker and returns the first recovered
-// panic, if any, as an error holding its value and stack; the caller
-// names the worker.
+// panic, if any, as a *panicError; the caller names the worker.
 func (g *workerGroup) Wait() error {
 	g.wg.Wait()
 	g.mu.Lock()
@@ -166,3 +166,24 @@ func (g *governor) status() (bool, string) {
 	defer g.mu.Unlock()
 	return g.truncated, g.reason
 }
+
+// panicError is a panic recovered on a run's goroutine or in one of its
+// workers. Its text is the panic value alone: the error reaches HTTP
+// clients through xfdd, and the goroutine stack, with its source paths
+// and argument words, is for operators. They read it through
+// PanicStack (xfdd logs it with the failed request) and in the run's
+// run_end trace event.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+// recovered wraps a value recovered from a panic, taking the stack of
+// the panicking goroutine; call it from the deferred function that
+// recovered.
+func recovered(p any) *panicError { return &panicError{value: p, stack: debug.Stack()} }
+
+func (e *panicError) Error() string { return fmt.Sprint(e.value) }
+
+// PanicStack returns the goroutine stack at the panic.
+func (e *panicError) PanicStack() []byte { return e.stack }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime/debug"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -120,12 +120,13 @@ const (
 
 // pipeline runs the staged pipeline. Any panic that escapes a stage —
 // from the traversal or from result assembly — surfaces as an error
-// to the caller instead of killing the process. Product workers
-// additionally recover per goroutine (workerGroup's panic barrier),
-// which is what keeps a worker panic from unwinding past the group's
-// join. The run span (run_start/run_end) brackets the
-// stage spans; run_end reports truncation, the run's WallTime, and the
-// error if the run failed.
+// to the caller instead of killing the process, with the stack kept
+// out of its text (see panicError). Product workers additionally
+// recover per goroutine (workerGroup's panic barrier), which is what
+// keeps a worker panic from unwinding past the group's join. The run
+// span (run_start/run_end) brackets the stage spans; run_end reports
+// truncation, the run's WallTime, and the error if the run failed,
+// followed by the stack if it was a panic.
 func (run *Run) pipeline() (res *Result, err error) {
 	start := time.Now()
 	if run.tr != nil {
@@ -134,7 +135,7 @@ func (run *Run) pipeline() (res *Result, err error) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("core: panic during discovery: %v\n%s", p, debug.Stack())
+			res, err = nil, fmt.Errorf("core: panic during discovery: %w", recovered(p))
 		}
 		run.res.Stats.WallTime = time.Since(start)
 		if run.tr != nil {
@@ -145,6 +146,9 @@ func (run *Run) pipeline() (res *Result, err error) {
 			}
 			if err != nil {
 				ev.Err = err.Error()
+				if pe := (*panicError)(nil); errors.As(err, &pe) {
+					ev.Err += "\n" + string(pe.stack)
+				}
 			}
 			trace.Emit(run.tr, ev)
 		}

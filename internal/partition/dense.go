@@ -104,7 +104,8 @@ func GetScratch(nRows int) *Scratch {
 }
 
 // PutScratch returns a Scratch to the pool. The scratch must not be
-// used after; Product leaves its tables zeroed.
+// used after. It needs no reset: Product leaves the grouped loop's
+// table zeroed and every stamp of the flat loop's tables dead.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
 		scratchPool.Put(sc)

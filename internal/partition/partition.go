@@ -11,7 +11,10 @@
 // in non-singleton groups minus the number of such groups).
 package partition
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Partition is a striped attribute partition: only groups with two or
 // more tuples are stored. Tuples are identified by their row index in
@@ -120,12 +123,41 @@ type Scratch struct {
 	touched []int32 // ids met in the group being split, in order of first occurrence
 	rows    []int32 // staged output rows
 	starts  []int32 // staged output group offsets
+	flat    *flatTables
 }
+
+// flatTables is the flat loop's working memory, allocated at the
+// Scratch's full size the first time the Scratch runs that loop.
+type flatTables struct {
+	// slots is indexed by k = id+1. A slot holds the stamp of the last
+	// group of Π_X that met id, and the position of id's first row in
+	// that group. Each call stamps its groups epoch, epoch+1, …, so
+	// older stamps are dead and the table is never reset between groups
+	// or calls. Slot 0, where a stripped singleton of Π_Y lands, is
+	// always stamped 0, which is never live.
+	slots []flatSlot
+	pos   []flatPos // by position in Π_X's rows
+	epoch int32     // the stamp of group 0 in the next call
+}
+
+type flatSlot struct{ stamp, lead int32 }
+
+// flatPos holds, for one position in Π_X's rows, the position of its
+// part's first row (its leader) and, at a leader, the part's row count
+// and then its write cursor. Before the first pass cur flags the
+// positions that open a group.
+type flatPos struct{ lead, cur int32 }
 
 // NewScratch allocates scratch space for relations with nRows tuples.
 func NewScratch(nRows int) *Scratch {
 	return &Scratch{t: make([]int32, nRows)}
 }
+
+// flatMaxMean is the largest mean group size of Π_X, ‖Π_X‖/|Π_X|, at
+// which Product runs the flat loop. Above it the grouped loop wins:
+// its branches follow the groups, which are then long enough to be
+// predicted (docs/INTERNALS.md §3 has the measurements).
+const flatMaxMean = 6
 
 // Product computes the striped partition Π_{X∪Y} from Π_X (receiver)
 // and ids, the row→group lookup of Π_Y (see GroupIDs). Each group of
@@ -141,6 +173,35 @@ func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 	if sc == nil || len(sc.t) < p.NRows {
 		sc = NewScratch(p.NRows)
 	}
+	return p.product(ids, sc, p.Card() <= flatMaxMean*p.Size())
+}
+
+// product is Product with the loop chosen by the caller. Both loops
+// stage the same arrays, element for element.
+func (p *Partition) product(ids []int32, sc *Scratch, flat bool) *Partition {
+	var end int32
+	if flat {
+		end = p.splitFlat(ids, sc)
+	} else {
+		end = p.splitGrouped(ids, sc)
+	}
+	k := len(sc.starts)
+	if k == 0 {
+		return &Partition{NRows: p.NRows}
+	}
+	out := &Partition{rows: make([]int32, end), starts: make([]int32, k+1), NRows: p.NRows}
+	copy(out.rows, sc.rows[:end])
+	copy(out.starts, sc.starts)
+	out.starts[k] = end
+	return out
+}
+
+// splitGrouped is the grouped loop. It splits one group of Π_X at a
+// time: it counts the ids of the group's rows in sc.t, claims a range
+// for every id seen at least twice, in order of first occurrence, and
+// writes the rows into their ranges. It stages the parts in sc.rows,
+// their offsets in sc.starts, and returns the number of staged rows.
+func (p *Partition) splitGrouped(ids []int32, sc *Scratch) int32 {
 	t := sc.t
 	staged := slices.Grow(sc.rows[:0], p.Card())[:p.Card()]
 	starts := sc.starts[:0]
@@ -184,15 +245,105 @@ func (p *Partition) Product(ids []int32, sc *Scratch) *Partition {
 		}
 	}
 	sc.rows, sc.starts = staged, starts
-	k := len(starts)
-	if k == 0 {
-		return &Partition{NRows: p.NRows}
+	return end
+}
+
+// splitFlat is the flat loop, staging what splitGrouped stages. On
+// groups of a handful of rows, splitGrouped's branches (the first
+// sighting of an id, a part of one row, the end of a group) follow the
+// data and mispredict. splitFlat makes three passes over all of Π_X's
+// rows instead, computing every select as a mask, so its only branches
+// are the loops' own and the bounds checks:
+//
+//  1. flatLeaders finds each position's leader, the position of the
+//     first row of its part (its own position for a stripped
+//     singleton of Π_Y), and counts the part's rows at the leader;
+//  2. flatClaim, in position order, which is Π_X's group order with
+//     first occurrence inside a group, claims a range for every leader
+//     of two or more rows and points every other position at a dump
+//     slot one past the staged rows;
+//  3. flatScatter writes each row at its leader's cursor, advancing
+//     the cursor unless it is the dump slot.
+func (p *Partition) splitFlat(ids []int32, sc *Scratch) int32 {
+	n := p.Card()
+	if n == 0 {
+		sc.starts = sc.starts[:0]
+		return 0
 	}
-	out := &Partition{rows: make([]int32, end), starts: make([]int32, k+1), NRows: p.NRows}
-	copy(out.rows, staged[:end])
-	copy(out.starts, starts)
-	out.starts[k] = end
-	return out
+	f := sc.flat
+	if f == nil {
+		f = &flatTables{slots: make([]flatSlot, len(sc.t)+1), pos: make([]flatPos, len(sc.t)), epoch: 1}
+		sc.flat = f
+	}
+	if int64(f.epoch)+int64(p.Size())+1 > math.MaxInt32 {
+		clear(f.slots) // every stamp dead again
+		f.epoch = 1
+	}
+	base := f.epoch
+	f.epoch += int32(p.Size()) + 1
+
+	pos := f.pos[:n]
+	flatLeaders(p.rows, p.starts, ids, f.slots, pos, base)
+	st := slices.Grow(sc.starts[:0], n/2+1)[:n/2+1]
+	parts, end := flatClaim(pos, st)
+	staged := slices.Grow(sc.rows[:0], n+1)[:n+1]
+	flatScatter(p.rows, pos, staged)
+	sc.rows, sc.starts = staged, st[:parts]
+	return end
+}
+
+// flatLeaders is the flat loop's first pass; see splitFlat. Group i of
+// Π_X is stamped base+i.
+func flatLeaders(rows, starts, ids []int32, slots []flatSlot, pos []flatPos, base int32) {
+	pos = pos[:len(rows)]
+	clear(pos)
+	for _, at := range starts[1 : len(starts)-1] {
+		pos[at].cur = 1
+	}
+	stamp := base
+	for j, row := range rows {
+		at := int32(j)
+		stamp += pos[j].cur // +1 where a group opens
+		k := ids[row] + 1
+		sl := &slots[k]
+		// A slot's stamp is at most this group's, so fresh is -1
+		// unless this group met k before.
+		fresh := (sl.stamp - stamp) >> 31
+		l := at&fresh | sl.lead&^fresh
+		sl.stamp = stamp & (-k >> 31) // 0 in slot 0
+		sl.lead = l
+		pos[j].lead = l
+		pos[j].cur = 0
+		pos[l].cur++
+	}
+}
+
+// flatClaim is the flat loop's second pass; see splitFlat. It writes
+// the parts' offsets to st and returns their number and total rows.
+func flatClaim(pos []flatPos, st []int32) (int, int32) {
+	dump := int32(len(pos))
+	parts, end := 0, int32(0)
+	for j := range pos {
+		c := pos[j].cur
+		claim := (1 - c) >> 31 // -1 when the part has two or more rows
+		st[parts] = end
+		parts -= int(claim)
+		pos[j].cur = end&claim | dump&^claim
+		end += c & claim
+	}
+	return parts, end
+}
+
+// flatScatter is the flat loop's third pass; see splitFlat.
+func flatScatter(rows []int32, pos []flatPos, staged []int32) {
+	pos = pos[:len(rows)]
+	dump := int32(len(rows))
+	for j, row := range rows {
+		l := pos[j].lead
+		w := pos[l].cur
+		staged[w] = row
+		pos[l].cur = w - (w-dump)>>31 // +1 below the dump slot
+	}
 }
 
 // GroupIDs returns a row→group lookup: ids[row] is the index of the

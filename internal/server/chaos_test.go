@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,20 +67,22 @@ func TestHandlerPanicContained(t *testing.T) {
 // TestEngineStagePanicContained injects a panic into the middle of the
 // discovery traversal (the RelationHook seam) from many concurrent
 // clients: the run's panic barrier converts it to an error with the
-// run span closed, the handler answers 500, the durable trace stays
-// schema-valid with a run_end carrying the error, and clean runs
-// interleaved with the poisoned ones stay byte-identical to the
-// library path.
+// run span closed, the handler answers 500 with a short body that
+// names the panic but holds no goroutine stack, the server's error log
+// and the durable trace's run_end keep the stack, the trace stays
+// schema-valid, and clean runs interleaved with the poisoned ones stay
+// byte-identical to the library path.
 func TestEngineStagePanicContained(t *testing.T) {
 	defer faultinject.CheckGoroutines(t)()
 	hook, _ := faultinject.HeaderFaultHook() // non-nil Fault arms X-Fault-Relation
-	var traceBuf bytes.Buffer
-	var traceMu sync.Mutex
+	var traceBuf, logBuf bytes.Buffer
+	var traceMu, logMu sync.Mutex
 	s := newTestServer(t, Config{
 		MaxConcurrent: 4,
 		QueueDepth:    64,
 		Fault:         hook,
 		Trace:         lockedJSONL(&traceMu, &traceBuf),
+		Log:           slog.New(slog.NewJSONHandler(&lockedWriter{mu: &logMu, w: &logBuf}, nil)),
 	})
 	xml := libraryXML(8)
 	doc, err := discoverxfd.ParseDocument(xml)
@@ -102,6 +105,9 @@ func TestEngineStagePanicContained(t *testing.T) {
 			}
 			if !strings.Contains(rec.Body.String(), "panic") {
 				errs <- fmt.Sprintf("worker %d poisoned run: error does not name the panic: %s", w, rec.Body)
+			}
+			if body := rec.Body.String(); strings.Contains(body, "goroutine ") || len(body) >= 1024 {
+				errs <- fmt.Sprintf("worker %d poisoned run: %d-byte body hands the client a stack: %.200s", w, len(body), body)
 			}
 			rec = do(s, "POST", "/v1/discover", nil, strings.NewReader(xml))
 			if rec.Code != http.StatusOK {
@@ -140,8 +146,8 @@ func TestEngineStagePanicContained(t *testing.T) {
 		}
 		if ev.Kind == "run_end" && ev.Err != "" {
 			failedRuns++
-			if !strings.Contains(ev.Err, "panic") {
-				t.Errorf("failed run_end error = %q, want the recovered panic", ev.Err)
+			if !strings.Contains(ev.Err, "panic") || !strings.Contains(ev.Err, "goroutine ") {
+				t.Errorf("failed run_end error = %.300q, want the recovered panic and its stack", ev.Err)
 			}
 		}
 	}
@@ -150,6 +156,66 @@ func TestEngineStagePanicContained(t *testing.T) {
 	}
 	if s.Stats().Failed != workers {
 		t.Errorf("failed counter = %d, want %d", s.Stats().Failed, workers)
+	}
+
+	// Each poisoned request's 500 is logged at Error level with the
+	// stack the client did not get.
+	logMu.Lock()
+	logged := append([]byte(nil), logBuf.Bytes()...)
+	logMu.Unlock()
+	stacks := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(logged), []byte("\n")) {
+		var rec struct {
+			Level  string `json:"level"`
+			Msg    string `json:"msg"`
+			Status int    `json:"status"`
+			Stack  string `json:"stack"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Msg == "request failed" && rec.Status == http.StatusInternalServerError {
+			if rec.Level != "ERROR" || !strings.Contains(rec.Stack, "goroutine ") {
+				t.Errorf("500 logged at %s with stack %.200q, want ERROR and the panic's stack", rec.Level, rec.Stack)
+			}
+			stacks++
+		}
+	}
+	if stacks != workers {
+		t.Errorf("error log holds %d failed requests, want %d", stacks, workers)
+	}
+}
+
+// TestJobEngineStagePanicKeepsStackInLog is the async counterpart of
+// TestEngineStagePanicContained: a job whose run panics fails with an
+// error that names the panic and holds no goroutine stack, and the
+// server logs the failure at Error level with the stack.
+func TestJobEngineStagePanicKeepsStackInLog(t *testing.T) {
+	defer faultinject.CheckGoroutines(t)()
+	hook, _ := faultinject.HeaderFaultHook() // non-nil Fault arms X-Fault-Relation
+	var logBuf bytes.Buffer
+	var logMu sync.Mutex
+	s := newTestServer(t, Config{
+		Fault: hook,
+		Log:   slog.New(slog.NewJSONHandler(&lockedWriter{mu: &logMu, w: &logBuf}, nil)),
+	})
+	rec := do(s, "POST", "/v1/jobs", map[string]string{"X-Fault-Relation": "book"}, strings.NewReader(libraryXML(6)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d, body %s", rec.Code, rec.Body)
+	}
+	var v jobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	done := pollJob(t, s, v.ID, terminal)
+	if done.State != stateFailed || !strings.Contains(done.Error, "panic") || strings.Contains(done.Error, "goroutine ") {
+		t.Fatalf("poisoned job ended %q with error %.300q, want failed, naming the panic, without a stack", done.State, done.Error)
+	}
+	logMu.Lock()
+	logged := logBuf.String()
+	logMu.Unlock()
+	if !strings.Contains(logged, `"msg":"job failed"`) || !strings.Contains(logged, `"level":"ERROR"`) || !strings.Contains(logged, `"stack":"goroutine `) {
+		t.Errorf("error log lacks the failed job's stack:\n%.500s", logged)
 	}
 }
 

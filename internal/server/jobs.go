@@ -290,11 +290,17 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 
 // jobFailed records a job's error with the same status mapping the
 // sync path uses; a run aborted by cancellation (DELETE, or the
-// drain's grace period expiring) lands in the cancelled state.
+// drain's grace period expiring) lands in the cancelled state. As on
+// the sync path, a 5xx is logged at Error level, with the stack of a
+// recovered engine panic.
 func (s *Server) jobFailed(j *job, err error) {
 	state := stateFailed
 	if errors.Is(err, context.Canceled) {
 		state = stateCancelled
 	}
-	j.finish(state, statusOf(err), nil, err.Error(), false)
+	status := statusOf(err)
+	if status >= http.StatusInternalServerError {
+		s.cfg.Log.Error("job failed", withPanicStack(err, "job", j.id, "status", status, "err", err)...)
+	}
+	j.finish(state, status, nil, err.Error(), false)
 }

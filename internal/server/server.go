@@ -450,9 +450,21 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		noteReason(r, "deadline")
 	}
 	if status >= http.StatusInternalServerError {
-		s.cfg.Log.Error("request failed", "path", r.URL.Path, "status", status, "err", err)
+		s.cfg.Log.Error("request failed", withPanicStack(err, "path", r.URL.Path, "status", status, "err", err)...)
 	}
 	writeJSONStatus(w, status, map[string]string{"error": err.Error()})
+}
+
+// withPanicStack appends to a failure's log attributes the goroutine
+// stack a recovered engine panic carries, if err holds one. The
+// library keeps the stack out of the error text, which is what a
+// client sees, so the log is where an operator finds it.
+func withPanicStack(err error, attrs ...any) []any {
+	var pe interface{ PanicStack() []byte }
+	if errors.As(err, &pe) {
+		attrs = append(attrs, "stack", string(pe.PanicStack()))
+	}
+	return attrs
 }
 
 // statusOf maps an error onto its HTTP status: typed decode errors
